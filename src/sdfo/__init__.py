@@ -37,6 +37,7 @@ from .oracle import (
     StochasticOracle,
     default_sample_policy,
     estimate_pair,
+    estimate_pairs,
     fixed_sample_policy,
     moment_oracle_samples,
     moment_sample_policy,
@@ -115,6 +116,7 @@ __all__ = [
     "ds_run",
     "ds_step",
     "estimate_pair",
+    "estimate_pairs",
     "fixed_sample_policy",
     "get_problem",
     "halton_point",

@@ -108,6 +108,8 @@ def run_experiment(
     seed_offset: int = 0,
 ) -> list[Path]:
     """Run the configured seed batch; returns the paths written."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     directory = _resolve_out_dir(cfg, out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     _print_theta_warnings(cfg)
@@ -186,6 +188,7 @@ def run_audit(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[list[P
                 "noise": cfg.noise.kind,
                 "trials": audit.spec.trials,
                 "seed": audit.spec.seed,
+                "draws": report.draws,
             },
         )
         written.append(csv_path)

@@ -10,25 +10,26 @@ holds by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
 from .stats import inverse_normal_cdf
 
-_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-    53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-)
-
 _DEGENERATE_NORM = 1e-8
 
 
 def first_primes(count: int) -> tuple[int, ...]:
+    """The first ``count`` primes, by trial division."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > len(_PRIMES):
-        raise ValueError(f"only the first {len(_PRIMES)} primes are tabulated")
-    return _PRIMES[:count]
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in takewhile(lambda p: p * p <= candidate, primes)):
+            primes.append(candidate)
+        candidate += 1
+    return tuple(primes)
 
 
 def radical_inverse(index: int, base: int) -> float:

@@ -128,17 +128,26 @@ class NoiseModel:
         )
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n zero-mean noise draws from the given generator."""
+        """n zero-mean noise draws from the given generator.
+
+        For every kind, ``draw(rng, a + b)`` equals ``draw(rng, a)`` followed
+        by ``draw(rng, b)``, which lets callers batch draws freely.
+        """
         if self.kind == "none":
             return np.zeros(n)
         if self.kind == "gaussian":
             return rng.normal(0.0, math.sqrt(self.declared_variance), n)
         if self.kind == "student_t":
             return self.scale * rng.standard_t(self.df, n)
+        # One uniform per variate, so the stream does not depend on how the
+        # draws are split into calls: floor(u) picks the sign, and the
+        # uniform 1 - (u mod 1) in (0, 1] gives the Pareto magnitude by
+        # inversion.
         shape = self.tail_index + 0.5
-        pareto = 1.0 + rng.pareto(shape, n)
-        signs = 2.0 * rng.integers(0, 2, n) - 1.0
-        return self.scale * signs * (pareto - shape / (shape - 1.0))
+        u = 2.0 * rng.random(n)
+        upper = np.floor(u)
+        pareto = (1.0 + upper - u) ** (-1.0 / shape)
+        return self.scale * (1.0 - 2.0 * upper) * (pareto - shape / (shape - 1.0))
 
 
 @dataclass(frozen=True)
@@ -224,6 +233,39 @@ def estimate_pair(
         samples_current=n_current,
         samples_trial=n_trial,
     )
+
+
+# Noise values drawn per call by ``estimate_pairs``: 128 KB of float64, so
+# a batch of estimates costs O(chunk) memory whatever its length.  Twice
+# as large is no faster and raises peak memory.
+CHUNK_DRAWS = 2**14
+
+
+def estimate_pairs(oracle: StochasticOracle, x_current, x_trial, n: int, trials: int) -> np.ndarray:
+    """``trials`` consecutive ``estimate_pair(oracle, x_current, x_trial, n, n)`` means.
+
+    Returns a ``(trials, 2)`` array of (current, trial) estimates.  The noise
+    for as many pairs as fit in ``CHUNK_DRAWS`` values is drawn at once and
+    averaged along its last axis.  Every estimate is bit-identical to the
+    pair-by-pair loop's, and the oracle stream and ``oracle.draws`` end
+    where that loop leaves them.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    truth = np.array(
+        [float(oracle.problem.eval_true(oracle.problem.check_point(x))) for x in (x_current, x_trial)]
+    )
+    oracle.draws += 2 * n * trials
+    if oracle.noise.kind == "none":
+        return np.tile(truth, (trials, 1))
+    estimates = np.empty((trials, 2))
+    per_chunk = max(1, CHUNK_DRAWS // (2 * n))
+    for start in range(0, trials, per_chunk):
+        m = min(per_chunk, trials - start)
+        values = oracle.noise.draw(oracle._rng, m * 2 * n).reshape(m, 2, n)
+        values += truth[:, None]
+        estimates[start : start + m] = np.mean(values, axis=-1)
+    return estimates
 
 
 def required_samples(variance: float, k_f: float, delta: float) -> int:

@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .oracle import EstimatePair, SamplePolicy, StochasticOracle, estimate_pair
+from .oracle import EstimatePair, SamplePolicy, StochasticOracle, estimate_pair, estimate_pairs
 from .stats import wilson_upper
 from .trace import format_float
 
@@ -35,14 +35,25 @@ Estimator = Callable[[StochasticOracle, np.ndarray, np.ndarray, float], Estimate
 _CONDITION_CODES = {"a1": 1, "a2": 2, "a2h": 3, "variance": 4}
 
 
-def sampler_estimator(sampler: SamplePolicy) -> Estimator:
-    """Estimator that averages ``sampler(delta)`` draws at each point."""
+@dataclass(frozen=True)
+class SamplerEstimator:
+    """Estimator that averages ``sampler(delta)`` draws at each point.
 
-    def estimator(oracle, x_current, x_trial, delta):
-        n = sampler(delta)
+    Called, it builds one estimate pair like any other estimator.  The
+    audits build a whole cell of its pairs at once with ``estimate_pairs``,
+    which gives the same values from the same stream.
+    """
+
+    sampler: SamplePolicy
+
+    def __call__(self, oracle, x_current, x_trial, delta) -> EstimatePair:
+        n = self.sampler(delta)
         return estimate_pair(oracle, x_current, x_trial, n, n)
 
-    return estimator
+
+def sampler_estimator(sampler: SamplePolicy) -> Estimator:
+    """Estimator that averages ``sampler(delta)`` draws at each point."""
+    return SamplerEstimator(sampler)
 
 
 def tail_order(h: float) -> float:
@@ -120,6 +131,7 @@ class AuditReport:
     condition: str
     cells: tuple
     passed: bool
+    draws: int  # oracle draws over all cells
 
 
 def _unit_direction(g, dimension: int) -> np.ndarray:
@@ -139,30 +151,37 @@ def _collect_errors(
     delta: float,
     trials: int,
     key: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Errors of `trials` fresh estimate pairs at a fixed (x, g, delta).
 
     Returns the decrease-estimate errors, the two per-point estimate
-    errors, and the per-estimate sample count used.  Each cell runs on its
-    own oracle substream, so reports are reproducible and independent of
-    any outer scheduling.
+    errors, the per-estimate sample count used and the oracle draws spent.
+    Each cell runs on its own oracle substream, so reports are reproducible
+    and independent of any outer scheduling.  A ``SamplerEstimator`` builds
+    the whole cell in one batch; any other estimator is called per trial.
     """
     cell_oracle = oracle.spawn(*key)
     y = x + delta * g
     f_x = float(oracle.problem.eval_true(x))
     f_y = float(oracle.problem.eval_true(y))
-    true_diff = f_x - f_y
-    diff_errors = np.empty(trials)
-    cur_errors = np.empty(trials)
-    trial_errors = np.empty(trials)
-    samples = 0
-    for t in range(trials):
-        pair = estimator(cell_oracle, x, y, delta)
-        diff_errors[t] = (pair.est_current - pair.est_trial) - true_diff
-        cur_errors[t] = pair.est_current - f_x
-        trial_errors[t] = pair.est_trial - f_y
-        samples = pair.samples_current
-    return diff_errors, cur_errors, trial_errors, samples
+    if isinstance(estimator, SamplerEstimator):
+        samples = estimator.sampler(delta)
+        estimates = estimate_pairs(cell_oracle, x, y, samples, trials)
+    else:
+        estimates = np.empty((trials, 2))
+        samples = 0
+        for t in range(trials):
+            pair = estimator(cell_oracle, x, y, delta)
+            estimates[t, 0] = pair.est_current
+            estimates[t, 1] = pair.est_trial
+            samples = pair.samples_current
+    # The estimate columns become the per-point errors in place.
+    cur_errors, trial_errors = estimates.T
+    diff_errors = cur_errors - trial_errors
+    diff_errors -= f_x - f_y
+    cur_errors -= f_x
+    trial_errors -= f_y
+    return diff_errors, cur_errors, trial_errors, samples, cell_oracle.draws
 
 
 def _exceedance_audit(
@@ -181,12 +200,14 @@ def _exceedance_audit(
     direction = _unit_direction(g, oracle.problem.dimension)
     code = _CONDITION_CODES[condition]
     cells = []
+    draws = 0
     for i_delta, delta in enumerate(spec.delta_grid):
         for i_outer, outer in enumerate(outer_grid):
-            errors, _, _, samples = _collect_errors(
+            errors, _, _, samples, cell_draws = _collect_errors(
                 oracle, estimator, point, direction, delta, spec.trials,
                 (code, i_delta, i_outer, spec.seed),
             )
+            draws += cell_draws
             threshold = threshold_of(outer, delta)
             bound = bound_of(outer)
             exceed = int(np.count_nonzero(np.abs(errors) >= threshold))
@@ -209,7 +230,7 @@ def _exceedance_audit(
                 )
             )
     cells = tuple(cells)
-    return AuditReport(condition=condition, cells=cells, passed=all(c.passed for c in cells))
+    return AuditReport(condition, cells, all(c.passed for c in cells), draws)
 
 
 def audit_a1(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
@@ -292,10 +313,12 @@ def audit_variance_condition(
     direction = _unit_direction(g, oracle.problem.dimension)
     code = _CONDITION_CODES["variance"]
     cells = []
+    draws = 0
     for i_delta, delta in enumerate(delta_grid):
-        _, cur_errors, trial_errors, samples = _collect_errors(
+        _, cur_errors, trial_errors, samples, cell_draws = _collect_errors(
             oracle, estimator, point, direction, delta, trials, (code, i_delta, seed)
         )
+        draws += cell_draws
         bound = k_f * k_f * delta**4
         for which, errors in (("current", cur_errors), ("trial", trial_errors)):
             squared = errors * errors
@@ -314,7 +337,7 @@ def audit_variance_condition(
                 )
             )
     cells = tuple(cells)
-    return AuditReport(condition="variance", cells=cells, passed=all(c.passed for c in cells))
+    return AuditReport("variance", cells, all(c.passed for c in cells), draws)
 
 
 def write_report_csv(path, report: AuditReport, metadata: Mapping[str, object] | None = None) -> None:

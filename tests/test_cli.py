@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from sdfo.cli import main
 
@@ -114,6 +115,16 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         assert (out / "trust_region_l1norm_seed0.csv").exists()
 
+    def test_dimension_beyond_thirty(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = write_run_config(tmp_path / "cfg.json", out, seeds=(0,), max_iters=5)
+        raw = json.loads(cfg_path.read_text())
+        raw["problem"]["dimension"] = 31
+        raw["x0"] = [1.0] * 31
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path)]) == 0
+        assert (out / "direct_search_l1norm_seed0.csv").exists()
+
     def test_trace_header_metadata(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_run_config(tmp_path / "cfg.json", out, seeds=(0,))
@@ -136,6 +147,14 @@ class TestAudit:
             "audit_sphere_summary.txt",
         }
         assert "tail audit [a1]" in capsys.readouterr().out
+
+    def test_audit_csv_reports_draws(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_audit_config(tmp_path / "a.json", out)
+        assert main(["audit", str(cfg)]) == 0
+        lines = (out / "audit_a1_sphere.csv").read_text().splitlines()
+        # Two p-cells at n = 1 (delta 1) and n = 16 (delta 0.5), 2000 trials.
+        assert "# draws=136000" in lines
 
     def test_heavy_tail_audit_route(self, tmp_path):
         out = tmp_path / "out"
@@ -208,6 +227,14 @@ class TestErrors:
         assert main(["audit", str(run_cfg)]) == 2
         audit_cfg = write_audit_config(tmp_path / "a.json", tmp_path / "out")
         assert main(["run", str(audit_cfg)]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "cfg.json", out)
+        assert main(["run", str(cfg), "--jobs", jobs]) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2

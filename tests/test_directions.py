@@ -11,11 +11,19 @@ from sdfo import (
     halton_point,
     next_direction,
 )
-from sdfo.directions import radical_inverse
+from sdfo.directions import first_primes, radical_inverse
 from sdfo.stats import inverse_normal_cdf
 
 
 class TestHalton:
+    def test_first_primes(self):
+        assert first_primes(1) == (2,)
+        assert first_primes(10) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+        primes = first_primes(31)
+        assert len(primes) == 31 and primes[29:] == (113, 127)
+        with pytest.raises(ValueError):
+            first_primes(0)
+
     def test_radical_inverse_base2(self):
         assert halton_point(1, (2,))[0] == 0.5
         assert halton_point(2, (2,))[0] == 0.25

@@ -10,6 +10,7 @@ from sdfo import (
     NoiseModel,
     StochasticOracle,
     estimate_pair,
+    estimate_pairs,
     get_problem,
     moment_oracle_samples,
     required_samples,
@@ -137,6 +138,39 @@ class TestEstimatePair:
         assert pair.est_trial == sample_estimate(b, y, 6)
 
 
+ALL_NOISE = [
+    NoiseModel.none(),
+    NoiseModel.gaussian(1.0),
+    NoiseModel.student_t(3.0),
+    NoiseModel.student_t(1.5),
+    NoiseModel.pareto_symmetric(1.5),
+    NoiseModel.pareto_symmetric(1.9),
+]
+ALL_NOISE_IDS = ["none", "gaussian", "t3", "t1.5", "pareto1.5", "pareto1.9"]
+
+
+class TestEstimatePairs:
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @pytest.mark.parametrize("n,trials", [(1, 20000), (16, 3000), (256, 300), (20000, 3)])
+    def test_matches_pair_by_pair_loop_bit_for_bit(self, noise, n, trials):
+        # The first three span several chunks; at n = 20000 one pair
+        # exceeds a chunk on its own.
+        a = make_oracle(noise, seed=5)
+        b = make_oracle(noise, seed=5)
+        x, y = (0.5, -0.25), (1.2, 0.3)
+        batch = estimate_pairs(a, x, y, n, trials)
+        pairs = [estimate_pair(b, x, y, n, n) for _ in range(trials)]
+        loop = np.array([(p.est_current, p.est_trial) for p in pairs])
+        assert np.array_equal(batch, loop)
+        assert a.draws == b.draws == 2 * n * trials
+        # Both streams stop at the same place.
+        assert sample_estimate(a, x, 3) == sample_estimate(b, x, 3)
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_pairs(make_oracle(NoiseModel.gaussian(1.0)), (0.0, 0.0), (1.0, 0.0), 0, 10)
+
+
 class TestMomentOracleSamples:
     def test_finite_variance_case_matches_required_samples_scale(self):
         # h=2 forces r=2; with eps_q = 4 k_f^2 the count is the variance
@@ -218,6 +252,14 @@ class TestNoiseModels:
         draws = noise.draw(np.random.default_rng(99), 10**6)
         se = float(np.std(draws)) / math.sqrt(draws.size)
         assert abs(float(np.mean(draws))) <= 4.0 * se
+
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, 1000), (1000, 7)])
+    def test_split_draws_continue_one_stream(self, noise, a, b):
+        whole = noise.draw(np.random.default_rng(21), a + b)
+        rng = np.random.default_rng(21)
+        parts = np.concatenate([noise.draw(rng, a), noise.draw(rng, b)])
+        assert np.array_equal(whole, parts)
 
     def test_zero_noise_collapse(self):
         oracle = make_oracle(NoiseModel.none())

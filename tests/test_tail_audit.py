@@ -1,6 +1,7 @@
 """Tail-bound auditor: soundness against closed forms, pass/fail behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from sdfo import (
     audit_a2,
     audit_generalized,
     audit_variance_condition,
+    fixed_sample_policy,
     get_problem,
     required_samples,
     sampler_estimator,
     variance_sample_policy,
 )
 from sdfo.stats import wilson_upper
-from sdfo.tail_audit import format_report, tail_order, write_report_csv
+from sdfo.tail_audit import _collect_errors, format_report, tail_order, write_report_csv
 
 X = np.array([0.5, -0.25])
 G = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -116,6 +118,55 @@ class TestHarnessSoundness:
             cells.sort(key=lambda c: c.threshold)
             freqs = [c.frequency for c in cells]
             assert freqs == sorted(freqs, reverse=True)
+
+
+class TestBatchPath:
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel.gaussian(1.0), NoiseModel.student_t(3.0), NoiseModel.student_t(1.5), NoiseModel.none()],
+        ids=["gaussian", "t3", "t1.5", "none"],
+    )
+    @pytest.mark.parametrize("n,trials", [(1, 1000), (16, 1000), (256, 1000), (16, 5000)])
+    def test_batch_matches_per_trial_fallback(self, noise, n, trials):
+        # A plain wrapper callable takes the per-trial loop; the estimator
+        # itself takes the batch path.  n = 256 and (16, 5000) span several
+        # chunks.
+        est = sampler_estimator(fixed_sample_policy(n))
+
+        def wrapped(oracle, x, y, delta):
+            return est(oracle, x, y, delta)
+
+        oracle = StochasticOracle(get_problem("sphere", 2), noise, seed=21)
+        for key in ((1, 0, 0, 0), (4, 2, 9)):
+            batch = _collect_errors(oracle, est, X, G, 0.5, trials, key)
+            loop = _collect_errors(oracle, wrapped, X, G, 0.5, trials, key)
+            for a, b in zip(batch[:3], loop[:3]):
+                assert np.array_equal(a, b)
+            assert batch[3:] == loop[3:] == (n, 2 * n * trials)
+        spec = small_spec(p_grid=(0.5,), delta_grid=(0.5,), trials=trials)
+        assert audit_a1(oracle, est, X, G, spec) == audit_a1(oracle, wrapped, X, G, spec)
+        assert audit_variance_condition(
+            oracle, est, X, G, 1.0, delta_grid=(0.5,), trials=trials
+        ) == audit_variance_condition(oracle, wrapped, X, G, 1.0, delta_grid=(0.5,), trials=trials)
+
+    def test_report_counts_draws(self):
+        est = sampler_estimator(variance_sample_policy(1.0, 1.0))
+        report = audit_a1(gaussian_oracle(seed=2), est, X, G, small_spec())
+        # Three p-cells at n = 1 (delta 1) and n = 16 (delta 0.5).
+        assert report.draws == 3 * 2 * (1 + 16) * 5000
+
+    def test_cell_memory_is_chunked(self):
+        # 1000 trials at n = 4096 draw 8.2e6 values: 64 MB unchunked.
+        est = sampler_estimator(fixed_sample_policy(4096))
+        spec = small_spec(p_grid=(0.5,), delta_grid=(1.0,), trials=1000)
+        oracle = gaussian_oracle(seed=3)
+        tracemalloc.start()
+        try:
+            audit_a1(oracle, est, X, G, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestGaussianAudits:
