@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,6 +108,8 @@ class ExperimentConfig:
                 raise ConfigError("x0: a start point is required for optimizer runs")
             if len(self.x0) != self.dimension:
                 raise ConfigError("x0: length does not match problem dimension")
+            if not all(math.isfinite(v) for v in self.x0):
+                raise ConfigError(f"x0: entries must be finite, got {list(self.x0)}")
             if self.algo is None:
                 raise ConfigError("config: missing algorithm parameter block")
         else:

@@ -9,6 +9,7 @@ expand the stepsize by ``tau_bar``; unsuccessful ones contract it by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,18 @@ from .problems import TestProblem
 from .trace import IterationRecord
 
 DEFAULT_DELTA_FLOOR = 1e-8
+
+
+def _finite_start(problem: TestProblem, x0) -> np.ndarray:
+    """``x0`` as a checked point of ``problem``; a run cannot start from a
+    non-finite point or a point with a non-finite objective value."""
+    start = problem.check_point(x0)
+    if not np.all(np.isfinite(start)):
+        raise ValueError(f"x0 must be finite, got {start.tolist()}")
+    f0 = float(problem.eval_true(start))
+    if not math.isfinite(f0):
+        raise ValueError(f"f(x0) must be finite, got {f0}")
+    return start
 
 
 def _resolve_theta(theta: float | None, eps_f_hint: float | None, bound: float) -> float:
@@ -118,7 +131,7 @@ def ds_step(
         success=success,
         delta=delta,
         step_norm=float(np.linalg.norm(step)),
-        f_true_current=float(oracle.problem.eval_true(state.x)),
+        f_true_current=pair.f_true_current,
         est_current=pair.est_current,
         est_trial=pair.est_trial,
         samples_current=pair.samples_current,
@@ -153,7 +166,7 @@ def ds_run(
     declared noise statistics with ``k_f = theta (2 - tau) / 16`` (so the
     derived tail constant satisfies the theta bound with a factor-2 margin).
     """
-    start = problem.check_point(x0)
+    start = _finite_start(problem, x0)
     if gen.dimension != problem.dimension:
         raise ValueError("direction generator dimension does not match the problem")
     oracle = StochasticOracle(problem, noise, seed)

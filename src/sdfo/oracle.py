@@ -152,12 +152,17 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class EstimatePair:
-    """The two per-iteration estimates used by an acceptance test."""
+    """The two per-iteration estimates used by an acceptance test.
+
+    ``f_true_current`` is the true value at the current point that
+    :func:`estimate_pair` evaluated on the way (NaN when not supplied).
+    """
 
     est_current: float
     est_trial: float
     samples_current: int
     samples_trial: int
+    f_true_current: float = math.nan
 
     def __post_init__(self) -> None:
         if self.samples_current < 1 or self.samples_trial < 1:
@@ -196,16 +201,18 @@ class StochasticOracle:
         )
 
 
-def sample_estimate(oracle: StochasticOracle, x, n: int) -> float:
+def sample_estimate(oracle: StochasticOracle, x, n: int, true_value: float | None = None) -> float:
     """Arithmetic mean of ``n`` raw oracle samples at ``x``.
 
     Advances the oracle stream by exactly ``n`` draws.  With noiseless
     oracles the true value is returned exactly, independent of ``n``.
+    A caller that already holds ``f(x)`` passes it as ``true_value`` so the
+    objective is not evaluated again.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     point = oracle.problem.check_point(x)
-    value = float(oracle.problem.eval_true(point))
+    value = float(oracle.problem.eval_true(point)) if true_value is None else true_value
     oracle.draws += n
     if oracle.noise.kind == "none":
         return value
@@ -223,15 +230,18 @@ def estimate_pair(
     """Independent sample means at the current and trial points.
 
     The two means consume disjoint consecutive segments of the oracle
-    stream, so they are independent by construction.
+    stream, so they are independent by construction.  The true value at
+    ``x_current`` is kept in the pair for the caller's trace record.
     """
-    est_current = sample_estimate(oracle, x_current, n_current)
+    f_current = float(oracle.problem.eval_true(oracle.problem.check_point(x_current)))
+    est_current = sample_estimate(oracle, x_current, n_current, f_current)
     est_trial = sample_estimate(oracle, x_trial, n_trial)
     return EstimatePair(
         est_current=est_current,
         est_trial=est_trial,
         samples_current=n_current,
         samples_trial=n_trial,
+        f_true_current=f_current,
     )
 
 

@@ -3,11 +3,13 @@
 The solver characterizes the global minimizer of
 ``g @ s + 0.5 * s @ B @ s`` on ``||s|| <= radius`` through its optimality
 system: ``(B + lam I) s = -g`` with ``lam >= max(0, -lambda_min(B))`` and
-``lam * (radius - ||s||) = 0``.  A full symmetric eigendecomposition makes
-the boundary equation one-dimensional (safeguarded Newton on the secular
-equation), and the degenerate case where the gradient is orthogonal to
-the lowest eigenspace is closed with an explicit eigenvector correction.
-A sampling-based verifier provides an independent check.
+``lam * (radius - ||s||) = 0``.  A full symmetric eigendecomposition
+(LAPACK ``eigh`` through numpy; a diagonal matrix is read off directly)
+makes the boundary equation one-dimensional (safeguarded Newton on the
+secular equation), and the degenerate case where the gradient is
+orthogonal to the lowest eigenspace is closed with an explicit
+eigenvector correction.  A sampling-based verifier provides an
+independent check.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import jacobi_eigendecomposition
 
 _SYMMETRY_TOL = 1e-12
 _UNIT_TOL = 1e-12
@@ -67,6 +67,20 @@ def model_value(model: QuadraticModel, s: np.ndarray) -> float:
     return float(model.g @ s + 0.5 * (s @ (model.B @ s)))
 
 
+def eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues ``w`` and orthonormal eigenvector columns ``q``.
+
+    A matrix without off-diagonal entries needs no decomposition: ``w`` is
+    its diagonal sorted stably and ``q`` the matching permutation of the
+    identity.  Any other matrix goes to ``np.linalg.eigh``.
+    """
+    diag = np.diag(matrix)
+    if np.count_nonzero(matrix) == np.count_nonzero(diag):
+        order = np.argsort(diag, kind="stable")
+        return diag[order], np.eye(diag.shape[0])[:, order]
+    return np.linalg.eigh(matrix)
+
+
 def _shifted_norm(a: np.ndarray, w: np.ndarray, lam: float) -> float:
     """||s(lam)|| for s(lam) = -(B + lam I)^-1 g in the eigenbasis."""
     denom = w + lam
@@ -102,7 +116,7 @@ def solve_exact(model: QuadraticModel) -> SubproblemSolution:
             model_decrease=model_value(model, s),
         )
 
-    w, q = jacobi_eigendecomposition(model.B)
+    w, q = eigendecomposition(model.B)
     a = q.T @ g
     w_min = float(w[0])
 
@@ -213,7 +227,7 @@ def brute_force_min(
 
     candidates = [np.zeros(n)]
     if include_candidates:
-        w, q = jacobi_eigendecomposition(model.B)
+        w, q = eigendecomposition(model.B)
         for i in range(n):
             candidates.append(radius * q[:, i])
             candidates.append(-radius * q[:, i])
@@ -246,10 +260,10 @@ def kkt_residuals(model: QuadraticModel, sol: SubproblemSolution) -> dict[str, f
     s = sol.s
     lam = sol.multiplier
     norm_s = float(np.linalg.norm(s))
-    w, _ = jacobi_eigendecomposition(model.B)
+    w_min = float(np.linalg.eigvalsh(model.B)[0])
     return {
         "norm_excess": norm_s - model.radius,
-        "psd_margin": float(w[0]) + lam,
+        "psd_margin": w_min + lam,
         "complementarity": lam * (model.radius - norm_s),
         "stationarity": float(np.linalg.norm(model.B @ s + lam * s + model.g)),
     }

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct_search import ThetaVerdict, _resolve_theta
+from .direct_search import ThetaVerdict, _finite_start, _resolve_theta
 from .directions import DirectionGenerator
-from .linalg import clip_eigenvalues
 from .oracle import (
     NoiseModel,
     SamplePolicy,
@@ -164,7 +163,7 @@ def build_model(
         curvature[i] = (plus - 2.0 * center + minus) / (delta * delta)
     hi = policy.M * delta ** (-policy.q)
     lo = -policy.m * delta ** (-policy.q)
-    matrix = clip_eigenvalues(np.diag(curvature), lo, hi)
+    matrix = np.diag(np.clip(curvature, lo, hi))
     return QuadraticModel(g=direction, B=matrix, radius=delta), (2 * n + 1) * n_sten
 
 
@@ -223,7 +222,7 @@ def tr_step(
         success=success,
         delta=delta,
         step_norm=step_norm,
-        f_true_current=float(oracle.problem.eval_true(state.x)),
+        f_true_current=pair.f_true_current,
         est_current=pair.est_current,
         est_trial=pair.est_trial,
         samples_current=pair.samples_current + stencil_samples,
@@ -257,7 +256,7 @@ def tr_run(
     estimates (stencil estimates use the radius as a proxy, taken before
     the step is known).
     """
-    start = problem.check_point(x0)
+    start = _finite_start(problem, x0)
     if gen.dimension != problem.dimension:
         raise ValueError("direction generator dimension does not match the problem")
     oracle = StochasticOracle(problem, noise, seed)

@@ -144,6 +144,14 @@ class TestFileErrors:
         with pytest.raises(ConfigError, match=r":3:"):
             load_config(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_x0_rejected(self, tmp_path, token):
+        path = tmp_path / "x0.json"
+        text = json.dumps(ds_config_dict(x0=[1.0, 0.0])).replace("[1.0, 0.0]", f"[1.0, {token}]")
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="x0: entries must be finite"):
+            load_config(path)
+
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text(json.dumps([1, 2, 3]))

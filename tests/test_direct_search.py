@@ -257,3 +257,37 @@ class TestRun:
             ds_run(cfg, prob, NoiseModel.none(), DirectionGenerator(3, QuasiRandomSphere()), (1.0, 1.0))
         with pytest.raises(ValueError):
             ds_run(cfg, prob, NoiseModel.none(), DirectionGenerator(2, QuasiRandomSphere()), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("x0", [(math.nan, 1.0), (1.0, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_start_rejected(self, x0):
+        cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.0, max_iters=5, theta=1.0)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            ds_run(cfg, get_problem("sphere", 2), NoiseModel.none(),
+                   DirectionGenerator(2, QuasiRandomSphere()), x0)
+
+    def test_non_finite_start_value_rejected(self):
+        prob = Problem(dimension=1, eval_true=lambda x: math.nan, name="nan")
+        cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.0, max_iters=5, theta=1.0)
+        with pytest.raises(ValueError, match=r"f\(x0\) must be finite"):
+            ds_run(cfg, prob, NoiseModel.none(), DirectionGenerator(1, FixedCycle([(1.0,)])), (0.0,))
+
+    def test_two_true_evaluations_per_iteration(self):
+        # One true value per estimate: f(x) at the current point (also the
+        # trace's f_true_current) and f(x + s) at the trial point, plus the
+        # start check f(x0) once per run.
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return float(x @ x)
+
+        prob = Problem(dimension=2, eval_true=counted, name="counted_sphere")
+        cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.25, max_iters=25, theta=0.5)
+        _, trace = ds_run(
+            cfg, prob, NoiseModel.gaussian(0.01), DirectionGenerator(2, QuasiRandomSphere()),
+            (1.0, -1.0), seed=2, sampler=fixed_sample_policy(3), delta_floor=0.0,
+        )
+        assert len(trace) == 25
+        assert len(calls) == 1 + 2 * len(trace)
+        for rec in trace:
+            assert rec.f_true_current == float(rec.x @ rec.x)

@@ -2,15 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdfo import (
+    DirectionGenerator,
+    FixedCycle,
+    NoiseModel,
     QuadraticModel,
+    RegressionClipped,
+    StochasticOracle,
+    TrustRegionState,
     brute_force_min,
+    build_model,
     kkt_residuals,
     model_value,
     solve_exact,
 )
-from sdfo.linalg import clip_eigenvalues, jacobi_eigendecomposition
+from sdfo.problems import TestProblem as Problem
+from sdfo.subproblem import eigendecomposition
 
 
 def random_model(rng, n, radius=None, eig_range=(-10.0, 10.0)):
@@ -55,27 +65,53 @@ def assert_certificate(model, sol, decrease_tol=1e-12):
 
 
 class TestJacobi:
+    """The decomposition ``solve_exact`` runs on: ``np.linalg.eigh`` for a
+    dense matrix, the sorted diagonal for a diagonal one.  (The class is
+    named for the cyclic Jacobi solver these properties were first
+    checked on.)"""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
     def test_matches_lapack(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n))
         a = a + a.T
-        w, v = jacobi_eigendecomposition(a)
+        w, v = eigendecomposition(a)
         w_ref = np.linalg.eigvalsh(a)
+        assert np.all(np.diff(w) >= 0.0)
         assert np.allclose(w, w_ref, atol=1e-12 * max(1.0, np.abs(w_ref).max()))
         assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-12 * max(1.0, np.abs(a).max()))
         assert np.allclose(v.T @ v, np.eye(n), atol=1e-13)
 
     def test_zero_matrix(self):
-        w, v = jacobi_eigendecomposition(np.zeros((3, 3)))
+        w, v = eigendecomposition(np.zeros((3, 3)))
         assert np.array_equal(w, np.zeros(3))
         assert np.array_equal(v, np.eye(3))
 
     def test_clip_eigenvalues(self):
-        a = np.diag([5.0, -7.0, 0.5])
-        clipped = clip_eigenvalues(a, -2.0, 2.0)
-        w, _ = jacobi_eigendecomposition(clipped)
-        assert np.allclose(sorted(w), [-2.0, 0.5, 2.0], atol=1e-12)
+        # build_model clips the fitted curvature [5, -7, 0.5] into
+        # [-m delta^-q, M delta^-q] = [-2, 2]: both bounds bind, and the
+        # interior value is kept.
+        a = np.array([5.0, -7.0, 0.5])
+        prob = Problem(dimension=3, eval_true=lambda x: float(0.5 * np.sum(a * x * x)))
+        oracle = StochasticOracle(prob, NoiseModel.none())
+        gen = DirectionGenerator(3, FixedCycle([(1.0, 0.0, 0.0)]))
+        state = TrustRegionState(x=np.zeros(3), delta=0.25)
+        model, _ = build_model(state, gen, oracle, RegressionClipped(q=0.5, m=1.0, M=1.0), lambda d: 1)
+        assert np.count_nonzero(model.B - np.diag(np.diag(model.B))) == 0
+        w, _ = eigendecomposition(model.B)
+        assert np.allclose(w, [-2.0, 0.5, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "diag",
+        [[3.0, -1.0, 2.0], [0.0, 0.0, 0.0, 1.0], [2.0, -0.5, 2.0, 0.0, -0.5], [4.0]],
+        ids=["distinct", "zeros", "repeated", "scalar"],
+    )
+    def test_diagonal_path_is_sorted_diagonal_and_permuted_identity(self, diag):
+        d = np.array(diag)
+        w, v = eigendecomposition(np.diag(d))
+        order = np.argsort(d, kind="stable")
+        assert np.array_equal(w, d[order])
+        assert np.array_equal(v, np.eye(d.size)[:, order])
 
 
 class TestSolveExactExamples:
@@ -193,3 +229,67 @@ class TestRandomBattery:
         s = rng.standard_normal(3) * 0.1
         expected = float(model.g @ s + 0.5 * s @ model.B @ s)
         assert model_value(model, s) == pytest.approx(expected, rel=1e-15)
+
+
+# --- property tests ---------------------------------------------------------
+#
+# Derandomized, so the examples are the same on every run.
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def dense_models(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_model(rng, n)
+
+
+@st.composite
+def diagonal_models(draw):
+    n = draw(st.integers(1, 8))
+    # A small pool of values, so negative, zero and repeated entries are common.
+    pool = st.sampled_from([-5.0, -1.0, -0.25, 0.0, 0.0, 0.5, 1.0, 3.0])
+    diag = np.array(draw(st.lists(pool | st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    if np.linalg.norm(g) < 1e-3:
+        g = np.eye(n)[draw(st.integers(0, n - 1))]
+    g /= np.linalg.norm(g)
+    radius = draw(st.floats(0.05, 5.0))
+    return QuadraticModel(g=g, B=np.diag(diag), radius=radius)
+
+
+@st.composite
+def hard_case_models(draw):
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return hard_case_model(rng, n, radius_factor=draw(st.floats(1.05, 4.0)))
+
+
+class TestSolveExactProperties:
+    @PROPERTY_SETTINGS
+    @given(dense_models())
+    def test_dense_certificate(self, model):
+        assert_certificate(model, solve_exact(model))
+
+    @PROPERTY_SETTINGS
+    @given(diagonal_models())
+    def test_diagonal_certificate(self, model):
+        assert_certificate(model, solve_exact(model))
+
+    @PROPERTY_SETTINGS
+    @given(hard_case_models())
+    def test_hard_case_certificate(self, model):
+        sol = solve_exact(model)
+        assert sol.on_boundary
+        assert_certificate(model, sol)
+
+    @PROPERTY_SETTINGS
+    @given(diagonal_models())
+    def test_diagonal_path_agrees_with_eigh(self, model):
+        w, v = eigendecomposition(model.B)
+        w_ref, v_ref = np.linalg.eigh(model.B)
+        assert np.allclose(w, w_ref, rtol=0.0, atol=1e-12)
+        # Eigenvectors agree only up to rotations within repeated
+        # eigenvalues, so compare what is basis-free: the reconstruction.
+        assert np.allclose((v * w) @ v.T, (v_ref * w_ref) @ v_ref.T, rtol=0.0, atol=1e-12)

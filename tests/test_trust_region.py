@@ -1,5 +1,7 @@
 """Trust-region stepping, model construction and radius law."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ from sdfo import (
     validate_theta_tr,
 )
 from sdfo.direct_search import DirectSearchConfig
-from sdfo.linalg import jacobi_eigendecomposition
 from sdfo.problems import TestProblem as Problem
+from sdfo.subproblem import eigendecomposition
 from sdfo.trust_region import curvature_floor
 
 PARABOLA = Problem(dimension=1, eval_true=lambda x: float(x[0] ** 2), name="parabola")
@@ -146,7 +148,7 @@ class TestBuildModel:
         delta = 0.25
         state = TrustRegionState(x=np.array([0.1, 0.1]), delta=delta)
         model, _ = build_model(state, gen, oracle, policy, one_sample)
-        w, _ = jacobi_eigendecomposition(model.B)
+        w, _ = eigendecomposition(model.B)
         assert w[-1] <= policy.M * delta ** (-policy.q) + 1e-10
         assert -w[0] <= policy.m * delta ** (-policy.q) + 1e-10
         # Both bounds actually bind for this curvature.
@@ -189,6 +191,39 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("x0", [(math.nan, 1.0), (1.0, -math.inf)], ids=["nan", "inf"])
+    def test_non_finite_start_rejected(self, x0):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            tr_run(tr_cfg(), get_problem("sphere", 2), NoiseModel.none(),
+                   DirectionGenerator(2, QuasiRandomSphere()), x0)
+
+    def test_non_finite_start_value_rejected(self):
+        prob = Problem(dimension=1, eval_true=lambda x: math.inf, name="inf")
+        with pytest.raises(ValueError, match=r"f\(x0\) must be finite"):
+            tr_run(tr_cfg(), prob, NoiseModel.none(), DirectionGenerator(1, FixedCycle([(1.0,)])), (0.0,))
+
+    def test_true_evaluations_per_iteration(self):
+        # The d-dimensional stencil evaluates 2d + 1 points and the
+        # acceptance pair 2 more; the trace's f_true_current reuses the
+        # pair's value.  The start check adds f(x0) once per run.
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return float(x @ x)
+
+        d = 3
+        prob = Problem(dimension=d, eval_true=counted, name="counted_sphere")
+        cfg = tr_cfg(max_iters=12, hessian_policy=RegressionClipped(q=0.5, m=1.0, M=1.0))
+        _, trace = tr_run(
+            cfg, prob, NoiseModel.gaussian(0.01), DirectionGenerator(d, QuasiRandomSphere()),
+            (1.0, -1.0, 0.5), seed=4, sampler=one_sample, delta_floor=0.0,
+        )
+        assert len(trace) == 12
+        assert len(calls) == 1 + (2 * d + 1 + 2) * len(trace)
+        for rec in trace:
+            assert rec.f_true_current == float(rec.x @ rec.x)
+
     def test_zero_iterations(self):
         cfg = tr_cfg(max_iters=0)
         prob = get_problem("sphere", 2)
