@@ -18,7 +18,6 @@ from .diagnostics import (
 from .direct_search import (
     DirectSearchConfig,
     DirectSearchState,
-    ThetaVerdict,
     ds_run,
     ds_step,
     validate_theta,
@@ -68,6 +67,7 @@ from .tail_audit import (
 from .trace import IterationRecord, read_trace_csv, write_trace_csv
 from .trust_region import (
     RegressionClipped,
+    ThetaVerdict,
     TrustRegionConfig,
     TrustRegionState,
     ZeroHessian,

@@ -22,7 +22,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .direct_search import DirectSearchConfig, ds_run, validate_theta
+from .direct_search import ds_run
 from .directions import DirectionGenerator, QuasiRandomSphere
 from .oracle import StochasticOracle
 from .problems import get_problem, list_problems
@@ -54,11 +54,7 @@ def _print_theta_warnings(cfg: ExperimentConfig) -> None:
     algo = cfg.algo
     if algo is None or algo.eps_f_hint is None:
         return
-    verdict = (
-        validate_theta(algo)
-        if isinstance(algo, DirectSearchConfig)
-        else validate_theta_tr(algo)
-    )
+    verdict = validate_theta_tr(algo)
     if not verdict.ok:
         print(f"warning: {verdict.message}", file=sys.stderr)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,11 +20,20 @@ from .oracle import (
 )
 from .problems import get_problem
 from .tail_audit import TailAuditSpec
-from .trust_region import RegressionClipped, TrustRegionConfig, ZeroHessian
+from .trust_region import DEFAULT_DELTA_FLOOR, RegressionClipped, TrustRegionConfig, ZeroHessian
 
 SCHEMA_VERSION = 1
 ALGORITHMS = ("direct_search", "trust_region", "audit")
 AUDIT_CONDITIONS = ("a1", "a2", "a2h", "variance")
+ALGORITHM_CONFIGS = {"direct_search": DirectSearchConfig, "trust_region": TrustRegionConfig}
+HESSIAN_POLICIES = {"zero": ZeroHessian, "regression_clipped": RegressionClipped}
+# Noise kind -> (constructor, {config key: NoiseModel attribute}); "scale" is optional.
+NOISE_PARAMS = {
+    "none": (NoiseModel.none, {}),
+    "gaussian": (NoiseModel.gaussian, {"variance": "declared_variance"}),
+    "student_t": (NoiseModel.student_t, {"df": "df", "scale": "scale"}),
+    "pareto_symmetric": (NoiseModel.pareto_symmetric, {"r": "tail_index", "scale": "scale"}),
+}
 
 
 class ConfigError(ValueError):
@@ -77,6 +89,8 @@ class AuditSettings:
             raise ConfigError("audit.conditions: at least one condition is required")
         if self.k_f <= 0:
             raise ConfigError("audit.k_f: must be positive")
+        if not all(math.isfinite(v) for v in self.x + self.direction):
+            raise ConfigError("audit.x, audit.direction: entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,7 @@ class ExperimentConfig:
     x0: tuple[float, ...] | None = None
     algo: DirectSearchConfig | TrustRegionConfig | None = None
     sampler: SamplerSpec = SamplerSpec()
-    delta_floor: float = 1e-8
+    delta_floor: float = DEFAULT_DELTA_FLOOR
     write_trace: bool = True
     write_summary: bool = True
     audit: AuditSettings | None = None
@@ -99,6 +113,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: unknown algorithm {self.algorithm!r}")
+        if not (math.isfinite(self.delta_floor) and self.delta_floor >= 0.0):
+            raise ConfigError(
+                f"delta_floor: must be finite and nonnegative, got {self.delta_floor}"
+            )
         if self.algorithm != "audit":
             if not self.seeds:
                 raise ConfigError("seeds: at least one seed is required")
@@ -125,152 +143,126 @@ class ExperimentConfig:
 # --- dict <-> config ------------------------------------------------------
 
 
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false"}
+_type_hints = functools.cache(typing.get_type_hints)  # evaluating annotations is slow
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}{key}: missing required field")
     return mapping[key]
 
 
-def _noise_from_dict(raw: dict) -> NoiseModel:
-    kind = _require(raw, "kind", "noise.")
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+def _typed(value, hint, where: str):
+    """``value`` checked against the annotation ``hint``: ``float``, ``int``,
+    ``str``, ``bool``, ``tuple[X, ...]`` or ``X | None``.  Numbers become floats."""
+    if hint not in _TYPE_NAMES:
+        args = typing.get_args(hint)
+        if type(None) in args:
+            return None if value is None else _typed(value, args[0], where)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_typed(v, args[0], where) for v in value)
+    wanted = (int, float) if hint is float else hint
+    if isinstance(value, wanted) and (hint is bool or not isinstance(value, bool)):
+        try:
+            return float(value) if hint is float else value
+        except OverflowError:
+            pass
+    raise ConfigError(f"{where}: expected {_TYPE_NAMES[hint]}, got {value!r}")
+
+
+def _build(cls, raw, block: str, **given):
+    """The dataclass ``cls`` read field by field from the ``block`` object.
+
+    Each field is read under its own name and checked against its
+    annotation; a field without a default is required.  Fields in ``given``
+    are passed through.  A ValueError from the class's own validation
+    becomes a ConfigError naming the top-level block.
+    """
+    raw = _object(raw, block)
+    hints = _type_hints(cls)
+    kwargs = dict(given)
+    for field in dataclasses.fields(cls):
+        if field.name in given:
+            continue
+        if field.name in raw:
+            kwargs[field.name] = _typed(raw[field.name], hints[field.name], f"{block}.{field.name}")
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"{block}.{field.name}: missing required field")
     try:
-        if kind == "none":
-            return NoiseModel.none()
-        if kind == "gaussian":
-            return NoiseModel.gaussian(_require(raw, "variance", "noise."))
-        if kind == "student_t":
-            return NoiseModel.student_t(_require(raw, "df", "noise."), raw.get("scale", 1.0))
-        if kind == "pareto_symmetric":
-            return NoiseModel.pareto_symmetric(_require(raw, "r", "noise."), raw.get("scale", 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from None
-    raise ConfigError(f"noise.kind: unknown kind {kind!r}")
-
-
-def _noise_to_dict(noise: NoiseModel) -> dict:
-    if noise.kind == "none":
-        return {"kind": "none"}
-    if noise.kind == "gaussian":
-        return {"kind": "gaussian", "variance": noise.declared_variance}
-    if noise.kind == "student_t":
-        return {"kind": "student_t", "df": noise.df, "scale": noise.scale}
-    return {"kind": "pareto_symmetric", "r": noise.tail_index, "scale": noise.scale}
-
-
-def _algo_from_dict(algorithm: str, raw: dict) -> DirectSearchConfig | TrustRegionConfig:
-    try:
-        if algorithm == "direct_search":
-            return DirectSearchConfig(
-                delta0=_require(raw, "delta0", "config."),
-                tau=_require(raw, "tau", "config."),
-                tau_bar=_require(raw, "tau_bar", "config."),
-                max_iters=_require(raw, "max_iters", "config."),
-                theta=raw.get("theta"),
-                eps_f_hint=raw.get("eps_f_hint"),
-            )
-        hessian = raw.get("hessian", {"policy": "zero"})
-        policy_name = hessian.get("policy", "zero")
-        if policy_name == "zero":
-            policy = ZeroHessian()
-        elif policy_name == "regression_clipped":
-            policy = RegressionClipped(
-                q=_require(hessian, "q", "config.hessian."),
-                m=_require(hessian, "m", "config.hessian."),
-                M=_require(hessian, "M", "config.hessian."),
-            )
-        else:
-            raise ConfigError(f"config.hessian.policy: unknown policy {policy_name!r}")
-        return TrustRegionConfig(
-            delta0=_require(raw, "delta0", "config."),
-            delta_max=_require(raw, "delta_max", "config."),
-            tau=_require(raw, "tau", "config."),
-            tau_bar=_require(raw, "tau_bar", "config."),
-            max_iters=_require(raw, "max_iters", "config."),
-            hessian_policy=policy,
-            theta=raw.get("theta"),
-            eps_f_hint=raw.get("eps_f_hint"),
-        )
+        return cls(**kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from None
+        raise ConfigError(f"{block.split('.')[0]}: {exc}") from None
+
+
+def _fields_to_dict(obj, *skip: str) -> dict:
+    """The fields of ``obj`` that are set, tuples as lists, except ``skip``."""
+    out = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if field.name not in skip and value is not None:
+            out[field.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _noise_from_dict(raw: dict) -> NoiseModel:
+    kind = _typed(_require(raw, "kind", "noise."), str, "noise.kind")
+    if kind not in NOISE_PARAMS:
+        raise ConfigError(f"noise.kind: unknown kind {kind!r}")
+    make, params = NOISE_PARAMS[kind]
+    kwargs = {
+        key: _typed(_require(raw, key, "noise."), float, f"noise.{key}")
+        for key in params
+        if key in raw or key != "scale"
+    }
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}") from None
+
+
+def _noise_to_dict(noise: NoiseModel) -> dict:
+    _, params = NOISE_PARAMS[noise.kind]
+    return {"kind": noise.kind, **{key: getattr(noise, attr) for key, attr in params.items()}}
+
+
+def _algo_from_dict(algorithm: str, raw) -> DirectSearchConfig | TrustRegionConfig:
+    given = {}
+    if algorithm == "trust_region":
+        hessian = _object(_object(raw, "config").get("hessian", {}), "config.hessian")
+        name = _typed(hessian.get("policy", "zero"), str, "config.hessian.policy")
+        if name not in HESSIAN_POLICIES:
+            raise ConfigError(f"config.hessian.policy: unknown policy {name!r}")
+        given["hessian_policy"] = _build(HESSIAN_POLICIES[name], hessian, "config.hessian")
+    return _build(ALGORITHM_CONFIGS[algorithm], raw, "config", **given)
 
 
 def _algo_to_dict(algo) -> dict:
-    if isinstance(algo, DirectSearchConfig):
-        out = {
-            "delta0": algo.delta0,
-            "tau": algo.tau,
-            "tau_bar": algo.tau_bar,
-            "max_iters": algo.max_iters,
-            "theta": algo.theta,
-        }
-        if algo.eps_f_hint is not None:
-            out["eps_f_hint"] = algo.eps_f_hint
-        return out
-    out = {
-        "delta0": algo.delta0,
-        "delta_max": algo.delta_max,
-        "tau": algo.tau,
-        "tau_bar": algo.tau_bar,
-        "max_iters": algo.max_iters,
-        "theta": algo.theta,
-    }
-    if algo.eps_f_hint is not None:
-        out["eps_f_hint"] = algo.eps_f_hint
-    if isinstance(algo.hessian_policy, ZeroHessian):
-        out["hessian"] = {"policy": "zero"}
-    else:
-        pol = algo.hessian_policy
-        out["hessian"] = {"policy": "regression_clipped", "q": pol.q, "m": pol.m, "M": pol.M}
+    out = _fields_to_dict(algo, "hessian_policy")
+    if isinstance(algo, TrustRegionConfig):
+        policy = algo.hessian_policy
+        name = next(k for k, v in HESSIAN_POLICIES.items() if isinstance(policy, v))
+        out["hessian"] = {"policy": name, **_fields_to_dict(policy)}
     return out
 
 
-def _audit_from_dict(raw: dict, dimension: int) -> AuditSettings:
-    try:
-        spec = TailAuditSpec(
-            eps_f=raw.get("eps_f", 1.0),
-            eps_q=raw.get("eps_q", 1.0),
-            p_grid=tuple(raw.get("p_grid", (0.5, 0.25, 0.1, 0.05))),
-            delta_grid=tuple(raw.get("delta_grid", (1.0, 0.5, 0.25))),
-            trials=raw.get("trials", 100_000),
-            confidence=raw.get("confidence", 0.99),
-            h=raw.get("h", 2.0),
-            alpha_grid=tuple(raw["alpha_grid"]) if "alpha_grid" in raw else None,
-            seed=raw.get("seed", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"audit: {exc}") from None
-    x = tuple(float(v) for v in raw.get("x", [0.0] * dimension))
-    direction = tuple(float(v) for v in _require(raw, "direction", "audit."))
-    return AuditSettings(
-        conditions=tuple(_require(raw, "conditions", "audit.")),
-        spec=spec,
-        x=x,
-        direction=direction,
-        k_f=raw.get("k_f", 1.0),
-    )
+def _audit_from_dict(raw, dimension: int) -> AuditSettings:
+    spec = _build(TailAuditSpec, raw, "audit")
+    raw = {"x": [0.0] * dimension, **raw}
+    return _build(AuditSettings, raw, "audit", spec=spec)
 
 
 def _audit_to_dict(audit: AuditSettings) -> dict:
-    spec = audit.spec
-    out = {
-        "conditions": list(audit.conditions),
-        "eps_f": spec.eps_f,
-        "eps_q": spec.eps_q,
-        "p_grid": list(spec.p_grid),
-        "delta_grid": list(spec.delta_grid),
-        "trials": spec.trials,
-        "confidence": spec.confidence,
-        "h": spec.h,
-        "seed": spec.seed,
-        "x": list(audit.x),
-        "direction": list(audit.direction),
-        "k_f": audit.k_f,
-    }
-    if spec.alpha_grid is not None:
-        out["alpha_grid"] = list(spec.alpha_grid)
-    return out
+    return {**_fields_to_dict(audit.spec), **_fields_to_dict(audit, "spec")}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -278,20 +270,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     algorithm = _require(raw, "algorithm", "")
-    problem_block = _require(raw, "problem", "")
-    if not isinstance(problem_block, dict):
-        raise ConfigError("problem: expected an object with name and dimension")
-    name = _require(problem_block, "name", "problem.")
-    dimension = int(_require(problem_block, "dimension", "problem."))
-    noise = _noise_from_dict(_require(raw, "noise", ""))
-    sampler_raw = raw.get("sampler", {"kind": "auto"})
-    sampler = SamplerSpec(
-        kind=sampler_raw.get("kind", "auto"),
-        n=sampler_raw.get("n"),
-        k_f=sampler_raw.get("k_f"),
-        eps_q=sampler_raw.get("eps_q"),
-    )
-    output = raw.get("output", {})
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"algorithm: unknown algorithm {algorithm!r}")
+    problem_block = _object(_require(raw, "problem", ""), "problem")
+    name = _typed(_require(problem_block, "name", "problem."), str, "problem.name")
+    dimension = _typed(_require(problem_block, "dimension", "problem."), int, "problem.dimension")
+    noise = _noise_from_dict(_object(_require(raw, "noise", ""), "noise"))
+    sampler = _build(SamplerSpec, raw.get("sampler", {}), "sampler")
+    output = _object(raw.get("output", {}), "output")
     algo = None
     audit = None
     x0 = None
@@ -299,8 +285,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if algorithm == "audit":
         audit = _audit_from_dict(_require(raw, "audit", ""), dimension)
     else:
-        seeds = tuple(int(s) for s in _require(raw, "seeds", ""))
-        x0 = tuple(float(v) for v in _require(raw, "x0", ""))
+        seeds = _typed(_require(raw, "seeds", ""), tuple[int, ...], "seeds")
+        x0 = _typed(_require(raw, "x0", ""), tuple[float, ...], "x0")
         algo = _algo_from_dict(algorithm, _require(raw, "config", ""))
     return ExperimentConfig(
         schema_version=SCHEMA_VERSION,
@@ -309,13 +295,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         dimension=dimension,
         noise=noise,
         seeds=seeds,
-        out_dir=output.get("directory", "out"),
+        out_dir=_typed(output.get("directory", "out"), str, "output.directory"),
         x0=x0,
         algo=algo,
         sampler=sampler,
-        delta_floor=raw.get("delta_floor", 1e-8),
-        write_trace=output.get("write_trace", True),
-        write_summary=output.get("write_summary", True),
+        delta_floor=_typed(raw.get("delta_floor", DEFAULT_DELTA_FLOOR), float, "delta_floor"),
+        write_trace=_typed(output.get("write_trace", True), bool, "output.write_trace"),
+        write_summary=_typed(output.get("write_summary", True), bool, "output.write_summary"),
         audit=audit,
     )
 
@@ -326,16 +312,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "algorithm": cfg.algorithm,
         "problem": {"name": cfg.problem, "dimension": cfg.dimension},
         "noise": _noise_to_dict(cfg.noise),
-        "sampler": {
-            k: v
-            for k, v in (
-                ("kind", cfg.sampler.kind),
-                ("n", cfg.sampler.n),
-                ("k_f", cfg.sampler.k_f),
-                ("eps_q", cfg.sampler.eps_q),
-            )
-            if v is not None
-        },
+        "sampler": _fields_to_dict(cfg.sampler),
         "delta_floor": cfg.delta_floor,
         "output": {
             "directory": cfg.out_dir,

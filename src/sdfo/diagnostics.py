@@ -8,6 +8,7 @@ not carry.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .problems import TestProblem
-from .trace import IterationRecord, format_float
+from .trace import IterationRecord, metadata_lines, row_writer
 
 
 class UnsupportedProblemError(ValueError):
@@ -35,16 +36,8 @@ class RunSummary:
     success_rate: float
 
 
-SUMMARY_COLUMNS = (
-    "seed",
-    "iterations",
-    "final_delta",
-    "cum_delta_sq",
-    "tail_fraction",
-    "final_f_true",
-    "gap",
-    "success_rate",
-)
+SUMMARY_COLUMNS = tuple(field.name for field in dataclasses.fields(RunSummary))
+_summary_row = row_writer(RunSummary, SUMMARY_COLUMNS)
 
 
 def summarize(
@@ -136,23 +129,7 @@ def alignment_profile(trace: Sequence[IterationRecord]) -> list[float]:
 def write_summary_csv(
     path, summaries: Iterable[RunSummary], metadata: Mapping[str, object] | None = None
 ) -> None:
-    lines = []
-    if metadata:
-        lines.extend(f"# {k}={v}" for k, v in metadata.items())
+    lines = metadata_lines(metadata)
     lines.append(",".join(SUMMARY_COLUMNS))
-    for s in summaries:
-        lines.append(
-            ",".join(
-                (
-                    "" if s.seed is None else str(s.seed),
-                    str(s.iterations),
-                    format_float(s.final_delta),
-                    format_float(s.cum_delta_sq),
-                    format_float(s.tail_fraction),
-                    format_float(s.final_f_true),
-                    "" if s.gap is None else format_float(s.gap),
-                    format_float(s.success_rate),
-                )
-            )
-        )
+    lines.extend(_summary_row(s) for s in summaries)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

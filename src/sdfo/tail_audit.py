@@ -19,7 +19,7 @@ Audited conditions, with err = (est_current - est_trial) - (f(x) - f(y)):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .oracle import EstimatePair, SamplePolicy, StochasticOracle, estimate_pair, estimate_pairs
 from .stats import wilson_upper
-from .trace import format_float
+from .trace import format_float, metadata_lines, row_writer
 
 # Estimator: (oracle, x_current, x_trial, delta) -> EstimatePair
 Estimator = Callable[[StochasticOracle, np.ndarray, np.ndarray, float], EstimatePair]
@@ -126,6 +126,13 @@ class MomentCell:
     passed: bool
 
 
+_exceedance_row = row_writer(
+    ExceedanceCell, ("delta", "threshold", "frequency", "wilson_upper", "passed")
+)
+# Variance report rows are the fields of MomentCell in order.
+_moment_row = row_writer(MomentCell, tuple(field.name for field in fields(MomentCell)))
+
+
 @dataclass(frozen=True)
 class AuditReport:
     condition: str
@@ -138,7 +145,7 @@ def _unit_direction(g, dimension: int) -> np.ndarray:
     vec = np.asarray(g, dtype=float)
     if vec.shape != (dimension,):
         raise ValueError(f"direction has shape {vec.shape}, expected ({dimension},)")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:
         raise ValueError("direction must be a unit vector")
     return vec
 
@@ -346,42 +353,16 @@ def write_report_csv(path, report: AuditReport, metadata: Mapping[str, object] |
     Variance reports use their own column set (delta, bound, moment,
     slack, pass per estimate).
     """
-    lines = []
-    if metadata:
-        lines.extend(f"# {k}={v}" for k, v in metadata.items())
+    lines = metadata_lines(metadata)
     if report.condition == "variance":
         lines.append("which,delta,samples,trials,bound,moment,slack,pass")
-        for cell in report.cells:
-            lines.append(
-                ",".join(
-                    (
-                        cell.which,
-                        format_float(cell.delta),
-                        str(cell.samples_per_estimate),
-                        str(cell.trials),
-                        format_float(cell.bound),
-                        format_float(cell.empirical_moment),
-                        format_float(cell.slack),
-                        "1" if cell.passed else "0",
-                    )
-                )
-            )
+        lines.extend(_moment_row(cell) for cell in report.cells)
     else:
         lines.append("p,delta,threshold,freq,wilson_upper,pass")
-        for cell in report.cells:
-            target = cell.p if cell.p is not None else cell.bound
-            lines.append(
-                ",".join(
-                    (
-                        format_float(target),
-                        format_float(cell.delta),
-                        format_float(cell.threshold),
-                        format_float(cell.frequency),
-                        format_float(cell.wilson_upper),
-                        "1" if cell.passed else "0",
-                    )
-                )
-            )
+        lines.extend(
+            f"{format_float(cell.p if cell.p is not None else cell.bound)},{_exceedance_row(cell)}"
+            for cell in report.cells
+        )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -7,6 +7,8 @@ comment lines starting with ``#`` carry reproducibility metadata.
 
 from __future__ import annotations
 
+import operator
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -53,33 +55,41 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
+_SPECS = {int: "", bool: "d", float: ".17g", str: ""}
+_PARSE = {int: int, bool: lambda s: bool(int(s)), float: float}
+
+
+def row_writer(cls, columns: tuple[str, ...]):
+    """A function that writes ``columns`` of a ``cls`` instance as a CSV row.
+
+    Each cell is formatted by its field's annotation: strings and ints as
+    they are, bools as 1/0, floats with 17 significant digits (as
+    ``format_float``), and None in an optional field as an empty cell.
+    """
+    hints = typing.get_type_hints(cls)
+    # An optional field ``X | None`` is formatted as ``X``.
+    specs = [_SPECS[(typing.get_args(hints[c]) or (hints[c],))[0]] for c in columns]
+    values = operator.attrgetter(*columns)
+    return lambda obj: ",".join(
+        ["" if v is None else format(v, spec) for spec, v in zip(specs, values(obj))]
+    )
+
+
+def metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
     if not metadata:
         return []
     return [f"# {key}={value}" for key, value in metadata.items()]
 
 
+_trace_row = row_writer(IterationRecord, TRACE_COLUMNS)
+
+
 def write_trace_csv(
     path, records: Iterable[IterationRecord], metadata: Mapping[str, object] | None = None
 ) -> None:
-    lines = _metadata_lines(metadata)
+    lines = metadata_lines(metadata)
     lines.append(",".join(TRACE_COLUMNS))
-    for rec in records:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.k),
-                    "1" if rec.success else "0",
-                    format_float(rec.delta),
-                    format_float(rec.step_norm),
-                    format_float(rec.f_true_current),
-                    format_float(rec.est_current),
-                    format_float(rec.est_trial),
-                    str(rec.samples_current),
-                    str(rec.samples_trial),
-                )
-            )
-        )
+    lines.extend(_trace_row(rec) for rec in records)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -96,22 +106,12 @@ def read_trace_csv(path) -> list[IterationRecord]:
     header = tuple(rows[0].split(","))
     if header != TRACE_COLUMNS:
         raise ValueError(f"unexpected trace header {header} in {path}")
+    hints = typing.get_type_hints(IterationRecord)
+    parsers = [(c, _PARSE[hints[c]]) for c in TRACE_COLUMNS]
     records = []
     for row in rows[1:]:
         parts = row.split(",")
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"malformed trace row in {path}: {row!r}")
-        records.append(
-            IterationRecord(
-                k=int(parts[0]),
-                success=bool(int(parts[1])),
-                delta=float(parts[2]),
-                step_norm=float(parts[3]),
-                f_true_current=float(parts[4]),
-                est_current=float(parts[5]),
-                est_trial=float(parts[6]),
-                samples_current=int(parts[7]),
-                samples_trial=int(parts[8]),
-            )
-        )
+        records.append(IterationRecord(**{c: parse(v) for (c, parse), v in zip(parsers, parts)}))
     return records

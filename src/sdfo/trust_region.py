@@ -1,10 +1,13 @@
-"""Stochastic trust-region method with a capped radius update.
+"""Stochastic trust-region method and the iteration it shares with direct search.
 
-Each iteration builds a quadratic model from a unit direction and a
-symmetric matrix, minimizes it exactly over the trust-region ball, and
-accepts when the ratio of estimated decrease to ``theta * ||s||**2``
-reaches one.  Successful radii expand but never beyond ``delta_max``;
-unsuccessful radii contract by ``1 - tau``.
+Each trust-region iteration builds a quadratic model from a unit direction
+and a symmetric matrix and minimizes it exactly over the trust-region ball.
+``take_step`` then does what both optimizers do with a proposed step:
+estimate the objective at the current and the trial point, accept when the
+estimated decrease reaches ``theta * scale**2``, expand the radius by
+``tau_bar`` (never beyond ``delta_max``) on success and contract it by
+``1 - tau`` otherwise.  Direct search is the case of a zero model matrix,
+no radius cap and the scale ``delta``; ``run_steps`` is the run loop of both.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct_search import ThetaVerdict, _finite_start, _resolve_theta
 from .directions import DirectionGenerator
 from .oracle import (
     NoiseModel,
@@ -71,28 +73,7 @@ class TrustRegionConfig:
     eps_f_hint: float | None = None
 
     def __post_init__(self) -> None:
-        if self.delta0 <= 0.0:
-            raise ValueError("delta0 must be positive")
-        if self.delta_max < self.delta0:
-            raise ValueError("delta_max must be >= delta0")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if not 1.0 <= self.tau_bar <= 1.0 + self.tau:
-            raise ValueError(f"tau_bar must lie in [1, 1 + tau], got {self.tau_bar}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if not isinstance(self.hessian_policy, (ZeroHessian, RegressionClipped)):
-            raise ValueError(f"unknown hessian policy: {self.hessian_policy!r}")
-        if self.eps_f_hint is not None and self.eps_f_hint < 0.0:
-            raise ValueError("eps_f_hint must be nonnegative")
-        if self.theta is None:
-            floor = curvature_floor(self)
-            bound = 4.0 * (self.eps_f_hint or 0.0) / (floor * (2.0 - self.tau))
-            object.__setattr__(
-                self, "theta", _resolve_theta(None, self.eps_f_hint, bound)
-            )
-        elif self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        check_step_config(self)
 
 
 @dataclass(frozen=True)
@@ -103,7 +84,45 @@ class TrustRegionState:
     cum_delta_sq: float = 0.0
 
 
-def curvature_floor(cfg: TrustRegionConfig) -> float:
+@dataclass(frozen=True)
+class ThetaVerdict:
+    """Advisory check of the sufficient-decrease constant against its lower bound."""
+
+    ok: bool
+    theta: float
+    bound: float
+    message: str
+
+
+def check_step_config(cfg) -> None:
+    """Validate a direct-search or trust-region config; derive an omitted theta.
+
+    An omitted ``theta`` becomes ``1.1`` times its admissibility bound,
+    which needs a positive ``eps_f_hint``.
+    """
+    if not 0.0 < cfg.delta0 < math.inf:
+        raise ValueError(f"delta0 must be positive and finite, got {cfg.delta0}")
+    if not cfg.delta_max >= cfg.delta0:
+        raise ValueError("delta_max must be >= delta0")
+    if not 0.0 < cfg.tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {cfg.tau}")
+    if not 1.0 <= cfg.tau_bar <= 1.0 + cfg.tau:
+        raise ValueError(f"tau_bar must lie in [1, 1 + tau], got {cfg.tau_bar}")
+    if cfg.max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    if not isinstance(cfg.hessian_policy, (ZeroHessian, RegressionClipped)):
+        raise ValueError(f"unknown hessian policy: {cfg.hessian_policy!r}")
+    if cfg.eps_f_hint is not None and not cfg.eps_f_hint >= 0.0:
+        raise ValueError("eps_f_hint must be nonnegative")
+    if cfg.theta is None:
+        if cfg.eps_f_hint is None or cfg.eps_f_hint <= 0.0:
+            raise ValueError("theta omitted: a positive eps_f_hint is required to derive it")
+        object.__setattr__(cfg, "theta", 1.1 * theta_bound(cfg))
+    elif not cfg.theta > 0.0:
+        raise ValueError("theta must be positive")
+
+
+def curvature_floor(cfg) -> float:
     """min(1, 1 / (M^2 delta_max^(2 - 2q))): the step-norm-to-radius factor.
 
     Interior steps satisfy ``||s||^2 >= floor * delta**2``; with a zero
@@ -116,12 +135,16 @@ def curvature_floor(cfg: TrustRegionConfig) -> float:
     return min(1.0, raw)
 
 
-def validate_theta_tr(cfg: TrustRegionConfig) -> ThetaVerdict:
-    """Check ``theta > 4 eps_f / (floor * (2 - tau))`` for the declared tail constant."""
+def theta_bound(cfg) -> float:
+    """Smallest admissible theta: ``4 eps_f / (floor * (2 - tau))``."""
+    return 4.0 * cfg.eps_f_hint / (curvature_floor(cfg) * (2.0 - cfg.tau))
+
+
+def validate_theta_tr(cfg) -> ThetaVerdict:
+    """Check ``theta > theta_bound(cfg)`` for the declared tail constant."""
     if cfg.eps_f_hint is None:
-        raise ValueError("validate_theta_tr requires eps_f_hint")
-    floor = curvature_floor(cfg)
-    bound = 4.0 * cfg.eps_f_hint / (floor * (2.0 - cfg.tau))
+        raise ValueError("validating theta requires eps_f_hint")
+    bound = theta_bound(cfg)
     if cfg.theta > bound:
         return ThetaVerdict(True, cfg.theta, bound, "theta exceeds the admissibility bound")
     return ThetaVerdict(
@@ -174,62 +197,41 @@ def rho(est_current: float, est_trial: float, theta: float, step_norm: float) ->
     return (est_current - est_trial) / (theta * step_norm * step_norm)
 
 
-def tr_step(
+def take_step(
     state: TrustRegionState,
-    cfg: TrustRegionConfig,
-    gen: DirectionGenerator,
+    cfg,
     oracle: StochasticOracle,
     sampler: SamplePolicy,
+    direction: np.ndarray,
+    step: np.ndarray,
+    scale: float,
+    stencil_samples: int = 0,
 ) -> tuple[TrustRegionState, IterationRecord]:
-    """One trust-region iteration: model, exact subproblem, ratio test, update."""
+    """Test the proposed ``step`` and update the state; the shared iteration.
+
+    Both points get ``sampler(scale)`` samples.  The step is accepted when
+    the estimated decrease reaches ``theta * scale**2``.  ``stencil_samples``
+    (spent on the model) are added to the current point's count.
+    """
     delta = state.delta
-    model, stencil_samples = build_model(state, gen, oracle, cfg.hessian_policy, sampler)
-    sol = solve_exact(model)
-    step_norm = float(np.linalg.norm(sol.s))
-
-    if step_norm <= 0.0:
-        # Unreachable with unit directions; contract without oracle calls.
-        record = IterationRecord(
-            k=state.k,
-            success=False,
-            delta=delta,
-            step_norm=0.0,
-            f_true_current=float(oracle.problem.eval_true(state.x)),
-            est_current=math.nan,
-            est_trial=math.nan,
-            samples_current=stencil_samples,
-            samples_trial=0,
-            x=state.x.copy(),
-            direction=model.g,
-            step=sol.s,
-        )
-        new_state = TrustRegionState(
-            x=state.x,
-            delta=(1.0 - cfg.tau) * delta,
-            k=state.k + 1,
-            cum_delta_sq=state.cum_delta_sq + delta * delta,
-        )
-        return new_state, record
-
-    trial = state.x + sol.s
-    n = sampler(step_norm)
+    trial = state.x + step
+    n = sampler(scale)
     pair = estimate_pair(oracle, state.x, trial, n, n)
-    ratio = rho(pair.est_current, pair.est_trial, cfg.theta, step_norm)
-    success = ratio >= 1.0
+    success = pair.est_current - pair.est_trial >= cfg.theta * scale * scale
 
     record = IterationRecord(
         k=state.k,
         success=success,
         delta=delta,
-        step_norm=step_norm,
+        step_norm=float(np.linalg.norm(step)),
         f_true_current=pair.f_true_current,
         est_current=pair.est_current,
         est_trial=pair.est_trial,
         samples_current=pair.samples_current + stencil_samples,
         samples_trial=pair.samples_trial,
         x=state.x.copy(),
-        direction=model.g,
-        step=sol.s,
+        direction=direction,
+        step=step,
     )
     new_state = TrustRegionState(
         x=trial if success else state.x,
@@ -238,6 +240,71 @@ def tr_step(
         cum_delta_sq=state.cum_delta_sq + delta * delta,
     )
     return new_state, record
+
+
+def tr_step(
+    state: TrustRegionState,
+    cfg: TrustRegionConfig,
+    gen: DirectionGenerator,
+    oracle: StochasticOracle,
+    sampler: SamplePolicy,
+) -> tuple[TrustRegionState, IterationRecord]:
+    """One trust-region iteration: model, exact subproblem, test at scale ``||s||``.
+
+    A zero model matrix needs neither: its minimizer is ``-delta * g``.
+    """
+    if isinstance(cfg.hessian_policy, ZeroHessian):
+        direction = gen.next_direction()
+        step, stencil_samples = -state.delta * direction, 0
+    else:
+        model, stencil_samples = build_model(state, gen, oracle, cfg.hessian_policy, sampler)
+        direction, step = model.g, solve_exact(model).s
+    scale = float(np.linalg.norm(step))
+    return take_step(state, cfg, oracle, sampler, direction, step, scale, stencil_samples)
+
+
+def run_steps(
+    step,
+    cfg,
+    problem: TestProblem,
+    noise: NoiseModel,
+    gen: DirectionGenerator,
+    x0,
+    seed: int,
+    sampler: SamplePolicy | None,
+    delta_floor: float,
+) -> tuple[TrustRegionState, list[IterationRecord]]:
+    """Iterate ``step`` from ``x0`` until ``max_iters`` or a stop condition.
+
+    The run stops when the radius falls below ``delta_floor`` or when
+    ``theta * delta**2`` is no longer positive, since an acceptance test
+    against a zero threshold would take any estimated non-increase.  When
+    ``sampler`` is omitted, the per-iteration count follows the declared
+    noise statistics with ``k_f = theta * floor * (2 - tau) / 16`` (so the
+    derived tail constant satisfies the theta bound with a factor-2 margin).
+    """
+    if not delta_floor >= 0.0:
+        raise ValueError(f"delta_floor must be nonnegative, got {delta_floor}")
+    start = problem.check_point(x0)
+    if not np.all(np.isfinite(start)):
+        raise ValueError(f"x0 must be finite, got {start.tolist()}")
+    f0 = float(problem.eval_true(start))
+    if not math.isfinite(f0):
+        raise ValueError(f"f(x0) must be finite, got {f0}")
+    if gen.dimension != problem.dimension:
+        raise ValueError("direction generator dimension does not match the problem")
+    oracle = StochasticOracle(problem, noise, seed)
+    if sampler is None:
+        k_f = cfg.theta * curvature_floor(cfg) * (2.0 - cfg.tau) / 16.0
+        sampler = default_sample_policy(noise, k_f)
+    state = TrustRegionState(x=start, delta=float(cfg.delta0))
+    records: list[IterationRecord] = []
+    for _ in range(cfg.max_iters):
+        if state.delta < delta_floor or not cfg.theta * state.delta * state.delta > 0.0:
+            break
+        state, record = step(state, cfg, gen, oracle, sampler)
+        records.append(record)
+    return state, records
 
 
 def tr_run(
@@ -256,18 +323,4 @@ def tr_run(
     estimates (stencil estimates use the radius as a proxy, taken before
     the step is known).
     """
-    start = _finite_start(problem, x0)
-    if gen.dimension != problem.dimension:
-        raise ValueError("direction generator dimension does not match the problem")
-    oracle = StochasticOracle(problem, noise, seed)
-    if sampler is None:
-        k_f = cfg.theta * curvature_floor(cfg) * (2.0 - cfg.tau) / 16.0
-        sampler = default_sample_policy(noise, k_f)
-    state = TrustRegionState(x=start, delta=float(cfg.delta0))
-    records: list[IterationRecord] = []
-    for _ in range(cfg.max_iters):
-        if state.delta < delta_floor:
-            break
-        state, record = tr_step(state, cfg, gen, oracle, sampler)
-        records.append(record)
-    return state, records
+    return run_steps(tr_step, cfg, problem, noise, gen, x0, seed, sampler, delta_floor)
