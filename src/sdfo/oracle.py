@@ -1,7 +1,8 @@
 """Noisy function oracles and sample-average estimate construction.
 
-An oracle returns ``f(x) + xi`` for zero-mean noise ``xi``.  Estimates are
-built by averaging i.i.d. draws; ``required_samples`` and
+An oracle returns ``f(x) + xi`` for zero-mean noise ``xi``.  Every
+estimate, single, paired, repeated or a whole stencil, is a mean of i.i.d.
+draws built by the one primitive ``sample_means``.  ``required_samples`` and
 ``moment_oracle_samples`` give averaging counts under which the estimate
 error of the decrease ``f(x) - f(y)`` obeys the tail bounds that the
 optimizers assume (finite-variance and finite-moment noise respectively).
@@ -201,23 +202,55 @@ class StochasticOracle:
         )
 
 
-def sample_estimate(oracle: StochasticOracle, x, n: int, true_value: float | None = None) -> float:
+# Noise values drawn per call by ``sample_means``: 128 KB of float64, so
+# a batch of estimates costs O(chunk) memory whatever its length.  Twice
+# as large is no faster and raises peak memory.
+CHUNK_DRAWS = 2**14
+
+
+def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """True values ``(k,)`` and ``(repeats, k)`` means of ``n`` samples at ``k`` points.
+
+    f is evaluated once per point.  Each estimate takes the next ``n``
+    draws of the stream in repeat-major, point-minor order, so
+    ``oracle.draws`` grows by ``repeats * k * n`` and every mean is
+    bit-identical to averaging its own draws.  Draw calls hold at most
+    ``CHUNK_DRAWS`` values or one estimate.  Noiseless oracles return the
+    true values exactly.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    stack = np.asarray(points, dtype=float)
+    if stack.ndim != 2 or stack.shape[1] != oracle.problem.dimension:
+        raise ValueError(f"points have shape {stack.shape}, expected (k, {oracle.problem.dimension})")
+    truth = np.array([float(oracle.problem.eval_true(point)) for point in stack])
+    k = truth.size
+    oracle.draws += repeats * k * n
+    if oracle.noise.kind == "none":
+        return truth, np.tile(truth, (repeats, 1))
+    means = np.empty((repeats, k))
+    # A chunk holds whole rounds of the k points when one round fits, and
+    # a slice of one round's points otherwise.
+    per_chunk = max(1, CHUNK_DRAWS // n)
+    rounds, width = max(1, per_chunk // k), min(k, per_chunk)
+    for r in range(0, repeats, rounds):
+        for p in range(0, k, width):
+            block = means[r : r + rounds, p : p + width]
+            values = oracle.noise.draw(oracle._rng, block.size * n).reshape(*block.shape, n)
+            values += truth[p : p + width, None]
+            np.add.reduce(values, axis=-1, out=block)
+    # The sum and the division by n are np.mean's own steps.
+    means /= n
+    return truth, means
+
+
+def sample_estimate(oracle: StochasticOracle, x, n: int) -> float:
     """Arithmetic mean of ``n`` raw oracle samples at ``x``.
 
     Advances the oracle stream by exactly ``n`` draws.  With noiseless
     oracles the true value is returned exactly, independent of ``n``.
-    A caller that already holds ``f(x)`` passes it as ``true_value`` so the
-    objective is not evaluated again.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    point = oracle.problem.check_point(x)
-    value = float(oracle.problem.eval_true(point)) if true_value is None else true_value
-    oracle.draws += n
-    if oracle.noise.kind == "none":
-        return value
-    draws = oracle.noise.draw(oracle._rng, n)
-    return float(np.mean(value + draws))
+    return float(sample_means(oracle, (x,), n)[1][0, 0])
 
 
 def estimate_pair(
@@ -233,49 +266,23 @@ def estimate_pair(
     stream, so they are independent by construction.  The true value at
     ``x_current`` is kept in the pair for the caller's trace record.
     """
-    f_current = float(oracle.problem.eval_true(oracle.problem.check_point(x_current)))
-    est_current = sample_estimate(oracle, x_current, n_current, f_current)
-    est_trial = sample_estimate(oracle, x_trial, n_trial)
-    return EstimatePair(
-        est_current=est_current,
-        est_trial=est_trial,
-        samples_current=n_current,
-        samples_trial=n_trial,
-        f_true_current=f_current,
-    )
-
-
-# Noise values drawn per call by ``estimate_pairs``: 128 KB of float64, so
-# a batch of estimates costs O(chunk) memory whatever its length.  Twice
-# as large is no faster and raises peak memory.
-CHUNK_DRAWS = 2**14
+    if n_current == n_trial:
+        truth, means = sample_means(oracle, (x_current, x_trial), n_current)
+        est_current, est_trial = means[0]
+    else:
+        truth, means = sample_means(oracle, (x_current,), n_current)
+        est_current, est_trial = means[0, 0], sample_estimate(oracle, x_trial, n_trial)
+    return EstimatePair(float(est_current), float(est_trial), n_current, n_trial, float(truth[0]))
 
 
 def estimate_pairs(oracle: StochasticOracle, x_current, x_trial, n: int, trials: int) -> np.ndarray:
     """``trials`` consecutive ``estimate_pair(oracle, x_current, x_trial, n, n)`` means.
 
-    Returns a ``(trials, 2)`` array of (current, trial) estimates.  The noise
-    for as many pairs as fit in ``CHUNK_DRAWS`` values is drawn at once and
-    averaged along its last axis.  Every estimate is bit-identical to the
-    pair-by-pair loop's, and the oracle stream and ``oracle.draws`` end
-    where that loop leaves them.
+    Returns a ``(trials, 2)`` array of (current, trial) estimates, each
+    bit-identical to the pair-by-pair loop's, with the oracle stream and
+    ``oracle.draws`` left where that loop leaves them.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    truth = np.array(
-        [float(oracle.problem.eval_true(oracle.problem.check_point(x))) for x in (x_current, x_trial)]
-    )
-    oracle.draws += 2 * n * trials
-    if oracle.noise.kind == "none":
-        return np.tile(truth, (trials, 1))
-    estimates = np.empty((trials, 2))
-    per_chunk = max(1, CHUNK_DRAWS // (2 * n))
-    for start in range(0, trials, per_chunk):
-        m = min(per_chunk, trials - start)
-        values = oracle.noise.draw(oracle._rng, m * 2 * n).reshape(m, 2, n)
-        values += truth[:, None]
-        estimates[start : start + m] = np.mean(values, axis=-1)
-    return estimates
+    return sample_means(oracle, (x_current, x_trial), n, trials)[1]
 
 
 def required_samples(variance: float, k_f: float, delta: float) -> int:

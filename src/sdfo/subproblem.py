@@ -84,15 +84,14 @@ def eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _shifted_norm(a: np.ndarray, w: np.ndarray, lam: float) -> float:
     """||s(lam)|| for s(lam) = -(B + lam I)^-1 g in the eigenbasis."""
     denom = w + lam
-    total = 0.0
-    for ai, di in zip(a, denom):
-        if di == 0.0:
-            if ai != 0.0:
-                return math.inf
-            continue
-        term = ai / di
-        total += term * term
-    return math.sqrt(total)
+    if not denom.all():
+        zero = denom == 0.0
+        if np.any(a[zero] != 0.0):
+            return math.inf
+        denom = np.where(zero, 1.0, denom)  # the 0/0 terms now add 0.0
+    terms = a / denom
+    # cumsum adds in index order, like a running total.
+    return math.sqrt((terms * terms).cumsum()[-1])
 
 
 def solve_exact(model: QuadraticModel) -> SubproblemSolution:

@@ -14,6 +14,9 @@ Audited conditions, with err = (est_current - est_trial) - (f(x) - f(y)):
 * variance condition:  E[(estimate - truth)^2]              <= k_f^2 delta^4
 * generalized tail:    P(|err| >= alpha delta^h)            <= eps_q / alpha^(2/(h-1))
                        for every alpha >= eps_q
+
+An estimator builds a whole cell in one call; ``sampler_estimator`` does it
+with ``oracle.estimate_pairs``, so a cell's memory stays at one draw chunk.
 """
 
 from __future__ import annotations
@@ -25,35 +28,24 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .oracle import EstimatePair, SamplePolicy, StochasticOracle, estimate_pair, estimate_pairs
+from .oracle import SamplePolicy, StochasticOracle, estimate_pairs
 from .stats import wilson_upper
 from .trace import format_float, metadata_lines, row_writer
 
-# Estimator: (oracle, x_current, x_trial, delta) -> EstimatePair
-Estimator = Callable[[StochasticOracle, np.ndarray, np.ndarray, float], EstimatePair]
+# Estimator: (oracle, x_current, x_trial, delta, trials) -> ((trials, 2) estimates, samples per estimate)
+Estimator = Callable[[StochasticOracle, np.ndarray, np.ndarray, float, int], tuple[np.ndarray, int]]
 
 _CONDITION_CODES = {"a1": 1, "a2": 2, "a2h": 3, "variance": 4}
 
 
-@dataclass(frozen=True)
-class SamplerEstimator:
-    """Estimator that averages ``sampler(delta)`` draws at each point.
-
-    Called, it builds one estimate pair like any other estimator.  The
-    audits build a whole cell of its pairs at once with ``estimate_pairs``,
-    which gives the same values from the same stream.
-    """
-
-    sampler: SamplePolicy
-
-    def __call__(self, oracle, x_current, x_trial, delta) -> EstimatePair:
-        n = self.sampler(delta)
-        return estimate_pair(oracle, x_current, x_trial, n, n)
-
-
 def sampler_estimator(sampler: SamplePolicy) -> Estimator:
     """Estimator that averages ``sampler(delta)`` draws at each point."""
-    return SamplerEstimator(sampler)
+
+    def estimator(oracle, x_current, x_trial, delta, trials):
+        n = sampler(delta)
+        return estimate_pairs(oracle, x_current, x_trial, n, trials), n
+
+    return estimator
 
 
 def tail_order(h: float) -> float:
@@ -141,13 +133,21 @@ class AuditReport:
     draws: int  # oracle draws over all cells
 
 
-def _unit_direction(g, dimension: int) -> np.ndarray:
+def _audit_point(oracle: StochasticOracle, x, g) -> tuple[np.ndarray, np.ndarray]:
+    """The audited point and unit direction, checked to be finite.
+
+    A non-finite error compares false with every threshold and would pass.
+    """
+    point = oracle.problem.check_point(x)
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"audit point must be finite, got {point.tolist()}")
     vec = np.asarray(g, dtype=float)
+    dimension = oracle.problem.dimension
     if vec.shape != (dimension,):
         raise ValueError(f"direction has shape {vec.shape}, expected ({dimension},)")
-    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:
-        raise ValueError("direction must be a unit vector")
-    return vec
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:  # also false for NaN and inf
+        raise ValueError(f"direction must be a finite unit vector, got {vec.tolist()}")
+    return point, vec
 
 
 def _collect_errors(
@@ -164,24 +164,17 @@ def _collect_errors(
     Returns the decrease-estimate errors, the two per-point estimate
     errors, the per-estimate sample count used and the oracle draws spent.
     Each cell runs on its own oracle substream, so reports are reproducible
-    and independent of any outer scheduling.  A ``SamplerEstimator`` builds
-    the whole cell in one batch; any other estimator is called per trial.
+    and independent of any outer scheduling.  The estimator builds the
+    whole cell in one call.
     """
     cell_oracle = oracle.spawn(*key)
     y = x + delta * g
     f_x = float(oracle.problem.eval_true(x))
     f_y = float(oracle.problem.eval_true(y))
-    if isinstance(estimator, SamplerEstimator):
-        samples = estimator.sampler(delta)
-        estimates = estimate_pairs(cell_oracle, x, y, samples, trials)
-    else:
-        estimates = np.empty((trials, 2))
-        samples = 0
-        for t in range(trials):
-            pair = estimator(cell_oracle, x, y, delta)
-            estimates[t, 0] = pair.est_current
-            estimates[t, 1] = pair.est_trial
-            samples = pair.samples_current
+    estimates, samples = estimator(cell_oracle, x, y, delta, trials)
+    estimates = np.asarray(estimates, dtype=float)
+    if estimates.shape != (trials, 2):
+        raise ValueError(f"estimator returned shape {estimates.shape}, expected ({trials}, 2)")
     # The estimate columns become the per-point errors in place.
     cur_errors, trial_errors = estimates.T
     diff_errors = cur_errors - trial_errors
@@ -203,8 +196,7 @@ def _exceedance_audit(
     outer_grid: tuple[float, ...],
     outer_is_alpha: bool,
 ) -> AuditReport:
-    point = oracle.problem.check_point(x)
-    direction = _unit_direction(g, oracle.problem.dimension)
+    point, direction = _audit_point(oracle, x, g)
     code = _CONDITION_CODES[condition]
     cells = []
     draws = 0
@@ -316,8 +308,7 @@ def audit_variance_condition(
     delta_grid = tuple(delta_grid)
     if not delta_grid or any(d <= 0.0 for d in delta_grid):
         raise ValueError("delta grid must be nonempty with positive entries")
-    point = oracle.problem.check_point(x)
-    direction = _unit_direction(g, oracle.problem.dimension)
+    point, direction = _audit_point(oracle, x, g)
     code = _CONDITION_CODES["variance"]
     cells = []
     draws = 0

@@ -24,7 +24,7 @@ from .oracle import (
     StochasticOracle,
     default_sample_policy,
     estimate_pair,
-    sample_estimate,
+    sample_means,
 )
 from .problems import TestProblem
 from .subproblem import QuadraticModel, solve_exact
@@ -176,14 +176,11 @@ def build_model(
         return QuadraticModel(g=direction, B=matrix, radius=delta), 0
 
     n_sten = sampler(delta)
-    center = sample_estimate(oracle, state.x, n_sten)
-    curvature = np.zeros(n)
-    for i in range(n):
-        offset = np.zeros(n)
-        offset[i] = delta
-        plus = sample_estimate(oracle, state.x + offset, n_sten)
-        minus = sample_estimate(oracle, state.x - offset, n_sten)
-        curvature[i] = (plus - 2.0 * center + minus) / (delta * delta)
+    # Rows x, x + delta e_1, x - delta e_1, x + delta e_2, ...
+    offsets = delta * np.eye(n)
+    stencil = np.vstack([state.x, np.hstack([state.x + offsets, state.x - offsets]).reshape(2 * n, n)])
+    (means,) = sample_means(oracle, stencil, n_sten)[1]
+    curvature = (means[1::2] - 2.0 * means[0] + means[2::2]) / (delta * delta)
     hi = policy.M * delta ** (-policy.q)
     lo = -policy.m * delta ** (-policy.q)
     matrix = np.diag(np.clip(curvature, lo, hi))

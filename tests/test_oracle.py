@@ -1,6 +1,7 @@
 """Oracle construction, sample averaging and sample-size rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sdfo import (
     required_samples,
     sample_estimate,
 )
+from sdfo.oracle import CHUNK_DRAWS, sample_means
 
 
 def make_oracle(noise, seed=0, name="sphere", dim=2):
@@ -169,6 +171,78 @@ class TestEstimatePairs:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             estimate_pairs(make_oracle(NoiseModel.gaussian(1.0)), (0.0, 0.0), (1.0, 0.0), 0, 10)
+
+
+def reference_estimate(oracle, x, n):
+    """One estimate as a single draw call and mean: the per-point reference."""
+    point = oracle.problem.check_point(x)
+    value = float(oracle.problem.eval_true(point))
+    oracle.draws += n
+    if oracle.noise.kind == "none":
+        return value
+    draws = oracle.noise.draw(oracle._rng, n)
+    return float(np.mean(value + draws))
+
+
+D = 3
+STACK_POINTS = np.random.default_rng(11).uniform(-2.0, 2.0, size=(2 * D + 1, D))
+
+
+class TestSampleMeans:
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @pytest.mark.parametrize("k", [1, 2, 2 * D + 1])
+    @pytest.mark.parametrize("repeats", [1, 3])
+    # 4096 with k = 7 puts chunk boundaries inside a round of points
+    # (k n > CHUNK_DRAWS); CHUNK_DRAWS + 5 gives every estimate its own chunk.
+    @pytest.mark.parametrize("n", [1, 16, 256, 4096, CHUNK_DRAWS + 5])
+    def test_matches_per_point_reference_bit_for_bit(self, noise, k, repeats, n):
+        a = make_oracle(noise, seed=17, dim=D)
+        b = make_oracle(noise, seed=17, dim=D)
+        points = STACK_POINTS[:k]
+        truth, means = sample_means(a, points, n, repeats)
+        reference = [[reference_estimate(b, x, n) for x in points] for _ in range(repeats)]
+        assert means.shape == (repeats, k)
+        assert np.array_equal(means, np.array(reference))
+        assert np.array_equal(truth, [a.problem.eval_true(x) for x in points])
+        assert a.draws == b.draws == repeats * k * n
+        # Both streams stop at the same place.
+        assert a._rng.random() == b._rng.random()
+
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    def test_callers_match_reference(self, noise):
+        a = make_oracle(noise, seed=3, dim=D)
+        b = make_oracle(noise, seed=3, dim=D)
+        x, y = STACK_POINTS[0], STACK_POINTS[1]
+        assert sample_estimate(a, x, 9) == reference_estimate(b, x, 9)
+        for n_trial in (5, 7):
+            pair = estimate_pair(a, x, y, 5, n_trial)
+            assert pair.est_current == reference_estimate(b, x, 5)
+            assert pair.est_trial == reference_estimate(b, y, n_trial)
+            assert pair.f_true_current == a.problem.eval_true(x)
+        assert a.draws == b.draws
+        assert a._rng.random() == b._rng.random()
+
+    def test_rejects_bad_shapes_and_counts(self):
+        oracle = make_oracle(NoiseModel.gaussian(1.0))
+        for points in ([], [0.0, 0.0], [[0.0, 0.0, 0.0]], np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                sample_means(oracle, points, 4)
+        with pytest.raises(ValueError):
+            sample_means(oracle, [[0.0, 0.0]], 0)
+        assert oracle.draws == 0
+
+    def test_stencil_memory_is_chunked(self):
+        # 41 points at n = 200,000 draw 8.2e6 values: 66 MB as one stack.
+        oracle = make_oracle(NoiseModel.gaussian(1.0), dim=20)
+        points = np.random.default_rng(0).standard_normal((41, 20))
+        tracemalloc.start()
+        try:
+            sample_means(oracle, points, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert oracle.draws == 41 * 200_000
 
 
 class TestMomentOracleSamples:

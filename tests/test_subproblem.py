@@ -1,5 +1,7 @@
 """Exact trust-region subproblem solutions against independent verifiers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from sdfo import (
     solve_exact,
 )
 from sdfo.problems import TestProblem as Problem
-from sdfo.subproblem import eigendecomposition
+from sdfo.subproblem import _shifted_norm, eigendecomposition
 
 
 def random_model(rng, n, radius=None, eig_range=(-10.0, 10.0)):
@@ -293,3 +295,45 @@ class TestSolveExactProperties:
         # Eigenvectors agree only up to rotations within repeated
         # eigenvalues, so compare what is basis-free: the reconstruction.
         assert np.allclose((v * w) @ v.T, (v_ref * w_ref) @ v_ref.T, rtol=0.0, atol=1e-12)
+
+
+def loop_shifted_norm(a, w, lam):
+    """||s(lam)|| as a running total over the eigenvalues: the reference."""
+    denom = w + lam
+    total = 0.0
+    for ai, di in zip(a, denom):
+        if di == 0.0:
+            if ai != 0.0:
+                return math.inf
+            continue
+        term = ai / di
+        total += term * term
+    return math.sqrt(total)
+
+
+@st.composite
+def secular_terms(draw):
+    n = draw(st.integers(1, 40))
+    # Small pools make zero numerators and zero denominators w + lam common.
+    values = st.sampled_from([-2.0, -0.5, 0.0, 0.0, 0.5, 1.0]) | st.floats(-10.0, 10.0)
+    a = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    lam = draw(st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 20.0))
+    return a, w, lam
+
+
+class TestShiftedNorm:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(secular_terms())
+    def test_matches_running_total_bit_for_bit(self, terms):
+        a, w, lam = terms
+        # Tiny denominators overflow to inf on both sides.
+        with np.errstate(over="ignore"):
+            assert _shifted_norm(a, w, lam) == loop_shifted_norm(a, w, lam)
+
+    def test_zero_denominator_branch(self):
+        w = np.array([-1.0, 2.0, 3.0])
+        assert _shifted_norm(np.array([0.5, 1.0, 0.0]), w, 1.0) == math.inf
+        # A zero numerator over a zero denominator is skipped.
+        assert _shifted_norm(np.array([0.0, 3.0, 4.0]), w, 1.0) == math.sqrt(1.0 + 1.0)
+        assert _shifted_norm(np.array([0.0]), np.array([0.0]), 0.0) == 0.0

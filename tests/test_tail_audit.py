@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sdfo import (
-    EstimatePair,
     NoiseModel,
     StochasticOracle,
     TailAuditSpec,
@@ -15,6 +14,7 @@ from sdfo import (
     audit_a2,
     audit_generalized,
     audit_variance_condition,
+    estimate_pair,
     fixed_sample_policy,
     get_problem,
     required_samples,
@@ -88,11 +88,10 @@ class TestHarnessSoundness:
         # probability P(|U| >= t) = max(0, 1 - t/a).
         a = 3.0
 
-        def uniform_estimator(oracle, x, y, delta):
-            truth_x = oracle.problem.eval_true(x)
-            truth_y = oracle.problem.eval_true(y)
-            err = float(a * (2.0 * oracle._rng.random() - 1.0))
-            return EstimatePair(truth_x + err, truth_y, 1, 1)
+        def uniform_estimator(oracle, x, y, delta, trials):
+            estimates = np.tile([oracle.problem.eval_true(x), oracle.problem.eval_true(y)], (trials, 1))
+            estimates[:, 0] += a * (2.0 * oracle._rng.random(trials) - 1.0)
+            return estimates, 1
 
         oracle = gaussian_oracle(seed=13)
         spec = TailAuditSpec(
@@ -128,26 +127,35 @@ class TestBatchPath:
     )
     @pytest.mark.parametrize("n,trials", [(1, 1000), (16, 1000), (256, 1000), (16, 5000)])
     def test_batch_matches_per_trial_fallback(self, noise, n, trials):
-        # A plain wrapper callable takes the per-trial loop; the estimator
-        # itself takes the batch path.  n = 256 and (16, 5000) span several
-        # chunks.
+        # The reference estimator builds a cell one estimate_pair at a
+        # time; the sampler estimator draws it in chunks.  n = 256 and
+        # (16, 5000) span several chunks.
         est = sampler_estimator(fixed_sample_policy(n))
 
-        def wrapped(oracle, x, y, delta):
-            return est(oracle, x, y, delta)
+        def per_trial(oracle, x, y, delta, trials):
+            pairs = [estimate_pair(oracle, x, y, n, n) for _ in range(trials)]
+            return np.array([(p.est_current, p.est_trial) for p in pairs]), n
 
         oracle = StochasticOracle(get_problem("sphere", 2), noise, seed=21)
         for key in ((1, 0, 0, 0), (4, 2, 9)):
             batch = _collect_errors(oracle, est, X, G, 0.5, trials, key)
-            loop = _collect_errors(oracle, wrapped, X, G, 0.5, trials, key)
+            loop = _collect_errors(oracle, per_trial, X, G, 0.5, trials, key)
             for a, b in zip(batch[:3], loop[:3]):
                 assert np.array_equal(a, b)
             assert batch[3:] == loop[3:] == (n, 2 * n * trials)
         spec = small_spec(p_grid=(0.5,), delta_grid=(0.5,), trials=trials)
-        assert audit_a1(oracle, est, X, G, spec) == audit_a1(oracle, wrapped, X, G, spec)
+        assert audit_a1(oracle, est, X, G, spec) == audit_a1(oracle, per_trial, X, G, spec)
         assert audit_variance_condition(
             oracle, est, X, G, 1.0, delta_grid=(0.5,), trials=trials
-        ) == audit_variance_condition(oracle, wrapped, X, G, 1.0, delta_grid=(0.5,), trials=trials)
+        ) == audit_variance_condition(oracle, per_trial, X, G, 1.0, delta_grid=(0.5,), trials=trials)
+
+    def test_estimator_shape_checked(self):
+        def short(oracle, x, y, delta, trials):
+            return np.zeros((trials - 1, 2)), 1
+
+        spec = small_spec(p_grid=(0.5,), delta_grid=(0.5,), trials=1000)
+        with pytest.raises(ValueError, match="expected \\(1000, 2\\)"):
+            audit_a1(gaussian_oracle(), short, X, G, spec)
 
     def test_report_counts_draws(self):
         est = sampler_estimator(variance_sample_policy(1.0, 1.0))
@@ -167,6 +175,35 @@ class TestBatchPath:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+AUDITS = {
+    "a1": lambda oracle, est, x, g: audit_a1(oracle, est, x, g, small_spec(trials=1000)),
+    "a2": lambda oracle, est, x, g: audit_a2(oracle, est, x, g, small_spec(trials=1000)),
+    "a2h": lambda oracle, est, x, g: audit_generalized(
+        oracle, est, x, g, small_spec(trials=1000, alpha_grid=(4.0,))
+    ),
+    "variance": lambda oracle, est, x, g: audit_variance_condition(oracle, est, x, g, 1.0, trials=1000),
+}
+
+
+class TestNonFiniteInputs:
+    # A non-finite error compares false against every threshold, so such
+    # a point used to pass every cell with frequency zero.
+    @pytest.mark.parametrize("audit", AUDITS, ids=list(AUDITS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_point_rejected(self, audit, bad):
+        oracle = gaussian_oracle()
+        with pytest.raises(ValueError, match="audit point must be finite"):
+            AUDITS[audit](oracle, sampler_estimator(fixed_sample_policy(1)), (bad, 0.5), G)
+        assert oracle.draws == 0
+
+    @pytest.mark.parametrize("audit", AUDITS, ids=list(AUDITS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_direction_rejected(self, audit, bad):
+        oracle = gaussian_oracle()
+        with pytest.raises(ValueError, match="finite unit vector"):
+            AUDITS[audit](oracle, sampler_estimator(fixed_sample_policy(1)), X, (bad, 0.0))
 
 
 class TestGaussianAudits:

@@ -26,8 +26,37 @@ from sdfo import (
 )
 from sdfo.direct_search import DirectSearchConfig
 from sdfo.problems import TestProblem as Problem
-from sdfo.subproblem import eigendecomposition
+from sdfo.subproblem import QuadraticModel, eigendecomposition
 from sdfo.trust_region import curvature_floor
+
+def reference_estimate(oracle, x, n):
+    """One estimate as a single draw call and mean."""
+    value = float(oracle.problem.eval_true(oracle.problem.check_point(x)))
+    oracle.draws += n
+    if oracle.noise.kind == "none":
+        return value
+    return float(np.mean(value + oracle.noise.draw(oracle._rng, n)))
+
+
+def reference_build_model(state, gen, oracle, policy, sampler):
+    """The stencil model as a loop of 2d + 1 single-point estimates."""
+    direction = gen.next_direction()
+    n = state.x.shape[0]
+    delta = state.delta
+    n_sten = sampler(delta)
+    center = reference_estimate(oracle, state.x, n_sten)
+    curvature = np.zeros(n)
+    for i in range(n):
+        offset = np.zeros(n)
+        offset[i] = delta
+        plus = reference_estimate(oracle, state.x + offset, n_sten)
+        minus = reference_estimate(oracle, state.x - offset, n_sten)
+        curvature[i] = (plus - 2.0 * center + minus) / (delta * delta)
+    hi = policy.M * delta ** (-policy.q)
+    lo = -policy.m * delta ** (-policy.q)
+    matrix = np.diag(np.clip(curvature, lo, hi))
+    return QuadraticModel(g=direction, B=matrix, radius=delta), (2 * n + 1) * n_sten
+
 
 PARABOLA = Problem(dimension=1, eval_true=lambda x: float(x[0] ** 2), name="parabola")
 
@@ -134,6 +163,31 @@ class TestBuildModel:
         model, used = build_model(state, gen, oracle, policy, one_sample)
         assert used == 5
         assert np.allclose(np.diag(model.B), a, atol=1e-7)
+
+    @pytest.mark.parametrize("d", [2, 3, 20])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel.none(), NoiseModel.gaussian(0.01), NoiseModel.student_t(3.0),
+         NoiseModel.student_t(1.5), NoiseModel.pareto_symmetric(1.5)],
+        ids=["none", "gaussian", "t3", "t1.5", "pareto1.5"],
+    )
+    def test_stencil_matches_point_loop_bit_for_bit(self, d, noise):
+        problem = get_problem("rosenbrock", d)
+        policy = RegressionClipped(q=0.5, m=10.0, M=10.0)
+        a = StochasticOracle(problem, noise, seed=4)
+        b = StochasticOracle(problem, noise, seed=4)
+        gen_a = DirectionGenerator(d, QuasiRandomSphere())
+        gen_b = DirectionGenerator(d, QuasiRandomSphere())
+        rng = np.random.default_rng(d)
+        for delta, n in ((1.0, 1), (0.3, 4), (0.05, 25), (0.01, 700)):
+            state = TrustRegionState(x=rng.uniform(-1.5, 1.5, d), delta=delta)
+            model, used = build_model(state, gen_a, a, policy, fixed_sample_policy(n))
+            ref, ref_used = reference_build_model(state, gen_b, b, policy, fixed_sample_policy(n))
+            assert np.array_equal(model.B, ref.B)
+            assert np.array_equal(model.g, ref.g)
+            assert used == ref_used == (2 * d + 1) * n
+        assert a.draws == b.draws
+        assert a._rng.random() == b._rng.random()
 
     def test_clipping_enforces_eigen_bounds(self):
         a = np.array([50.0, -50.0])
