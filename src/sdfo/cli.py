@@ -24,17 +24,9 @@ from .config import (
 )
 from .direct_search import ds_run
 from .directions import DirectionGenerator, QuasiRandomSphere
-from .oracle import StochasticOracle
+from .oracle import StochasticOracle, default_sample_policy
 from .problems import get_problem, list_problems
-from .tail_audit import (
-    audit_a1,
-    audit_a2,
-    audit_generalized,
-    audit_variance_condition,
-    format_report,
-    sampler_estimator,
-    write_report_csv,
-)
+from .tail_audit import audit_condition, format_report, sampler_estimator, write_report_csv
 from .trace import write_trace_csv
 from .trust_region import tr_run, validate_theta_tr
 
@@ -145,33 +137,17 @@ def run_audit(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[list[P
     audit = cfg.audit
     problem = get_problem(cfg.problem, cfg.dimension)
     oracle = StochasticOracle(problem, cfg.noise, seed=audit.spec.seed)
-    sampler = cfg.sampler.build(cfg.noise)
-    if sampler is None:
-        from .oracle import default_sample_policy
-
-        sampler = default_sample_policy(cfg.noise, audit.k_f, eps_q=audit.spec.eps_q)
+    sampler = cfg.sampler.build(cfg.noise) or default_sample_policy(
+        cfg.noise, audit.k_f, eps_q=audit.spec.eps_q
+    )
     estimator = sampler_estimator(sampler)
-
-    runners = {
-        "a1": lambda: audit_a1(oracle, estimator, audit.x, audit.direction, audit.spec),
-        "a2": lambda: audit_a2(oracle, estimator, audit.x, audit.direction, audit.spec),
-        "a2h": lambda: audit_generalized(oracle, estimator, audit.x, audit.direction, audit.spec),
-        "variance": lambda: audit_variance_condition(
-            oracle,
-            estimator,
-            audit.x,
-            audit.direction,
-            audit.k_f,
-            delta_grid=audit.spec.delta_grid,
-            trials=audit.spec.trials,
-            seed=audit.spec.seed,
-        ),
-    }
     written: list[Path] = []
     texts: list[str] = []
     all_pass = True
     for condition in audit.conditions:
-        report = runners[condition]()
+        report = audit_condition(
+            condition, oracle, estimator, audit.x, audit.direction, audit.spec, audit.k_f
+        )
         all_pass = all_pass and report.passed
         csv_path = directory / f"audit_{condition}_{cfg.problem}.csv"
         write_report_csv(

@@ -19,12 +19,11 @@ from .oracle import (
     variance_sample_policy,
 )
 from .problems import get_problem
-from .tail_audit import TailAuditSpec
+from .tail_audit import CONDITIONS, TailAuditSpec
 from .trust_region import DEFAULT_DELTA_FLOOR, RegressionClipped, TrustRegionConfig, ZeroHessian
 
 SCHEMA_VERSION = 1
 ALGORITHMS = ("direct_search", "trust_region", "audit")
-AUDIT_CONDITIONS = ("a1", "a2", "a2h", "variance")
 ALGORITHM_CONFIGS = {"direct_search": DirectSearchConfig, "trust_region": TrustRegionConfig}
 HESSIAN_POLICIES = {"zero": ZeroHessian, "regression_clipped": RegressionClipped}
 # Noise kind -> (constructor, {config key: NoiseModel attribute}); "scale" is optional.
@@ -83,12 +82,12 @@ class AuditSettings:
 
     def __post_init__(self) -> None:
         for cond in self.conditions:
-            if cond not in AUDIT_CONDITIONS:
+            if cond not in CONDITIONS:
                 raise ConfigError(f"audit.conditions: unknown condition {cond!r}")
         if not self.conditions:
             raise ConfigError("audit.conditions: at least one condition is required")
-        if self.k_f <= 0:
-            raise ConfigError("audit.k_f: must be positive")
+        if not 0.0 < self.k_f < math.inf:
+            raise ConfigError(f"audit.k_f: must be positive and finite, got {self.k_f}")
         if not all(math.isfinite(v) for v in self.x + self.direction):
             raise ConfigError("audit.x, audit.direction: entries must be finite")
 
@@ -226,7 +225,7 @@ def _noise_from_dict(raw: dict) -> NoiseModel:
     }
     try:
         return make(**kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"noise: {exc}") from None
 
 

@@ -43,16 +43,18 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-        if self.declared_variance is not None and self.declared_variance <= 0.0:
-            raise ValueError("declared_variance must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if self.declared_variance is not None and not 0.0 < self.declared_variance < math.inf:
+            raise ValueError(
+                f"declared_variance must be positive and finite, got {self.declared_variance}"
+            )
         if self.declared_moment is not None:
             r, bound = self.declared_moment
             if not 1.0 < r <= 2.0:
                 raise ValueError(f"declared moment order must lie in (1, 2], got {r}")
-            if bound <= 0.0:
-                raise ValueError("declared moment bound must be positive")
+            if not 0.0 < bound < math.inf:
+                raise ValueError(f"declared moment bound must be positive and finite, got {bound}")
         if self.kind == "gaussian" and self.declared_variance is None:
             raise ValueError("gaussian noise requires a declared variance")
         if self.kind == "student_t":

@@ -15,8 +15,15 @@ Audited conditions, with err = (est_current - est_trial) - (f(x) - f(y)):
 * generalized tail:    P(|err| >= alpha delta^h)            <= eps_q / alpha^(2/(h-1))
                        for every alpha >= eps_q
 
-An estimator builds a whole cell in one call; ``sampler_estimator`` does it
-with ``oracle.estimate_pairs``, so a cell's memory stays at one draw chunk.
+Every condition runs through one cell loop, ``audit_condition``, driven by
+the table ``CONDITIONS``: a row gives the condition's substream code, its
+outer grid (the p grid, or the alpha >= eps_q grid), and its threshold and
+bound; the variance row has no grid and reports two moment cells per delta.
+Each cell draws ``trials`` estimate pairs on the oracle substream
+``(code, i_delta, i_outer, seed)``, or ``(code, i_delta, seed)`` for the
+variance condition.  An estimator builds a whole cell in one call;
+``sampler_estimator`` does it with ``oracle.estimate_pairs``, so a cell's
+memory stays at one draw chunk.
 """
 
 from __future__ import annotations
@@ -28,14 +35,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .oracle import SamplePolicy, StochasticOracle, estimate_pairs
+from .oracle import NoiseModel, SamplePolicy, StochasticOracle, estimate_pairs
 from .stats import wilson_upper
 from .trace import format_float, metadata_lines, row_writer
 
 # Estimator: (oracle, x_current, x_trial, delta, trials) -> ((trials, 2) estimates, samples per estimate)
 Estimator = Callable[[StochasticOracle, np.ndarray, np.ndarray, float, int], tuple[np.ndarray, int]]
-
-_CONDITION_CODES = {"a1": 1, "a2": 2, "a2h": 3, "variance": 4}
 
 
 def sampler_estimator(sampler: SamplePolicy) -> Estimator:
@@ -70,20 +75,26 @@ class TailAuditSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.eps_f <= 0.0 or self.eps_q <= 0.0:
-            raise ValueError("eps_f and eps_q must be positive")
+        if not (0.0 < self.eps_f < math.inf and 0.0 < self.eps_q < math.inf):
+            raise ValueError(
+                f"eps_f and eps_q must be positive and finite, got {self.eps_f}, {self.eps_q}"
+            )
         if not self.p_grid or not self.delta_grid:
             raise ValueError("probability and delta grids must be nonempty")
         if any(not 0.0 < p <= 1.0 for p in self.p_grid):
             raise ValueError("p_grid entries must lie in (0, 1]")
-        if any(d <= 0.0 for d in self.delta_grid):
-            raise ValueError("delta_grid entries must be positive")
+        if any(not 0.0 < d < math.inf for d in self.delta_grid):
+            raise ValueError(
+                f"delta_grid entries must be positive and finite, got {self.delta_grid}"
+            )
+        if self.alpha_grid is not None and not all(map(math.isfinite, self.alpha_grid)):
+            raise ValueError(f"alpha_grid entries must be finite, got {self.alpha_grid}")
         if self.trials < 1000:
             raise ValueError("trials must be at least 1000")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly in (0, 1)")
-        if self.h < 2.0:
-            raise ValueError("h must be >= 2")
+        if not 2.0 <= self.h < math.inf:
+            raise ValueError(f"h must be finite and >= 2, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,61 @@ class AuditReport:
     cells: tuple
     passed: bool
     draws: int  # oracle draws over all cells
+
+
+def _p_grid(spec: TailAuditSpec, noise: NoiseModel) -> tuple[float, ...]:
+    return tuple(spec.p_grid)
+
+
+def _alpha_grid(spec: TailAuditSpec, noise: NoiseModel) -> tuple[float, ...]:
+    """The alpha >= eps_q grid points; the condition is not stated below eps_q.
+
+    The noise must declare a finite r-th moment with ``r >= 2/(h-1)``.
+    """
+    if spec.alpha_grid is None:
+        raise ValueError("audit_generalized requires an alpha grid in the spec")
+    r_h = tail_order(spec.h)
+    if noise.kind != "none" and noise.declared_variance is None:
+        # A declared variance bounds every moment order up to 2 >= r(h).
+        if noise.declared_moment is None:
+            raise ValueError("generalized audit requires noise with a declared moment")
+        if noise.declared_moment[0] < r_h - 1e-12:
+            raise ValueError(
+                f"declared moment order {noise.declared_moment[0]} is inconsistent "
+                f"with h={spec.h}: need r >= 2/(h-1) = {r_h}"
+            )
+    alphas = tuple(a for a in spec.alpha_grid if a >= spec.eps_q)
+    if not alphas:
+        raise ValueError("all alpha grid points fall below eps_q; nothing to audit")
+    return alphas
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One row of ``CONDITIONS``: what the cell loop needs for one condition.
+
+    An exceedance condition has an outer grid ``grid(spec, noise)``; its
+    cell at (outer, delta) counts ``|err| >= threshold(spec, outer, delta)``
+    against ``bound(spec, outer)``.  The variance condition has no grid and
+    reports two moment cells per delta.
+    """
+
+    code: int  # first entry of every cell's substream key
+    grid: Callable[[TailAuditSpec, NoiseModel], tuple[float, ...]] | None = None
+    threshold: Callable[[TailAuditSpec, float, float], float] | None = None
+    bound: Callable[[TailAuditSpec, float], float] | None = None
+    outer: str = "p"  # the ExceedanceCell field that holds the outer value
+
+
+CONDITIONS = {
+    "a1": Condition(1, _p_grid, lambda s, p, d: (s.eps_f / p) * d * d, lambda s, p: p),
+    "a2": Condition(2, _p_grid, lambda s, p, d: math.sqrt(s.eps_q / p) * d * d, lambda s, p: p),
+    "a2h": Condition(
+        3, _alpha_grid, lambda s, a, d: a * d**s.h,
+        lambda s, a: min(1.0, s.eps_q / a ** tail_order(s.h)), outer="alpha",
+    ),
+    "variance": Condition(4),
+}
 
 
 def _audit_point(oracle: StochasticOracle, x, g) -> tuple[np.ndarray, np.ndarray]:
@@ -184,106 +250,74 @@ def _collect_errors(
     return diff_errors, cur_errors, trial_errors, samples, cell_oracle.draws
 
 
-def _exceedance_audit(
-    condition: str,
+def audit_condition(
+    name: str,
     oracle: StochasticOracle,
     estimator: Estimator,
     x,
     g,
     spec: TailAuditSpec,
-    threshold_of: Callable[[float, float], float],
-    bound_of: Callable[[float], float],
-    outer_grid: tuple[float, ...],
-    outer_is_alpha: bool,
+    k_f: float = 1.0,
 ) -> AuditReport:
+    """Audit the condition ``CONDITIONS[name]``: one cell per delta and grid point.
+
+    ``k_f`` sets the variance bound ``k_f^2 delta^4`` and is unused otherwise.
+    """
+    condition = CONDITIONS[name]
+    grid = (None,) if condition.grid is None else condition.grid(spec, oracle.noise)
+    if condition.grid is None and not 0.0 < k_f < math.inf:
+        raise ValueError(f"k_f must be positive and finite, got {k_f}")
     point, direction = _audit_point(oracle, x, g)
-    code = _CONDITION_CODES[condition]
     cells = []
     draws = 0
     for i_delta, delta in enumerate(spec.delta_grid):
-        for i_outer, outer in enumerate(outer_grid):
-            errors, _, _, samples, cell_draws = _collect_errors(
+        for i_outer, outer in enumerate(grid):
+            index = () if outer is None else (i_outer,)
+            diff_errors, cur_errors, trial_errors, samples, cell_draws = _collect_errors(
                 oracle, estimator, point, direction, delta, spec.trials,
-                (code, i_delta, i_outer, spec.seed),
+                (condition.code, i_delta, *index, spec.seed),
             )
             draws += cell_draws
-            threshold = threshold_of(outer, delta)
-            bound = bound_of(outer)
-            exceed = int(np.count_nonzero(np.abs(errors) >= threshold))
-            freq = exceed / spec.trials
+            if outer is None:
+                bound = k_f * k_f * delta**4
+                for which, errors in (("current", cur_errors), ("trial", trial_errors)):
+                    squared = errors * errors
+                    moment = float(np.mean(squared))
+                    slack = float(np.std(squared, ddof=1) / math.sqrt(spec.trials))
+                    passed = moment <= bound + 3.0 * slack
+                    cells.append(
+                        MomentCell(which, delta, samples, spec.trials, bound, moment, slack, passed)
+                    )
+                continue
+            threshold = condition.threshold(spec, outer, delta)
+            bound = condition.bound(spec, outer)
+            exceed = int(np.count_nonzero(np.abs(diff_errors) >= threshold))
             upper = wilson_upper(exceed, spec.trials, spec.confidence)
             cells.append(
                 ExceedanceCell(
-                    condition=condition,
-                    p=None if outer_is_alpha else outer,
-                    alpha=outer if outer_is_alpha else None,
-                    delta=delta,
-                    threshold=threshold,
-                    bound=bound,
-                    samples_per_estimate=samples,
-                    trials=spec.trials,
-                    exceedances=exceed,
-                    frequency=freq,
-                    wilson_upper=upper,
-                    passed=upper <= bound,
+                    name, **{"p": None, "alpha": None, condition.outer: outer}, delta=delta,
+                    threshold=threshold, bound=bound, samples_per_estimate=samples,
+                    trials=spec.trials, exceedances=exceed, frequency=exceed / spec.trials,
+                    wilson_upper=upper, passed=upper <= bound,
                 )
             )
     cells = tuple(cells)
-    return AuditReport(condition, cells, all(c.passed for c in cells), draws)
+    return AuditReport(name, cells, all(c.passed for c in cells), draws)
 
 
 def audit_a1(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
     """First-moment tail audit: P(|err| >= (eps_f/p) delta^2) <= p per cell."""
-    return _exceedance_audit(
-        "a1", oracle, estimator, x, g, spec,
-        threshold_of=lambda p, delta: (spec.eps_f / p) * delta * delta,
-        bound_of=lambda p: p,
-        outer_grid=tuple(spec.p_grid),
-        outer_is_alpha=False,
-    )
+    return audit_condition("a1", oracle, estimator, x, g, spec)
 
 
 def audit_a2(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
     """Second-moment tail audit: P(|err| >= sqrt(eps_q/p) delta^2) <= p per cell."""
-    return _exceedance_audit(
-        "a2", oracle, estimator, x, g, spec,
-        threshold_of=lambda p, delta: math.sqrt(spec.eps_q / p) * delta * delta,
-        bound_of=lambda p: p,
-        outer_grid=tuple(spec.p_grid),
-        outer_is_alpha=False,
-    )
+    return audit_condition("a2", oracle, estimator, x, g, spec)
 
 
 def audit_generalized(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
-    """Generalized tail audit with threshold alpha * delta^h.
-
-    The condition is only quantified over ``alpha >= eps_q``; smaller grid
-    points are excluded.  The oracle must declare a finite r-th moment with
-    ``r >= 2/(h-1)``.
-    """
-    if spec.alpha_grid is None:
-        raise ValueError("audit_generalized requires an alpha grid in the spec")
-    r_h = tail_order(spec.h)
-    noise = oracle.noise
-    if noise.kind != "none" and noise.declared_variance is None:
-        # A declared variance bounds every moment order up to 2 >= r(h).
-        if noise.declared_moment is None:
-            raise ValueError("generalized audit requires noise with a declared moment")
-        if noise.declared_moment[0] < r_h - 1e-12:
-            raise ValueError(
-                f"declared moment order {noise.declared_moment[0]} is inconsistent "
-                f"with h={spec.h}: need r >= 2/(h-1) = {r_h}"
-            )
-    alphas = tuple(a for a in spec.alpha_grid if a >= spec.eps_q)
-    if not alphas:
-        raise ValueError("all alpha grid points fall below eps_q; nothing to audit")
-    return _exceedance_audit(
-        "a2h", oracle, estimator, x, g, spec,
-        threshold_of=lambda alpha, delta: alpha * delta**spec.h,
-        bound_of=lambda alpha: min(1.0, spec.eps_q / alpha**r_h),
-        outer_grid=alphas,
-        outer_is_alpha=True,
-    )
+    """Generalized tail audit with threshold alpha * delta^h over alpha >= eps_q."""
+    return audit_condition("a2h", oracle, estimator, x, g, spec)
 
 
 def audit_variance_condition(
@@ -301,45 +335,14 @@ def audit_variance_condition(
     A cell passes when the empirical second moment does not exceed the
     bound by more than three standard errors of the moment estimator.
     """
-    if k_f <= 0.0:
-        raise ValueError("k_f must be positive")
-    if trials < 1000:
-        raise ValueError("trials must be at least 1000")
-    delta_grid = tuple(delta_grid)
-    if not delta_grid or any(d <= 0.0 for d in delta_grid):
-        raise ValueError("delta grid must be nonempty with positive entries")
-    point, direction = _audit_point(oracle, x, g)
-    code = _CONDITION_CODES["variance"]
-    cells = []
-    draws = 0
-    for i_delta, delta in enumerate(delta_grid):
-        _, cur_errors, trial_errors, samples, cell_draws = _collect_errors(
-            oracle, estimator, point, direction, delta, trials, (code, i_delta, seed)
-        )
-        draws += cell_draws
-        bound = k_f * k_f * delta**4
-        for which, errors in (("current", cur_errors), ("trial", trial_errors)):
-            squared = errors * errors
-            moment = float(np.mean(squared))
-            slack = float(np.std(squared, ddof=1) / math.sqrt(trials))
-            cells.append(
-                MomentCell(
-                    which=which,
-                    delta=delta,
-                    samples_per_estimate=samples,
-                    trials=trials,
-                    bound=bound,
-                    empirical_moment=moment,
-                    slack=slack,
-                    passed=moment <= bound + 3.0 * slack,
-                )
-            )
-    cells = tuple(cells)
-    return AuditReport("variance", cells, all(c.passed for c in cells), draws)
+    spec = TailAuditSpec(delta_grid=tuple(delta_grid), trials=trials, seed=seed)
+    return audit_condition("variance", oracle, estimator, x, g, spec, k_f)
 
 
 def write_report_csv(path, report: AuditReport, metadata: Mapping[str, object] | None = None) -> None:
     """Cell-per-row CSV: p, delta, threshold, freq, wilson_upper, pass.
+
+    The first column of a generalized (a2h) report holds each cell's bound.
 
     Variance reports use their own column set (delta, bound, moment,
     slack, pass per estimate).

@@ -54,8 +54,8 @@ class RegressionClipped:
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if self.m <= 0.0 or self.M <= 0.0:
-            raise ValueError("m and M must be positive")
+        if not (0.0 < self.m < math.inf and 0.0 < self.M < math.inf):
+            raise ValueError(f"m and M must be positive and finite, got {self.m}, {self.M}")
 
 
 HessianPolicy = ZeroHessian | RegressionClipped
@@ -112,6 +112,15 @@ def check_step_config(cfg) -> None:
         raise ValueError("max_iters must be nonnegative")
     if not isinstance(cfg.hessian_policy, (ZeroHessian, RegressionClipped)):
         raise ValueError(f"unknown hessian policy: {cfg.hessian_policy!r}")
+    try:
+        floor = curvature_floor(cfg)
+    except OverflowError:  # M**2 or delta_max**(2 - 2q) past the float range
+        floor = 0.0
+    if not floor > 0.0:
+        raise ValueError(
+            f"hessian policy {cfg.hessian_policy} with delta_max={cfg.delta_max} gives "
+            "no positive curvature floor 1/(M^2 delta_max^(2-2q))"
+        )
     if cfg.eps_f_hint is not None and not cfg.eps_f_hint >= 0.0:
         raise ValueError("eps_f_hint must be nonnegative")
     if cfg.theta is None:

@@ -236,5 +236,40 @@ class TestErrors:
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    # Each of these used to exit 0 with every audit cell PASS at frequency 0.
+    @pytest.mark.parametrize(
+        "block,field,value",
+        [
+            ("audit", "eps_f", float("nan")),
+            ("audit", "delta_grid", [float("nan")]),
+            ("audit", "k_f", float("inf")),
+            ("noise", "variance", float("nan")),
+        ],
+        ids=["eps_f_nan", "delta_nan", "k_f_inf", "variance_nan"],
+    )
+    def test_non_finite_audit_value_rejected(self, tmp_path, capsys, block, field, value):
+        out = tmp_path / "out"
+        cfg_path = write_audit_config(tmp_path / "a.json", out, conditions=("a1", "variance"))
+        raw = json.loads(cfg_path.read_text())
+        raw["sampler"] = {"kind": "fixed", "n": 4}
+        raw[block][field] = value
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["audit", str(cfg_path)]) == 2
+        assert f"error: {block}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_curvature_clip_rejected(self, tmp_path, capsys):
+        # M**2 used to overflow in curvature_floor: exit 1 with a traceback.
+        out = tmp_path / "out"
+        cfg_path = write_run_config(tmp_path / "r.json", out, algorithm="trust_region")
+        raw = json.loads(cfg_path.read_text())
+        raw["config"]["hessian"] = {"policy": "regression_clipped", "q": 0.5, "m": 10, "M": 1e200}
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: hessian policy RegressionClipped(")
+        assert "curvature floor" in err
+        assert not out.exists()
+
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2

@@ -116,6 +116,44 @@ class TestParsing:
         assert cfg.algo.hessian_policy.q == 0.5
 
 
+class TestNonFiniteValues:
+    # json.loads reads NaN and Infinity, so a config file can carry them.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_audit_k_f(self, bad):
+        raw = audit_config_dict()
+        raw["audit"]["k_f"] = bad
+        with pytest.raises(ConfigError, match="audit.k_f: must be positive and finite"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["eps_f", "eps_q", "h"])
+    def test_audit_spec_scalars(self, field, bad):
+        raw = audit_config_dict()
+        raw["audit"][field] = bad
+        with pytest.raises(ConfigError, match=f"audit: .*{field}"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_noise_variance(self, bad):
+        raw = audit_config_dict(noise={"kind": "gaussian", "variance": bad})
+        with pytest.raises(ConfigError, match="noise: declared_variance must be positive"):
+            config_from_dict(raw)
+
+    def test_noise_scale_overflow(self):
+        raw = ds_config_dict(noise={"kind": "pareto_symmetric", "r": 2.0, "scale": 1e300})
+        with pytest.raises(ConfigError, match="noise: "):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("field", ["m", "M"])
+    def test_regression_clipped_nan(self, field):
+        raw = ds_config_dict(algorithm="trust_region")
+        hessian = {"policy": "regression_clipped", "q": 0.5, "m": 1.0, "M": 1.0}
+        hessian[field] = float("nan")
+        raw["config"].update(delta_max=2.0, hessian=hessian)
+        with pytest.raises(ConfigError, match="config: m and M must be positive and finite"):
+            config_from_dict(raw)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("builder", [ds_config_dict, audit_config_dict])
     def test_dict_roundtrip_is_identity(self, builder):

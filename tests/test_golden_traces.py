@@ -1,7 +1,9 @@
-"""Fresh ``sdfo run`` outputs match traces committed under ``tests/data``.
+"""Fresh ``sdfo run`` and ``sdfo audit`` outputs match files committed under ``tests/data``.
 
-The configs keep d <= 3 and diagonal model matrices, so the runs involve
-no LAPACK call and the expected bytes do not depend on the BLAS build.
+The run configs keep d <= 3 and diagonal model matrices, so the runs involve
+no LAPACK call and the expected bytes do not depend on the BLAS build.  The
+audit config uses Gaussian noise only, so no ``np.power`` result enters the
+expected bytes.
 """
 
 import json
@@ -27,3 +29,18 @@ def test_run_matches_golden_trace(tmp_path, name):
     summary = (tmp_path / f"{stem}_summary.csv").read_bytes()
     assert trace == (DATA / f"{name}.trace.csv").read_bytes()
     assert summary == (DATA / f"{name}.summary.csv").read_bytes()
+
+
+def test_audit_matches_golden_outputs(tmp_path):
+    # a1, a2, a2h (h = 3, alpha 2 below eps_q = 4) and variance at two deltas.
+    assert main(["audit", str(DATA / "golden_audit.json"), "--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == [
+        "audit_a1_sphere.csv",
+        "audit_a2_sphere.csv",
+        "audit_a2h_sphere.csv",
+        "audit_sphere_summary.txt",
+        "audit_variance_sphere.csv",
+    ]
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (DATA / f"golden_audit.{name}").read_bytes(), name

@@ -305,6 +305,24 @@ class TestNoiseModels:
         draws = model.draw(np.random.default_rng(17), 10**6)
         assert float(np.mean(np.abs(draws) ** r)) <= bound
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: NoiseModel.gaussian(bad),
+            lambda bad: NoiseModel.student_t(3.0, scale=bad),
+            lambda bad: NoiseModel.student_t(1.5, scale=bad),
+            lambda bad: NoiseModel.pareto_symmetric(1.5, scale=bad),
+            lambda bad: NoiseModel(kind="student_t", df=1.5, declared_moment=(1.25, bad)),
+            lambda bad: NoiseModel(kind="student_t", df=3.0, declared_variance=bad),
+        ],
+        ids=["gaussian", "t3_scale", "t1.5_scale", "pareto_scale", "moment_bound", "variance"],
+    )
+    def test_non_finite_parameters_rejected(self, make, bad):
+        # NoiseModel.gaussian(nan) used to draw NaN, and gaussian(inf) +-inf.
+        with pytest.raises(ValueError, match="positive and finite"):
+            make(bad)
+
     def test_pareto_tail_index_validated(self):
         with pytest.raises(ValueError):
             NoiseModel.pareto_symmetric(1.0)

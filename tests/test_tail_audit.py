@@ -22,7 +22,14 @@ from sdfo import (
     variance_sample_policy,
 )
 from sdfo.stats import wilson_upper
-from sdfo.tail_audit import _collect_errors, format_report, tail_order, write_report_csv
+from sdfo.tail_audit import (
+    CONDITIONS,
+    _collect_errors,
+    audit_condition,
+    format_report,
+    tail_order,
+    write_report_csv,
+)
 
 X = np.array([0.5, -0.25])
 G = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -56,6 +63,22 @@ class TestSpecValidation:
             small_spec(h=1.5)
         with pytest.raises(ValueError):
             small_spec(confidence=1.0)
+
+    # A NaN threshold compares false with every error, and an infinite one
+    # is never reached, so such a spec used to pass at frequency zero.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field", ["eps_f", "eps_q", "h", "delta_grid", "alpha_grid", "alpha_grid_mixed"]
+    )
+    def test_non_finite_parameters_rejected(self, field, bad):
+        values = {
+            "delta_grid": (bad,),
+            "alpha_grid": (bad,),
+            "alpha_grid_mixed": (4.0, bad),
+        }
+        name = field.removesuffix("_mixed")
+        with pytest.raises(ValueError, match=name):
+            small_spec(**{name: values.get(field, bad)})
 
     def test_tail_order(self):
         assert tail_order(2.0) == 2.0
@@ -204,6 +227,41 @@ class TestNonFiniteInputs:
         oracle = gaussian_oracle()
         with pytest.raises(ValueError, match="finite unit vector"):
             AUDITS[audit](oracle, sampler_estimator(fixed_sample_policy(1)), X, (bad, 0.0))
+
+
+class TestAuditCondition:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_variance_k_f_rejected(self, bad):
+        oracle = gaussian_oracle()
+        est = sampler_estimator(fixed_sample_policy(1))
+        with pytest.raises(ValueError, match="k_f must be positive and finite"):
+            audit_variance_condition(oracle, est, X, G, bad, trials=1000)
+        with pytest.raises(ValueError, match="k_f must be positive and finite"):
+            audit_condition("variance", oracle, est, X, G, small_spec(), k_f=bad)
+        assert oracle.draws == 0
+
+    @pytest.mark.parametrize("name", ["a1", "a2", "a2h", "variance"])
+    def test_public_audits_are_table_rows(self, name):
+        spec = small_spec(trials=1000, alpha_grid=(2.0, 4.0, 8.0), h=3.0)
+        est = sampler_estimator(fixed_sample_policy(3))
+        public = {
+            "a1": lambda o: audit_a1(o, est, X, G, spec),
+            "a2": lambda o: audit_a2(o, est, X, G, spec),
+            "a2h": lambda o: audit_generalized(o, est, X, G, spec),
+            "variance": lambda o: audit_variance_condition(
+                o, est, X, G, 0.5, delta_grid=spec.delta_grid, trials=spec.trials, seed=spec.seed
+            ),
+        }
+        expected = public[name](gaussian_oracle(seed=5))
+        report = audit_condition(name, gaussian_oracle(seed=5), est, X, G, spec, k_f=0.5)
+        assert report == expected
+        assert report.condition == name
+        grid = {"a1": 3, "a2": 3, "a2h": 2, "variance": 2}[name]  # alpha 2 < eps_q drops
+        assert len(report.cells) == grid * len(spec.delta_grid)
+
+    def test_condition_table_names(self):
+        assert list(CONDITIONS) == ["a1", "a2", "a2h", "variance"]
+        assert len({c.code for c in CONDITIONS.values()}) == len(CONDITIONS)
 
 
 class TestGaussianAudits:

@@ -82,6 +82,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             RegressionClipped(q=0.5, m=-1.0, M=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_policy_rejects_non_finite(self, bad):
+        for kw in ({"q": bad}, {"m": bad}, {"M": bad}):
+            with pytest.raises(ValueError):
+                RegressionClipped(**{"q": 0.5, "m": 1.0, "M": 1.0, **kw})
+
+    @pytest.mark.parametrize(
+        "M,delta_max",
+        [(1e200, 2.0), (1e-160, 1e300), (1e150, 1e10)],
+        ids=["M_squared_overflows", "delta_power_overflows", "product_overflows"],
+    )
+    def test_config_needs_positive_curvature_floor(self, M, delta_max):
+        # M = 1e200 used to raise OverflowError from M**2 in curvature_floor.
+        policy = RegressionClipped(q=0.05, m=1.0, M=M)
+        with pytest.raises(ValueError, match="no positive curvature floor"):
+            tr_cfg(hessian_policy=policy, delta_max=delta_max, theta=None, eps_f_hint=1.0)
+        with pytest.raises(ValueError, match="no positive curvature floor"):
+            tr_cfg(hessian_policy=policy, delta_max=delta_max)
+
     def test_theta_default_uses_curvature_floor(self):
         cfg = tr_cfg(
             theta=None,
