@@ -42,6 +42,7 @@ from .oracle import (
     moment_sample_policy,
     required_samples,
     sample_estimate,
+    sample_policy,
     variance_sample_policy,
 )
 from .problems import TestProblem, get_problem, list_problems
@@ -130,6 +131,7 @@ __all__ = [
     "required_samples",
     "rho",
     "sample_estimate",
+    "sample_policy",
     "sampler_estimator",
     "solve_exact",
     "stationarity_proxy",

@@ -8,27 +8,21 @@ produce byte-identical outputs; seed-level work may run in parallel with
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import diagnostics
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    SCHEMA_VERSION,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-)
+from .config import ConfigError, ExperimentConfig, SCHEMA_VERSION, load_config
 from .direct_search import ds_run
 from .directions import DirectionGenerator, QuasiRandomSphere
-from .oracle import StochasticOracle, default_sample_policy
+from .oracle import StochasticOracle
 from .problems import get_problem, list_problems
 from .tail_audit import audit_condition, format_report, sampler_estimator, write_report_csv
 from .trace import write_trace_csv
-from .trust_region import tr_run, validate_theta_tr
+from .trust_region import default_k_f, tr_run, validate_theta_tr
 
 ENV_OUT_DIR = "SDFO_OUT"
 
@@ -51,14 +45,11 @@ def _print_theta_warnings(cfg: ExperimentConfig) -> None:
         print(f"warning: {verdict.message}", file=sys.stderr)
 
 
-def _run_one_seed(payload: dict) -> dict:
+def _run_one_seed(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
     """Run a single seed; executed in-process or in a worker process."""
-    cfg = config_from_dict(payload["config"])
-    seed = payload["seed"]
-    out_dir = Path(payload["out_dir"])
     problem = get_problem(cfg.problem, cfg.dimension)
     gen = DirectionGenerator(cfg.dimension, QuasiRandomSphere())
-    sampler = cfg.sampler.build(cfg.noise)
+    sampler = cfg.sampler.build(cfg.noise, default_k_f(cfg.algo))
     run = ds_run if cfg.algorithm == "direct_search" else tr_run
     _, records = run(
         cfg.algo,
@@ -102,15 +93,12 @@ def run_experiment(
     directory.mkdir(parents=True, exist_ok=True)
     _print_theta_warnings(cfg)
     seeds = [s + seed_offset for s in cfg.seeds]
-    payloads = [
-        {"config": config_to_dict(cfg), "seed": seed, "out_dir": str(directory)}
-        for seed in seeds
-    ]
+    run = functools.partial(_run_one_seed, cfg, directory)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one_seed, payloads))
+            results = list(pool.map(run, seeds))
     else:
-        results = [_run_one_seed(p) for p in payloads]
+        results = list(map(run, seeds))
     results.sort(key=lambda r: r["seed"])
 
     written = [r["trace"] for r in results if r["trace"] is not None]
@@ -137,10 +125,7 @@ def run_audit(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[list[P
     audit = cfg.audit
     problem = get_problem(cfg.problem, cfg.dimension)
     oracle = StochasticOracle(problem, cfg.noise, seed=audit.spec.seed)
-    sampler = cfg.sampler.build(cfg.noise) or default_sample_policy(
-        cfg.noise, audit.k_f, eps_q=audit.spec.eps_q
-    )
-    estimator = sampler_estimator(sampler)
+    estimator = sampler_estimator(cfg.sampler.build(cfg.noise, audit.k_f, audit.spec.eps_q))
     written: list[Path] = []
     texts: list[str] = []
     all_pass = True

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .direct_search import DirectSearchConfig
-from .oracle import (
-    NoiseModel,
-    SamplePolicy,
-    fixed_sample_policy,
-    moment_sample_policy,
-    variance_sample_policy,
-)
+from .oracle import SAMPLER_FIELDS, NoiseModel, SamplePolicy, sample_policy
 from .problems import get_problem
 from .tail_audit import CONDITIONS, TailAuditSpec
 from .trust_region import DEFAULT_DELTA_FLOOR, RegressionClipped, TrustRegionConfig, ZeroHessian
@@ -25,6 +19,8 @@ from .trust_region import DEFAULT_DELTA_FLOOR, RegressionClipped, TrustRegionCon
 SCHEMA_VERSION = 1
 ALGORITHMS = ("direct_search", "trust_region", "audit")
 ALGORITHM_CONFIGS = {"direct_search": DirectSearchConfig, "trust_region": TrustRegionConfig}
+# Top-level keys of every config; a run adds seeds, x0 and config, an audit its audit block.
+TOP_KEYS = ("schema_version", "algorithm", "problem", "noise", "sampler", "delta_floor", "output")
 HESSIAN_POLICIES = {"zero": ZeroHessian, "regression_clipped": RegressionClipped}
 # Noise kind -> (constructor, {config key: NoiseModel attribute}); "scale" is optional.
 NOISE_PARAMS = {
@@ -41,7 +37,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Declarative sample-count policy; ``auto`` follows the noise statistics."""
+    """Declarative ``oracle.sample_policy``; a kind takes only the fields it reads."""
 
     kind: str = "auto"
     n: int | None = None
@@ -49,27 +45,27 @@ class SamplerSpec:
     eps_q: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("auto", "fixed", "variance", "moment"):
+        if self.kind not in SAMPLER_FIELDS:
             raise ConfigError(f"sampler.kind: unknown kind {self.kind!r}")
+        for name in ("n", "k_f", "eps_q"):
+            value = getattr(self, name)
+            if value is not None and name not in SAMPLER_FIELDS[self.kind]:
+                raise ConfigError(f"sampler.{name}: not read by the {self.kind} sampler")
+            if value is not None and name != "n" and not 0.0 < value < math.inf:
+                raise ConfigError(f"sampler.{name}: must be positive and finite, got {value}")
         if self.kind == "fixed" and (self.n is None or self.n < 1):
             raise ConfigError("sampler.n: fixed sampler needs n >= 1")
-        if self.kind in ("variance", "moment") and (self.k_f is None or self.k_f <= 0):
+        if "k_f" in SAMPLER_FIELDS[self.kind] and self.k_f is None:
             raise ConfigError(f"sampler.k_f: {self.kind} sampler needs k_f > 0")
 
-    def build(self, noise: NoiseModel) -> SamplePolicy | None:
-        if self.kind == "auto":
-            return None  # let the run derive the default from its config
-        if self.kind == "fixed":
-            return fixed_sample_policy(self.n)
-        if self.kind == "variance":
-            if noise.declared_variance is None:
-                raise ConfigError("sampler: variance sampler needs noise with a declared variance")
-            return variance_sample_policy(noise.declared_variance, self.k_f)
-        if noise.declared_moment is None:
-            raise ConfigError("sampler: moment sampler needs noise with a declared moment")
-        r, bound = noise.declared_moment
-        eps_q = self.eps_q if self.eps_q is not None else 4.0 * self.k_f**2
-        return moment_sample_policy(bound, r, 1.0 + 2.0 / r, eps_q)
+    def build(self, noise: NoiseModel, k_f: float, eps_q: float | None = None) -> SamplePolicy:
+        """The policy for ``noise``; ``auto`` takes the caller's ``k_f`` and ``eps_q``."""
+        if self.kind != "auto":
+            k_f, eps_q = self.k_f, self.eps_q
+        try:
+            return sample_policy(noise, self.kind, self.n, k_f, eps_q)
+        except ValueError as exc:
+            raise ConfigError(f"sampler: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -152,10 +148,19 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str, known=None) -> dict:
+    """``value`` checked to be an object; with ``known``, one holding no other key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected an object, got {value!r}")
+    unknown = [key for key in value if known is not None and key not in known]
+    if unknown:
+        where = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ConfigError(f"{where}: unknown key; expected one of {', '.join(sorted(known))}")
     return value
+
+
+def _names(cls) -> set[str]:
+    return {field.name for field in dataclasses.fields(cls)}
 
 
 def _typed(value, hint, where: str):
@@ -177,15 +182,16 @@ def _typed(value, hint, where: str):
     raise ConfigError(f"{where}: expected {_TYPE_NAMES[hint]}, got {value!r}")
 
 
-def _build(cls, raw, block: str, **given):
+def _build(cls, raw, block: str, extra=(), **given):
     """The dataclass ``cls`` read field by field from the ``block`` object.
 
     Each field is read under its own name and checked against its
     annotation; a field without a default is required.  Fields in ``given``
-    are passed through.  A ValueError from the class's own validation
+    are passed through.  A key that is neither a field read here nor in
+    ``extra`` is an error.  A ValueError from the class's own validation
     becomes a ConfigError naming the top-level block.
     """
-    raw = _object(raw, block)
+    raw = _object(raw, block, (_names(cls) - set(given)) | set(extra))
     hints = _type_hints(cls)
     kwargs = dict(given)
     for field in dataclasses.fields(cls):
@@ -218,6 +224,7 @@ def _noise_from_dict(raw: dict) -> NoiseModel:
     if kind not in NOISE_PARAMS:
         raise ConfigError(f"noise.kind: unknown kind {kind!r}")
     make, params = NOISE_PARAMS[kind]
+    _object(raw, "noise", ("kind", *params))
     kwargs = {
         key: _typed(_require(raw, key, "noise."), float, f"noise.{key}")
         for key in params
@@ -235,14 +242,15 @@ def _noise_to_dict(noise: NoiseModel) -> dict:
 
 
 def _algo_from_dict(algorithm: str, raw) -> DirectSearchConfig | TrustRegionConfig:
-    given = {}
+    given, extra = {}, ()
     if algorithm == "trust_region":
         hessian = _object(_object(raw, "config").get("hessian", {}), "config.hessian")
         name = _typed(hessian.get("policy", "zero"), str, "config.hessian.policy")
         if name not in HESSIAN_POLICIES:
             raise ConfigError(f"config.hessian.policy: unknown policy {name!r}")
-        given["hessian_policy"] = _build(HESSIAN_POLICIES[name], hessian, "config.hessian")
-    return _build(ALGORITHM_CONFIGS[algorithm], raw, "config", **given)
+        given["hessian_policy"] = _build(HESSIAN_POLICIES[name], hessian, "config.hessian", ("policy",))
+        extra = ("hessian",)
+    return _build(ALGORITHM_CONFIGS[algorithm], raw, "config", extra, **given)
 
 
 def _algo_to_dict(algo) -> dict:
@@ -255,9 +263,10 @@ def _algo_to_dict(algo) -> dict:
 
 
 def _audit_from_dict(raw, dimension: int) -> AuditSettings:
-    spec = _build(TailAuditSpec, raw, "audit")
+    keys = (_names(TailAuditSpec) | _names(AuditSettings)) - {"spec"}
+    spec = _build(TailAuditSpec, raw, "audit", keys)
     raw = {"x": [0.0] * dimension, **raw}
-    return _build(AuditSettings, raw, "audit", spec=spec)
+    return _build(AuditSettings, raw, "audit", keys, spec=spec)
 
 
 def _audit_to_dict(audit: AuditSettings) -> dict:
@@ -271,12 +280,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     algorithm = _require(raw, "algorithm", "")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm: unknown algorithm {algorithm!r}")
-    problem_block = _object(_require(raw, "problem", ""), "problem")
+    _object(raw, "", TOP_KEYS + (("audit",) if algorithm == "audit" else ("seeds", "x0", "config")))
+    problem_block = _object(_require(raw, "problem", ""), "problem", ("name", "dimension"))
     name = _typed(_require(problem_block, "name", "problem."), str, "problem.name")
     dimension = _typed(_require(problem_block, "dimension", "problem."), int, "problem.dimension")
     noise = _noise_from_dict(_object(_require(raw, "noise", ""), "noise"))
     sampler = _build(SamplerSpec, raw.get("sampler", {}), "sampler")
-    output = _object(raw.get("output", {}), "output")
+    output = _object(raw.get("output", {}), "output", ("directory", "write_trace", "write_summary"))
     algo = None
     audit = None
     x0 = None

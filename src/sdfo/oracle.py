@@ -10,6 +10,7 @@ optimizers assume (finite-variance and finite-moment noise respectively).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -295,8 +296,8 @@ def required_samples(variance: float, k_f: float, delta: float) -> int:
     the first-moment tail bound with constant ``2 k_f`` and the quadratic
     one with ``4 k_f^2``.
     """
-    if variance <= 0.0 or k_f <= 0.0 or delta <= 0.0:
-        raise ValueError("variance, k_f and delta must all be positive")
+    if not (0.0 < variance < math.inf and 0.0 < k_f < math.inf and delta > 0.0):
+        raise ValueError("variance and k_f must be positive and finite, and delta positive")
     return max(1, math.ceil(variance / (k_f * k_f * delta**4)))
 
 
@@ -315,10 +316,10 @@ def moment_oracle_samples(
     exponent ``2/(h-1)`` for the bound to close.  The count is monotone
     nonincreasing in ``delta``.
     """
-    if bound <= 0.0 or delta <= 0.0 or eps_q <= 0.0:
-        raise ValueError("bound, delta and eps_q must be positive")
-    if h < 2.0:
-        raise ValueError(f"h must be >= 2, got {h}")
+    if not (0.0 < bound < math.inf and 0.0 < eps_q < math.inf and delta > 0.0):
+        raise ValueError("bound and eps_q must be positive and finite, and delta positive")
+    if not 2.0 <= h < math.inf:
+        raise ValueError(f"h must be finite and >= 2, got {h}")
     if not 1.0 < r <= 2.0:
         raise ValueError(f"moment order r must lie in (1, 2], got {r}")
     r_h = 2.0 / (h - 1.0)
@@ -335,50 +336,64 @@ def moment_oracle_samples(
 # --- sample-count policies ----------------------------------------------
 #
 # A policy maps the scale the acceptance test works at (stepsize or step
-# norm) to the number of averaged samples per estimate.
+# norm) to the number of averaged samples per estimate.  A leaf rule is its
+# count function with the constants bound, which it checks when it is built
+# by taking the count at an infinite scale (one sample).
 
 SamplePolicy = Callable[[float], int]
+
+# Sampler kind -> the arguments of ``sample_policy`` that it reads.
+SAMPLER_FIELDS = {"auto": (), "fixed": ("n",), "variance": ("k_f",), "moment": ("k_f", "eps_q")}
 
 
 def fixed_sample_policy(n: int) -> SamplePolicy:
     if n < 1:
         raise ValueError("fixed sample count must be >= 1")
-
-    def policy(delta: float) -> int:
-        return n
-
-    return policy
+    return lambda delta: n
 
 
 def variance_sample_policy(variance: float, k_f: float) -> SamplePolicy:
-    def policy(delta: float) -> int:
-        return required_samples(variance, k_f, delta)
-
-    return policy
+    required_samples(variance, k_f, math.inf)
+    return functools.partial(required_samples, variance, k_f)
 
 
 def moment_sample_policy(bound: float, r: float, h: float, eps_q: float) -> SamplePolicy:
-    def policy(delta: float) -> int:
-        return moment_oracle_samples(bound, r, delta, h, eps_q)
+    moment_oracle_samples(bound, r, math.inf, h, eps_q)
+    return functools.partial(moment_oracle_samples, bound, r, h=h, eps_q=eps_q)
 
-    return policy
+
+def sample_policy(
+    noise: NoiseModel,
+    kind: str = "auto",
+    n: int | None = None,
+    k_f: float | None = None,
+    eps_q: float | None = None,
+) -> SamplePolicy:
+    """The ``kind`` policy for ``noise``: ``fixed`` (``n`` samples), ``variance``
+    (the declared variance and ``k_f``) or ``moment`` (the declared moment,
+    ``h = 1 + 2/r`` and ``eps_q``, by default ``4 k_f^2``).  ``auto`` takes one
+    sample without noise, else the variance rule if a variance is declared,
+    else the moment rule.
+    """
+    if kind == "auto" and noise.kind == "none":
+        kind, n = "fixed", 1
+    elif kind == "auto":
+        kind = "variance" if noise.declared_variance is not None else "moment"
+    if kind == "fixed":
+        return fixed_sample_policy(n)
+    if kind == "variance":
+        if noise.declared_variance is None:
+            raise ValueError("variance sampler needs noise with a declared variance")
+        return variance_sample_policy(noise.declared_variance, k_f)
+    if kind != "moment":
+        raise ValueError(f"unknown sampler kind {kind!r}")
+    if noise.declared_moment is None:
+        raise ValueError("moment sampler needs noise with a declared moment")
+    r, bound = noise.declared_moment
+    eps_q = 4.0 * k_f * k_f if eps_q is None else eps_q
+    return moment_sample_policy(bound, r, 1.0 + 2.0 / r, eps_q)
 
 
 def default_sample_policy(noise: NoiseModel, k_f: float, eps_q: float | None = None) -> SamplePolicy:
-    """Policy matching the declared noise statistics.
-
-    Finite-variance noise gets the variance rule with the given ``k_f``;
-    moment-only noise gets the finite-moment rule with ``eps_q`` defaulting
-    to ``4 k_f^2``; noiseless oracles need a single sample.
-    """
-    if noise.kind == "none":
-        return fixed_sample_policy(1)
-    if noise.declared_variance is not None:
-        return variance_sample_policy(noise.declared_variance, k_f)
-    if noise.declared_moment is not None:
-        r, bound = noise.declared_moment
-        h = 1.0 + 2.0 / r
-        if eps_q is None:
-            eps_q = 4.0 * k_f * k_f
-        return moment_sample_policy(bound, r, h, eps_q)
-    raise ValueError("noise model declares neither a variance nor a moment bound")
+    """Policy matching the declared noise statistics: ``sample_policy``'s ``auto``."""
+    return sample_policy(noise, k_f=k_f, eps_q=eps_q)

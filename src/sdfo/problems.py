@@ -20,7 +20,6 @@ class TestProblem:
     dimension: int
     eval_true: Callable[[np.ndarray], float]
     optimum_value: float | None = None
-    lipschitz_hint: float | None = None
     name: str = ""
     stationary_points: tuple[tuple[float, ...], ...] | None = None
 
@@ -65,78 +64,34 @@ def _piecewise_linear(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) - 1.0
 
 
-def make_sphere(dimension: int) -> TestProblem:
-    return TestProblem(
-        dimension=dimension,
-        eval_true=_sphere,
-        optimum_value=0.0,
-        lipschitz_hint=None,
-        name="sphere",
-        stationary_points=(tuple([0.0] * dimension),),
-    )
-
-
-def make_rosenbrock(dimension: int) -> TestProblem:
-    if dimension < 2:
-        raise ValueError("rosenbrock requires dimension >= 2")
-    return TestProblem(
-        dimension=dimension,
-        eval_true=_rosenbrock,
-        optimum_value=0.0,
-        name="rosenbrock",
-        stationary_points=(tuple([1.0] * dimension),),
-    )
-
-
-def make_l1norm(dimension: int) -> TestProblem:
-    return TestProblem(
-        dimension=dimension,
-        eval_true=_l1norm,
-        optimum_value=0.0,
-        lipschitz_hint=float(np.sqrt(dimension)),
-        name="l1norm",
-        stationary_points=(tuple([0.0] * dimension),),
-    )
-
-
-def make_max_quadratics(dimension: int) -> TestProblem:
-    return TestProblem(
-        dimension=dimension,
-        eval_true=_max_quadratics,
-        optimum_value=0.0,
-        name="max_quadratics",
-        stationary_points=(tuple([0.0] * dimension),),
-    )
-
-
-def make_piecewise_linear(dimension: int) -> TestProblem:
-    return TestProblem(
-        dimension=dimension,
-        eval_true=_piecewise_linear,
-        optimum_value=-1.0,
-        lipschitz_hint=1.0,
-        name="piecewise_linear",
-        stationary_points=(tuple([0.0] * dimension),),
-    )
-
-
-PROBLEM_BUILDERS: dict[str, Callable[[int], TestProblem]] = {
-    "sphere": make_sphere,
-    "rosenbrock": make_rosenbrock,
-    "l1norm": make_l1norm,
-    "max_quadratics": make_max_quadratics,
-    "piecewise_linear": make_piecewise_linear,
+# name -> (objective, optimum value, coordinate of the stationary point
+# (c, ..., c), smallest dimension).
+PROBLEMS: dict[str, tuple[Callable[[np.ndarray], float], float, float, int]] = {
+    "sphere": (_sphere, 0.0, 0.0, 1),
+    "rosenbrock": (_rosenbrock, 0.0, 1.0, 2),
+    "l1norm": (_l1norm, 0.0, 0.0, 1),
+    "max_quadratics": (_max_quadratics, 0.0, 0.0, 1),
+    "piecewise_linear": (_piecewise_linear, -1.0, 0.0, 1),
 }
 
 
 def list_problems() -> tuple[str, ...]:
-    return tuple(sorted(PROBLEM_BUILDERS))
+    return tuple(sorted(PROBLEMS))
 
 
 def get_problem(name: str, dimension: int) -> TestProblem:
     try:
-        builder = PROBLEM_BUILDERS[name]
+        objective, optimum, coordinate, smallest = PROBLEMS[name]
     except KeyError:
         known = ", ".join(list_problems())
         raise ValueError(f"unknown problem {name!r}; registry contains: {known}") from None
-    return builder(dimension)
+    problem = TestProblem(
+        dimension=dimension,
+        eval_true=objective,
+        optimum_value=optimum,
+        name=name,
+        stationary_points=((coordinate,) * dimension,),
+    )
+    if dimension < smallest:
+        raise ValueError(f"{name} requires dimension >= {smallest}")
+    return problem

@@ -237,6 +237,9 @@ def _collect_errors(
     y = x + delta * g
     f_x = float(oracle.problem.eval_true(x))
     f_y = float(oracle.problem.eval_true(y))
+    if not (math.isfinite(f_x) and math.isfinite(f_y)):
+        # Every error would be NaN, which no threshold counts as an exceedance.
+        raise ValueError(f"f(x) and f(x + delta g) must be finite, got {f_x}, {f_y} at delta={delta}")
     estimates, samples = estimator(cell_oracle, x, y, delta, trials)
     estimates = np.asarray(estimates, dtype=float)
     if estimates.shape != (trials, 2):
@@ -248,6 +251,17 @@ def _collect_errors(
     cur_errors -= f_x
     trial_errors -= f_y
     return diff_errors, cur_errors, trial_errors, samples, cell_oracle.draws
+
+
+def _threshold(condition: Condition, spec: TailAuditSpec, outer: float, delta: float) -> float:
+    """The cell's threshold, checked to be finite: no error reaches an infinite one."""
+    try:
+        threshold = condition.threshold(spec, outer, delta)
+    except OverflowError:  # float pow past the float range
+        threshold = math.inf
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold at delta={delta}, {condition.outer}={outer} is not finite")
+    return threshold
 
 
 def audit_condition(
@@ -273,6 +287,7 @@ def audit_condition(
     for i_delta, delta in enumerate(spec.delta_grid):
         for i_outer, outer in enumerate(grid):
             index = () if outer is None else (i_outer,)
+            threshold = None if outer is None else _threshold(condition, spec, outer, delta)
             diff_errors, cur_errors, trial_errors, samples, cell_draws = _collect_errors(
                 oracle, estimator, point, direction, delta, spec.trials,
                 (condition.code, i_delta, *index, spec.seed),
@@ -289,7 +304,6 @@ def audit_condition(
                         MomentCell(which, delta, samples, spec.trials, bound, moment, slack, passed)
                     )
                 continue
-            threshold = condition.threshold(spec, outer, delta)
             bound = condition.bound(spec, outer)
             exceed = int(np.count_nonzero(np.abs(diff_errors) >= threshold))
             upper = wilson_upper(exceed, spec.trials, spec.confidence)

@@ -22,9 +22,9 @@ from .oracle import (
     NoiseModel,
     SamplePolicy,
     StochasticOracle,
-    default_sample_policy,
     estimate_pair,
     sample_means,
+    sample_policy,
 )
 from .problems import TestProblem
 from .subproblem import QuadraticModel, solve_exact
@@ -147,6 +147,12 @@ def curvature_floor(cfg) -> float:
 def theta_bound(cfg) -> float:
     """Smallest admissible theta: ``4 eps_f / (floor * (2 - tau))``."""
     return 4.0 * cfg.eps_f_hint / (curvature_floor(cfg) * (2.0 - cfg.tau))
+
+
+def default_k_f(cfg) -> float:
+    """The ``k_f`` of a run's ``auto`` sampler: ``theta * floor * (2 - tau) / 16``, so
+    the derived tail constant meets the theta bound with a factor-2 margin."""
+    return cfg.theta * curvature_floor(cfg) * (2.0 - cfg.tau) / 16.0
 
 
 def validate_theta_tr(cfg) -> ThetaVerdict:
@@ -286,8 +292,7 @@ def run_steps(
     ``theta * delta**2`` is no longer positive, since an acceptance test
     against a zero threshold would take any estimated non-increase.  When
     ``sampler`` is omitted, the per-iteration count follows the declared
-    noise statistics with ``k_f = theta * floor * (2 - tau) / 16`` (so the
-    derived tail constant satisfies the theta bound with a factor-2 margin).
+    noise statistics with ``k_f = default_k_f(cfg)``.
     """
     if not delta_floor >= 0.0:
         raise ValueError(f"delta_floor must be nonnegative, got {delta_floor}")
@@ -301,8 +306,7 @@ def run_steps(
         raise ValueError("direction generator dimension does not match the problem")
     oracle = StochasticOracle(problem, noise, seed)
     if sampler is None:
-        k_f = cfg.theta * curvature_floor(cfg) * (2.0 - cfg.tau) / 16.0
-        sampler = default_sample_policy(noise, k_f)
+        sampler = sample_policy(noise, k_f=default_k_f(cfg))
     state = TrustRegionState(x=start, delta=float(cfg.delta0))
     records: list[IterationRecord] = []
     for _ in range(cfg.max_iters):

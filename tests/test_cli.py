@@ -1,10 +1,15 @@
 """CLI harness: determinism, file contracts, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from sdfo import DirectionGenerator, QuasiRandomSphere, ds_run, get_problem, required_samples
 from sdfo.cli import main
+from sdfo.config import load_config
+from sdfo.trace import read_trace_csv
+from sdfo.trust_region import default_k_f
 
 
 def write_run_config(path, out_dir, seeds=(0, 1, 2), max_iters=40, algorithm="direct_search"):
@@ -273,3 +278,45 @@ class TestErrors:
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestStrictConfig:
+    def test_misspelled_floor_exits_2(self, tmp_path, capsys):
+        raw = json.loads((ROOT / "configs" / "trust_region_l1norm.json").read_text())
+        raw["delta_flor"] = 0.05
+        raw["output"]["directory"] = str(tmp_path / "out")
+        cfg_path = tmp_path / "tr.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: delta_flor: unknown key")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_a2h_threshold_exits_2(self, tmp_path, capsys):
+        raw = json.loads((ROOT / "tests" / "data" / "golden_audit.json").read_text())
+        raw["audit"].update(conditions=["a2h"], h=2000.0, delta_grid=[2.0])
+        cfg_path = tmp_path / "a2h.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["audit", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: threshold at delta=2.0, alpha=4.0 is not finite\n"
+
+    def test_auto_sampler_matches_library_default(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = write_run_config(tmp_path / "cfg.json", out, seeds=(0, 1), max_iters=12)
+        raw = json.loads(cfg_path.read_text())
+        raw.update(sampler={"kind": "auto"}, delta_floor=0.3)
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        for seed in cfg.seeds:
+            _, records = ds_run(
+                cfg.algo, get_problem("l1norm", 2), cfg.noise,
+                DirectionGenerator(2, QuasiRandomSphere()), cfg.x0, seed=seed, delta_floor=0.3,
+            )
+            trace = read_trace_csv(out / f"direct_search_l1norm_seed{seed}.csv")
+            assert [(r.est_current, r.samples_trial) for r in trace] == [
+                (r.est_current, r.samples_trial) for r in records
+            ]
+            assert records[0].samples_trial == required_samples(0.01, default_k_f(cfg.algo), 1.0) > 1

@@ -1,9 +1,14 @@
 """Config parsing, validation messages and round-trip equality."""
 
 import json
+import math
+import pickle
+import re
+from pathlib import Path
 
 import pytest
 
+from sdfo import required_samples
 from sdfo.config import (
     ConfigError,
     config_from_dict,
@@ -195,3 +200,122 @@ class TestFileErrors:
         path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "tests" / "data").glob("*.json"))
+
+
+class TestShippedConfigs:
+    def test_shipped_configs_found(self):
+        assert {p.name for p in SHIPPED} >= {"audit_gaussian.json", "golden_regression_d3.json"}
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_file_roundtrip(self, path, tmp_path):
+        cfg = load_config(path)
+        save_config(cfg, tmp_path / "again.json")
+        assert load_config(tmp_path / "again.json") == cfg
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_config_pickles(self, path):
+        cfg = load_config(path)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+def tr_config_dict():
+    raw = ds_config_dict(algorithm="trust_region")
+    raw["config"].update(delta_max=2.0, hessian={"policy": "zero"})
+    return raw
+
+
+def edited(builder, path, value):
+    """``builder()`` with ``value`` set at the key path ``path``."""
+    raw = builder()
+    block = raw
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    return raw
+
+
+UNREAD_KEYS = [
+    (tr_config_dict, ("delta_flor",), 0.05),
+    (tr_config_dict, ("config", "max_iter"), 3),
+    (tr_config_dict, ("config", "hessian", "q"), 0.5),
+    (ds_config_dict, ("config", "hessian"), {"policy": "zero"}),
+    (ds_config_dict, ("output", "directroy"), "elsewhere"),
+    (ds_config_dict, ("noise", "scale"), 100.0),
+    (ds_config_dict, ("problem", "dim"), 3),
+    (ds_config_dict, ("audit",), audit_config_dict()["audit"]),
+    (audit_config_dict, ("seeds",), [0]),
+    (audit_config_dict, ("x0",), [0.0, 0.0]),
+    (audit_config_dict, ("config",), ds_config_dict()["config"]),
+    (audit_config_dict, ("audit", "spec"), {}),
+    (audit_config_dict, ("audit", "p_grd"), [0.5]),
+]
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        ("builder", "path", "value"), UNREAD_KEYS, ids=[".".join(case[1]) for case in UNREAD_KEYS]
+    )
+    def test_rejected_with_its_name(self, builder, path, value):
+        raw = edited(builder, path, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape('.'.join(path))}: unknown key"):
+            config_from_dict(raw)
+
+    def test_audit_block_reads_spec_and_settings_fields(self):
+        raw = audit_config_dict()
+        raw["audit"].update(h=3.0, alpha_grid=[4.0], seed=2, confidence=0.9, x=[0.1, 0.2])
+        cfg = config_from_dict(raw)
+        assert (cfg.audit.spec.h, cfg.audit.spec.seed, cfg.audit.x) == (3.0, 2, (0.1, 0.2))
+
+    def test_hessian_policy_key_read(self):
+        raw = tr_config_dict()
+        raw["config"]["hessian"] = {"policy": "regression_clipped", "q": 0.5, "m": 1.0, "M": 2.0}
+        assert config_from_dict(raw).algo.hessian_policy.M == 2.0
+
+
+class TestSamplerFields:
+    @pytest.mark.parametrize(
+        ("sampler", "key"),
+        [
+            ({"kind": "auto", "k_f": 123.0}, "k_f"),
+            ({"kind": "auto", "n": 4}, "n"),
+            ({"kind": "fixed", "n": 4, "k_f": 1.0}, "k_f"),
+            ({"kind": "fixed", "n": 4, "eps_q": 1.0}, "eps_q"),
+            ({"kind": "variance", "k_f": 1.0, "n": 4}, "n"),
+            ({"kind": "variance", "k_f": 1.0, "eps_q": 1.0}, "eps_q"),
+            ({"kind": "moment", "k_f": 1.0, "n": 4}, "n"),
+        ],
+    )
+    def test_field_its_kind_does_not_read(self, sampler, key):
+        with pytest.raises(ConfigError, match=rf"^sampler\.{key}: not read by the {sampler['kind']}"):
+            config_from_dict(ds_config_dict(sampler=sampler))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "neg"])
+    @pytest.mark.parametrize("key", ["k_f", "eps_q"])
+    def test_constants_positive_and_finite(self, key, bad):
+        sampler = {"kind": "moment", "k_f": 1.0, key: bad}
+        with pytest.raises(ConfigError, match=rf"^sampler\.{key}: must be positive and finite"):
+            config_from_dict(ds_config_dict(sampler=sampler))
+
+    def test_infinite_k_f_no_longer_means_one_sample(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(ds_config_dict(sampler={"kind": "variance", "k_f": 1.0})).replace(
+            '"k_f": 1.0', '"k_f": Infinity'
+        ))
+        with pytest.raises(ConfigError, match="sampler.k_f"):
+            load_config(path)
+
+    def test_build_never_returns_none(self):
+        cfg = config_from_dict(ds_config_dict(sampler={"kind": "auto"}))
+        policy = cfg.sampler.build(cfg.noise, 0.5)
+        expected = required_samples(cfg.noise.declared_variance, 0.5, 0.25)
+        assert policy is not None and policy(0.25) == expected
+
+    def test_build_names_the_sampler_block(self):
+        raw = ds_config_dict(sampler={"kind": "moment", "k_f": 1.0})
+        cfg = config_from_dict(raw)  # Gaussian noise declares no moment
+        with pytest.raises(ConfigError, match="^sampler: moment sampler needs noise with a declared moment"):
+            cfg.sampler.build(cfg.noise, 1.0)

@@ -17,7 +17,15 @@ from sdfo import (
     required_samples,
     sample_estimate,
 )
-from sdfo.oracle import CHUNK_DRAWS, sample_means
+from sdfo.oracle import (
+    CHUNK_DRAWS,
+    default_sample_policy,
+    fixed_sample_policy,
+    moment_sample_policy,
+    sample_means,
+    sample_policy,
+    variance_sample_policy,
+)
 
 
 def make_oracle(noise, seed=0, name="sphere", dim=2):
@@ -371,3 +379,84 @@ class TestSpawn:
         va1 = sample_estimate(a1, x, 10)
         assert va1 == sample_estimate(b1, x, 10)
         assert va1 != sample_estimate(a2, x, 10)
+
+
+DELTAS = (2.0, 1.0, 0.5, 0.1, 0.01)
+
+
+class TestSamplePolicy:
+    def counts(self, policy):
+        return [policy(delta) for delta in DELTAS]
+
+    def test_fixed(self):
+        assert self.counts(sample_policy(NoiseModel.gaussian(1.0), "fixed", n=7)) == [7] * 5
+
+    def test_variance_rule(self):
+        policy = sample_policy(NoiseModel.gaussian(2.0), "variance", k_f=0.5)
+        assert self.counts(policy) == [required_samples(2.0, 0.5, d) for d in DELTAS]
+
+    def test_moment_rule_parameters(self):
+        noise = NoiseModel.pareto_symmetric(1.5)
+        r, bound = noise.declared_moment
+        policy = sample_policy(noise, "moment", k_f=0.5)
+        # h = 1 + 2/r and eps_q = 4 k_f^2 when no eps_q is given.
+        assert self.counts(policy) == [moment_oracle_samples(bound, r, d, 1.0 + 2.0 / r, 1.0) for d in DELTAS]
+        policy = sample_policy(noise, "moment", k_f=0.5, eps_q=3.0)
+        assert self.counts(policy) == [moment_oracle_samples(bound, r, d, 1.0 + 2.0 / r, 3.0) for d in DELTAS]
+
+    @pytest.mark.parametrize(
+        ("noise", "kind"),
+        [
+            (NoiseModel.none(), "fixed"),
+            (NoiseModel.gaussian(1.0), "variance"),
+            (NoiseModel.student_t(3.0), "variance"),
+            (NoiseModel.pareto_symmetric(1.8), "variance"),
+            (NoiseModel.pareto_symmetric(1.5), "moment"),
+            (NoiseModel.student_t(1.5), "moment"),
+        ],
+    )
+    def test_auto_follows_declared_statistics(self, noise, kind):
+        auto = self.counts(sample_policy(noise, k_f=0.3, eps_q=0.2))
+        assert auto == self.counts(sample_policy(noise, kind, n=1, k_f=0.3, eps_q=0.2))
+        assert auto == self.counts(default_sample_policy(noise, 0.3, eps_q=0.2))
+
+    def test_declared_statistics_required(self):
+        with pytest.raises(ValueError, match="variance sampler needs noise with a declared variance"):
+            sample_policy(NoiseModel.pareto_symmetric(1.5), "variance", k_f=1.0)
+        with pytest.raises(ValueError, match="moment sampler needs noise with a declared moment"):
+            sample_policy(NoiseModel.gaussian(1.0), "moment", k_f=1.0)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown sampler kind"):
+            sample_policy(NoiseModel.gaussian(1.0), "adaptive", k_f=1.0)
+
+
+class TestPolicyConstantsCheckedAtBuild:
+    @pytest.mark.parametrize(
+        ("variance", "k_f"),
+        [(1.0, -1.0), (1.0, 0.0), (1.0, math.inf), (1.0, math.nan), (-1.0, 1.0), (math.inf, 1.0)],
+    )
+    def test_variance_policy(self, variance, k_f):
+        with pytest.raises(ValueError, match="positive and finite"):
+            variance_sample_policy(variance, k_f)
+
+    @pytest.mark.parametrize(
+        ("bound", "r", "h", "eps_q"),
+        [
+            (-1.0, 1.5, 3.0, 1.0),
+            (math.nan, 1.5, 3.0, 1.0),
+            (1.0, 1.5, 3.0, math.inf),
+            (1.0, 1.5, 3.0, 0.0),
+            (1.0, 1.5, math.inf, 1.0),
+            (1.0, 1.5, 1.5, 1.0),
+            (1.0, 2.5, 3.0, 1.0),
+            (1.0, 1.2, 2.0, 1.0),
+        ],
+    )
+    def test_moment_policy(self, bound, r, h, eps_q):
+        with pytest.raises(ValueError):
+            moment_sample_policy(bound, r, h, eps_q)
+
+    def test_fixed_policy(self):
+        with pytest.raises(ValueError):
+            fixed_sample_policy(0)

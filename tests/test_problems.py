@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdfo import get_problem, list_problems
+from sdfo.problems import PROBLEMS
 
 
 def test_registry_contents():
@@ -58,3 +59,22 @@ def test_values():
     # max_quadratics at a kink point: q1 = q2 when x[0] = 0.
     prob = get_problem("max_quadratics", 2)
     assert prob.eval_true(np.array([0.0, 1.0])) == pytest.approx(1.3)
+
+
+def test_table_rows_build_problems():
+    for name, (objective, optimum, coordinate, smallest) in PROBLEMS.items():
+        prob = get_problem(name, smallest + 1)
+        assert (prob.name, prob.eval_true, prob.optimum_value) == (name, objective, optimum)
+        assert prob.stationary_points == ((coordinate,) * (smallest + 1),)
+        assert prob.eval_true(np.asarray(prob.stationary_points[0])) == optimum
+    assert list_problems() == tuple(sorted(PROBLEMS))
+
+
+@pytest.mark.parametrize(("name", "dimension", "message"), [
+    ("rosenbrock", 1, "rosenbrock requires dimension >= 2"),
+    ("sphere", 0, "dimension must be >= 1, got 0"),
+    ("rosenbrock", 0, "dimension must be >= 1, got 0"),
+])
+def test_dimension_messages(name, dimension, message):
+    with pytest.raises(ValueError, match=message):
+        get_problem(name, dimension)

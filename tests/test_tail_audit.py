@@ -264,6 +264,31 @@ class TestAuditCondition:
         assert len({c.code for c in CONDITIONS.values()}) == len(CONDITIONS)
 
 
+class TestVacuousCells:
+    # A NaN error or an infinite threshold makes every cell pass at frequency 0.
+    def test_infinite_threshold_rejected(self):
+        oracle = gaussian_oracle()
+        est = sampler_estimator(fixed_sample_policy(1))
+        with pytest.raises(ValueError, match=r"threshold at delta=1e\+155, p=0.5 is not finite"):
+            audit_a1(oracle, est, X, G, small_spec(delta_grid=(1e155,), trials=1000))
+        assert oracle.draws == 0
+
+    def test_overflowing_generalized_threshold_rejected(self):
+        spec = small_spec(delta_grid=(2.0,), h=2000.0, alpha_grid=(4.0,), trials=1000)
+        with pytest.raises(ValueError, match="threshold at delta=2.0, alpha=4.0 is not finite"):
+            audit_generalized(gaussian_oracle(), sampler_estimator(fixed_sample_policy(1)), X, G, spec)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # f(x + delta g) overflows
+    @pytest.mark.parametrize("name", ["a1", "variance"])
+    def test_non_finite_objective_rejected(self, name):
+        oracle = gaussian_oracle()
+        est = sampler_estimator(fixed_sample_policy(1))
+        spec = small_spec(eps_f=1e-10, delta_grid=(1e155,), trials=1000)
+        with pytest.raises(ValueError, match=r"f\(x\) and f\(x \+ delta g\) must be finite"):
+            audit_condition(name, oracle, est, X, G, spec)
+        assert oracle.draws == 0
+
+
 class TestGaussianAudits:
     def test_a1_passes_with_proven_constants(self):
         # n = required_samples and eps_f = 2 k_f: the closed-form normal
