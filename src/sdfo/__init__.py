@@ -61,6 +61,7 @@ from .tail_audit import (
     TailAuditSpec,
     audit_a1,
     audit_a2,
+    audit_conditions,
     audit_generalized,
     audit_variance_condition,
     sampler_estimator,
@@ -109,6 +110,7 @@ __all__ = [
     "alignment_profile",
     "audit_a1",
     "audit_a2",
+    "audit_conditions",
     "audit_generalized",
     "audit_variance_condition",
     "brute_force_min",

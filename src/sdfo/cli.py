@@ -20,7 +20,7 @@ from .direct_search import ds_run
 from .directions import DirectionGenerator, QuasiRandomSphere
 from .oracle import StochasticOracle
 from .problems import get_problem, list_problems
-from .tail_audit import audit_condition, format_report, sampler_estimator, write_report_csv
+from .tail_audit import audit_conditions, format_report, sampler_estimator, write_report_csv
 from .trace import write_trace_csv
 from .trust_region import default_k_f, tr_run, validate_theta_tr
 
@@ -126,21 +126,19 @@ def run_audit(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[list[P
     problem = get_problem(cfg.problem, cfg.dimension)
     oracle = StochasticOracle(problem, cfg.noise, seed=audit.spec.seed)
     estimator = sampler_estimator(cfg.sampler.build(cfg.noise, audit.k_f, audit.spec.eps_q))
+    reports = audit_conditions(
+        audit.conditions, oracle, estimator, audit.x, audit.direction, audit.spec, audit.k_f
+    )
     written: list[Path] = []
     texts: list[str] = []
-    all_pass = True
-    for condition in audit.conditions:
-        report = audit_condition(
-            condition, oracle, estimator, audit.x, audit.direction, audit.spec, audit.k_f
-        )
-        all_pass = all_pass and report.passed
-        csv_path = directory / f"audit_{condition}_{cfg.problem}.csv"
+    for report in reports:
+        csv_path = directory / f"audit_{report.condition}_{cfg.problem}.csv"
         write_report_csv(
             csv_path,
             report,
             metadata={
                 "schema_version": SCHEMA_VERSION,
-                "condition": condition,
+                "condition": report.condition,
                 "problem": cfg.problem,
                 "noise": cfg.noise.kind,
                 "trials": audit.spec.trials,
@@ -154,7 +152,7 @@ def run_audit(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[list[P
     text_path.write_text("\n\n".join(texts) + "\n", encoding="utf-8")
     written.append(text_path)
     print("\n\n".join(texts))
-    return written, all_pass
+    return written, all(report.passed for report in reports)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -218,8 +218,8 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     draws of the stream in repeat-major, point-minor order, so
     ``oracle.draws`` grows by ``repeats * k * n`` and every mean is
     bit-identical to averaging its own draws.  Draw calls hold at most
-    ``CHUNK_DRAWS`` values or one estimate.  Noiseless oracles return the
-    true values exactly.
+    ``CHUNK_DRAWS`` values.  Noiseless oracles return the true values
+    exactly.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -232,19 +232,39 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     if oracle.noise.kind == "none":
         return truth, np.tile(truth, (repeats, 1))
     means = np.empty((repeats, k))
-    # A chunk holds whole rounds of the k points when one round fits, and
-    # a slice of one round's points otherwise.
-    per_chunk = max(1, CHUNK_DRAWS // n)
-    rounds, width = max(1, per_chunk // k), min(k, per_chunk)
-    for r in range(0, repeats, rounds):
-        for p in range(0, k, width):
-            block = means[r : r + rounds, p : p + width]
-            values = oracle.noise.draw(oracle._rng, block.size * n).reshape(*block.shape, n)
-            values += truth[p : p + width, None]
-            np.add.reduce(values, axis=-1, out=block)
+    if n > CHUNK_DRAWS:
+        for r, p in np.ndindex(repeats, k):
+            means[r, p] = _draw_sum(oracle, n, truth[p])
+    else:
+        # A chunk holds whole rounds of the k points when one round fits,
+        # and a slice of one round's points otherwise.
+        per_chunk = CHUNK_DRAWS // n
+        rounds, width = max(1, per_chunk // k), min(k, per_chunk)
+        for r in range(0, repeats, rounds):
+            for p in range(0, k, width):
+                block = means[r : r + rounds, p : p + width]
+                values = oracle.noise.draw(oracle._rng, block.size * n).reshape(*block.shape, n)
+                values += truth[p : p + width, None]
+                np.add.reduce(values, axis=-1, out=block)
     # The sum and the division by n are np.mean's own steps.
     means /= n
     return truth, means
+
+
+def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:
+    """Sum of ``truth`` plus each of the next ``n`` draws, in ``CHUNK_DRAWS`` chunks.
+
+    The halves are split where numpy's pairwise summation splits a block
+    (half the length, less its remainder mod 8), so the sum is bit-identical
+    to ``np.add.reduce`` over one array of all ``n`` values.
+    """
+    if n <= CHUNK_DRAWS:
+        values = oracle.noise.draw(oracle._rng, n)
+        values += truth
+        return float(np.add.reduce(values))
+    half = n // 2
+    half -= half % 8
+    return _draw_sum(oracle, half, truth) + _draw_sum(oracle, n - half, truth)
 
 
 def sample_estimate(oracle: StochasticOracle, x, n: int) -> float:
@@ -298,7 +318,11 @@ def required_samples(variance: float, k_f: float, delta: float) -> int:
     """
     if not (0.0 < variance < math.inf and 0.0 < k_f < math.inf and delta > 0.0):
         raise ValueError("variance and k_f must be positive and finite, and delta positive")
-    return max(1, math.ceil(variance / (k_f * k_f * delta**4)))
+    try:
+        scale = delta**4
+    except OverflowError:  # past the float range V / (k_f^2 delta^4) rounds to 0
+        return 1
+    return max(1, math.ceil(variance / (k_f * k_f * scale)))
 
 
 def moment_oracle_samples(
@@ -327,10 +351,11 @@ def moment_oracle_samples(
         raise ValueError(
             f"moment order r={r} is too small for h={h}: need r >= 2/(h-1) = {r_h}"
         )
-    count = (2.0 * bound / (eps_q ** (1.0 + r - r_h) * delta ** (h * r))) ** (
-        1.0 / (r - 1.0)
-    )
-    return max(1, math.ceil(count))
+    try:
+        scale = eps_q ** (1.0 + r - r_h) * delta ** (h * r)
+    except OverflowError:  # past the float range the count rounds to 0
+        return 1
+    return max(1, math.ceil((2.0 * bound / scale) ** (1.0 / (r - 1.0))))
 
 
 # --- sample-count policies ----------------------------------------------

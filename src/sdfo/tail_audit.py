@@ -15,15 +15,25 @@ Audited conditions, with err = (est_current - est_trial) - (f(x) - f(y)):
 * generalized tail:    P(|err| >= alpha delta^h)            <= eps_q / alpha^(2/(h-1))
                        for every alpha >= eps_q
 
-Every condition runs through one cell loop, ``audit_condition``, driven by
-the table ``CONDITIONS``: a row gives the condition's substream code, its
-outer grid (the p grid, or the alpha >= eps_q grid), and its threshold and
-bound; the variance row has no grid and reports two moment cells per delta.
-Each cell draws ``trials`` estimate pairs on the oracle substream
-``(code, i_delta, i_outer, seed)``, or ``(code, i_delta, seed)`` for the
-variance condition.  An estimator builds a whole cell in one call;
-``sampler_estimator`` does it with ``oracle.estimate_pairs``, so a cell's
-memory stays at one draw chunk.
+Every condition runs through one loop, ``audit_conditions``, driven by the
+table ``CONDITIONS``: a row gives the condition's outer grid (the p grid,
+or the alpha >= eps_q grid) and its threshold and bound; the variance row
+has no grid and reports two moment cells per delta.
+
+At each delta every cell uses the same sample count n, so the loop builds
+one set of ``trials`` estimate pairs per delta, on the oracle substream
+``(i_delta, seed)``, and every cell of every condition at that delta reads
+it.  The key names neither the condition nor the cell, so a report is the
+same whether its condition is audited alone or with others.  Sharing keeps
+each verdict sound: a cell's Wilson bound is a statement about that cell's
+own marginal exceedance frequency, which does not depend on the other
+cells, and the all-cells verdict is a union bound over the cells, which
+needs no independence between them.  So a correct oracle still fails a
+variance cell that sits exactly at its bound (moment <= bound + 3 standard
+errors) with probability about 5e-4 at 1000 trials, as with a fresh set
+per cell.  An estimator builds a whole set in one call;
+``sampler_estimator`` does it with ``oracle.estimate_pairs``, so the
+memory of a set stays at one draw chunk.
 """
 
 from __future__ import annotations
@@ -173,7 +183,7 @@ def _alpha_grid(spec: TailAuditSpec, noise: NoiseModel) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Condition:
-    """One row of ``CONDITIONS``: what the cell loop needs for one condition.
+    """One row of ``CONDITIONS``: what the audit loop needs for one condition.
 
     An exceedance condition has an outer grid ``grid(spec, noise)``; its
     cell at (outer, delta) counts ``|err| >= threshold(spec, outer, delta)``
@@ -181,7 +191,6 @@ class Condition:
     reports two moment cells per delta.
     """
 
-    code: int  # first entry of every cell's substream key
     grid: Callable[[TailAuditSpec, NoiseModel], tuple[float, ...]] | None = None
     threshold: Callable[[TailAuditSpec, float, float], float] | None = None
     bound: Callable[[TailAuditSpec, float], float] | None = None
@@ -189,13 +198,13 @@ class Condition:
 
 
 CONDITIONS = {
-    "a1": Condition(1, _p_grid, lambda s, p, d: (s.eps_f / p) * d * d, lambda s, p: p),
-    "a2": Condition(2, _p_grid, lambda s, p, d: math.sqrt(s.eps_q / p) * d * d, lambda s, p: p),
+    "a1": Condition(_p_grid, lambda s, p, d: (s.eps_f / p) * d * d, lambda s, p: p),
+    "a2": Condition(_p_grid, lambda s, p, d: math.sqrt(s.eps_q / p) * d * d, lambda s, p: p),
     "a2h": Condition(
-        3, _alpha_grid, lambda s, a, d: a * d**s.h,
+        _alpha_grid, lambda s, a, d: a * d**s.h,
         lambda s, a: min(1.0, s.eps_q / a ** tail_order(s.h)), outer="alpha",
     ),
-    "variance": Condition(4),
+    "variance": Condition(),
 }
 
 
@@ -229,9 +238,9 @@ def _collect_errors(
 
     Returns the decrease-estimate errors, the two per-point estimate
     errors, the per-estimate sample count used and the oracle draws spent.
-    Each cell runs on its own oracle substream, so reports are reproducible
+    The set is drawn on the oracle substream ``key``, so it is reproducible
     and independent of any outer scheduling.  The estimator builds the
-    whole cell in one call.
+    whole set in one call.
     """
     cell_oracle = oracle.spawn(*key)
     y = x + delta * g
@@ -253,15 +262,80 @@ def _collect_errors(
     return diff_errors, cur_errors, trial_errors, samples, cell_oracle.draws
 
 
-def _threshold(condition: Condition, spec: TailAuditSpec, outer: float, delta: float) -> float:
-    """The cell's threshold, checked to be finite: no error reaches an infinite one."""
+def _finite(value: Callable[[], float], what: str) -> float:
+    """``value()``, checked to be finite: no error reaches an infinite threshold."""
     try:
-        threshold = condition.threshold(spec, outer, delta)
+        result = value()
     except OverflowError:  # float pow past the float range
-        threshold = math.inf
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold at delta={delta}, {condition.outer}={outer} is not finite")
-    return threshold
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"{what} is not finite")
+    return result
+
+
+def audit_conditions(
+    names,
+    oracle: StochasticOracle,
+    estimator: Estimator,
+    x,
+    g,
+    spec: TailAuditSpec,
+    k_f: float = 1.0,
+) -> tuple[AuditReport, ...]:
+    """Audit each condition ``CONDITIONS[name]`` on one error set per delta.
+
+    Returns one report per name, in order.  ``k_f`` sets the variance bound
+    ``k_f^2 delta^4`` and is unused otherwise.
+    """
+    conditions = {name: CONDITIONS[name] for name in names}
+    grids = {name: c.grid(spec, oracle.noise) for name, c in conditions.items() if c.grid is not None}
+    if "variance" in conditions and not 0.0 < k_f < math.inf:
+        raise ValueError(f"k_f must be positive and finite, got {k_f}")
+    point, direction = _audit_point(oracle, x, g)
+    cells = {name: [] for name in conditions}
+    draws = 0
+    for i_delta, delta in enumerate(spec.delta_grid):
+        thresholds = {
+            (name, outer): _finite(
+                lambda: conditions[name].threshold(spec, outer, delta),
+                f"threshold at delta={delta}, {conditions[name].outer}={outer}",
+            )
+            for name, grid in grids.items()
+            for outer in grid
+        }
+        diff_errors, cur_errors, trial_errors, samples, set_draws = _collect_errors(
+            oracle, estimator, point, direction, delta, spec.trials, (i_delta, spec.seed)
+        )
+        draws += set_draws
+        abs_errors = np.abs(diff_errors)
+        if "variance" in conditions:
+            bound = _finite(lambda: k_f * k_f * delta**4, f"variance bound k_f^2 delta^4 at delta={delta}")
+            for which, errors in (("current", cur_errors), ("trial", trial_errors)):
+                squared = errors * errors
+                moment = float(np.mean(squared))
+                slack = float(np.std(squared, ddof=1) / math.sqrt(spec.trials))
+                passed = moment <= bound + 3.0 * slack
+                cells["variance"].append(
+                    MomentCell(which, delta, samples, spec.trials, bound, moment, slack, passed)
+                )
+        for (name, outer), threshold in thresholds.items():
+            condition = conditions[name]
+            bound = condition.bound(spec, outer)
+            exceed = int(np.count_nonzero(abs_errors >= threshold))
+            upper = wilson_upper(exceed, spec.trials, spec.confidence)
+            cells[name].append(
+                ExceedanceCell(
+                    name, **{"p": None, "alpha": None, condition.outer: outer}, delta=delta,
+                    threshold=threshold, bound=bound, samples_per_estimate=samples,
+                    trials=spec.trials, exceedances=exceed, frequency=exceed / spec.trials,
+                    wilson_upper=upper, passed=upper <= bound,
+                )
+            )
+    reports = {
+        name: AuditReport(name, tuple(c), all(cell.passed for cell in c), draws)
+        for name, c in cells.items()
+    }
+    return tuple(reports[name] for name in names)
 
 
 def audit_condition(
@@ -273,50 +347,8 @@ def audit_condition(
     spec: TailAuditSpec,
     k_f: float = 1.0,
 ) -> AuditReport:
-    """Audit the condition ``CONDITIONS[name]``: one cell per delta and grid point.
-
-    ``k_f`` sets the variance bound ``k_f^2 delta^4`` and is unused otherwise.
-    """
-    condition = CONDITIONS[name]
-    grid = (None,) if condition.grid is None else condition.grid(spec, oracle.noise)
-    if condition.grid is None and not 0.0 < k_f < math.inf:
-        raise ValueError(f"k_f must be positive and finite, got {k_f}")
-    point, direction = _audit_point(oracle, x, g)
-    cells = []
-    draws = 0
-    for i_delta, delta in enumerate(spec.delta_grid):
-        for i_outer, outer in enumerate(grid):
-            index = () if outer is None else (i_outer,)
-            threshold = None if outer is None else _threshold(condition, spec, outer, delta)
-            diff_errors, cur_errors, trial_errors, samples, cell_draws = _collect_errors(
-                oracle, estimator, point, direction, delta, spec.trials,
-                (condition.code, i_delta, *index, spec.seed),
-            )
-            draws += cell_draws
-            if outer is None:
-                bound = k_f * k_f * delta**4
-                for which, errors in (("current", cur_errors), ("trial", trial_errors)):
-                    squared = errors * errors
-                    moment = float(np.mean(squared))
-                    slack = float(np.std(squared, ddof=1) / math.sqrt(spec.trials))
-                    passed = moment <= bound + 3.0 * slack
-                    cells.append(
-                        MomentCell(which, delta, samples, spec.trials, bound, moment, slack, passed)
-                    )
-                continue
-            bound = condition.bound(spec, outer)
-            exceed = int(np.count_nonzero(np.abs(diff_errors) >= threshold))
-            upper = wilson_upper(exceed, spec.trials, spec.confidence)
-            cells.append(
-                ExceedanceCell(
-                    name, **{"p": None, "alpha": None, condition.outer: outer}, delta=delta,
-                    threshold=threshold, bound=bound, samples_per_estimate=samples,
-                    trials=spec.trials, exceedances=exceed, frequency=exceed / spec.trials,
-                    wilson_upper=upper, passed=upper <= bound,
-                )
-            )
-    cells = tuple(cells)
-    return AuditReport(name, cells, all(c.passed for c in cells), draws)
+    """Audit the condition ``CONDITIONS[name]``: one cell per delta and grid point."""
+    return audit_conditions((name,), oracle, estimator, x, g, spec, k_f)[0]
 
 
 def audit_a1(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:

@@ -158,8 +158,8 @@ class TestAudit:
         cfg = write_audit_config(tmp_path / "a.json", out)
         assert main(["audit", str(cfg)]) == 0
         lines = (out / "audit_a1_sphere.csv").read_text().splitlines()
-        # Two p-cells at n = 1 (delta 1) and n = 16 (delta 0.5), 2000 trials.
-        assert "# draws=136000" in lines
+        # One set of 2000 pairs at n = 1 (delta 1) and one at n = 16 (delta 0.5).
+        assert "# draws=68000" in lines
 
     def test_heavy_tail_audit_route(self, tmp_path):
         out = tmp_path / "out"
@@ -301,6 +301,19 @@ class TestStrictConfig:
         cfg_path.write_text(json.dumps(raw))
         assert main(["audit", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: threshold at delta=2.0, alpha=4.0 is not finite\n"
+
+    def test_huge_delta_takes_one_sample_and_rejects_the_variance_bound(self, tmp_path, capsys):
+        # delta**4 is past the float range at delta = 1e100.
+        raw = json.loads((ROOT / "tests" / "data" / "golden_audit.json").read_text())
+        raw["audit"]["delta_grid"] = [1e100]
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["audit", str(cfg_path), "--out", str(tmp_path / "all")]) == 2
+        assert capsys.readouterr().err == "error: variance bound k_f^2 delta^4 at delta=1e+100 is not finite\n"
+        raw["audit"]["conditions"] = ["a1"]
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["audit", str(cfg_path), "--out", str(tmp_path / "a1")]) == 0
+        assert " n=1 -> pass" in (tmp_path / "a1" / "audit_sphere_summary.txt").read_text()
 
     def test_auto_sampler_matches_library_default(self, tmp_path):
         out = tmp_path / "out"

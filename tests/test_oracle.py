@@ -93,6 +93,13 @@ class TestRequiredSamples:
         with pytest.raises(ValueError):
             required_samples(*bad)
 
+    def test_one_sample_where_delta_power_overflows(self):
+        # delta**4 is past the float range at delta = 1e100.
+        assert required_samples(1.0, 1.0, 1e100) == 1
+        assert required_samples(1.0, 1e-100, 1e100) == 1
+        assert moment_oracle_samples(1.0, 1.5, 1e100, 3.0, 1.0) == 1
+        assert moment_oracle_samples(1.0, 2.0, 1e100, 2.0, 1e-300) == 1
+
     def test_variance_after_averaging_meets_bound(self):
         # n = required_samples gives Var[mean] = V/n <= k_f^2 delta^4.
         for variance, k_f, delta in [(1.0, 1.0, 0.5), (3.0, 0.7, 0.8), (0.2, 2.0, 0.3)]:
@@ -201,8 +208,8 @@ class TestSampleMeans:
     @pytest.mark.parametrize("k", [1, 2, 2 * D + 1])
     @pytest.mark.parametrize("repeats", [1, 3])
     # 4096 with k = 7 puts chunk boundaries inside a round of points
-    # (k n > CHUNK_DRAWS); CHUNK_DRAWS + 5 gives every estimate its own chunk.
-    @pytest.mark.parametrize("n", [1, 16, 256, 4096, CHUNK_DRAWS + 5])
+    # (k n > CHUNK_DRAWS); past CHUNK_DRAWS an estimate is drawn in chunks.
+    @pytest.mark.parametrize("n", [1, 16, 256, 4096, CHUNK_DRAWS + 5, 3 * CHUNK_DRAWS + 7])
     def test_matches_per_point_reference_bit_for_bit(self, noise, k, repeats, n):
         a = make_oracle(noise, seed=17, dim=D)
         b = make_oracle(noise, seed=17, dim=D)
@@ -251,6 +258,20 @@ class TestSampleMeans:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert oracle.draws == 41 * 200_000
+
+    @pytest.mark.parametrize("noise", ALL_NOISE[1:], ids=ALL_NOISE_IDS[1:])
+    def test_large_estimate_memory_is_chunked(self, noise):
+        # One estimate of 2**21 draws: 16.8 MB as one array (83.9 MB peak
+        # for Pareto noise, whose draw holds several temporaries).
+        oracle = make_oracle(noise)
+        tracemalloc.start()
+        try:
+            sample_estimate(oracle, (0.5, -0.25), 2**21)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert oracle.draws == 2**21
 
 
 class TestMomentOracleSamples:

@@ -1,6 +1,7 @@
 """Tail-bound auditor: soundness against closed forms, pass/fail behavior."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from sdfo.tail_audit import (
     CONDITIONS,
     _collect_errors,
     audit_condition,
+    audit_conditions,
     format_report,
     tail_order,
     write_report_csv,
@@ -183,8 +185,8 @@ class TestBatchPath:
     def test_report_counts_draws(self):
         est = sampler_estimator(variance_sample_policy(1.0, 1.0))
         report = audit_a1(gaussian_oracle(seed=2), est, X, G, small_spec())
-        # Three p-cells at n = 1 (delta 1) and n = 16 (delta 0.5).
-        assert report.draws == 3 * 2 * (1 + 16) * 5000
+        # One set of 5000 pairs at n = 1 (delta 1) and one at n = 16 (delta 0.5).
+        assert report.draws == 2 * (1 + 16) * 5000
 
     def test_cell_memory_is_chunked(self):
         # 1000 trials at n = 4096 draw 8.2e6 values: 64 MB unchunked.
@@ -261,7 +263,45 @@ class TestAuditCondition:
 
     def test_condition_table_names(self):
         assert list(CONDITIONS) == ["a1", "a2", "a2h", "variance"]
-        assert len({c.code for c in CONDITIONS.values()}) == len(CONDITIONS)
+
+    def test_joint_audit_matches_single_audits(self):
+        # The set at each delta is keyed by (i_delta, seed) alone, so a
+        # report does not depend on which conditions are audited with it.
+        spec = small_spec(trials=1000, alpha_grid=(4.0, 8.0), h=3.0)
+        est = sampler_estimator(variance_sample_policy(1.0, 1.0))
+        names = ("a1", "a2", "a2h", "variance")
+        joint = audit_conditions(names, gaussian_oracle(seed=6), est, X, G, spec, k_f=1.0)
+        single = tuple(
+            audit_condition(name, gaussian_oracle(seed=6), est, X, G, spec, k_f=1.0) for name in names
+        )
+        assert joint == single
+        assert [r.condition for r in joint] == list(names)
+        assert {r.draws for r in joint} == {2 * (1 + 16) * 1000}
+
+    def test_one_estimator_call_per_delta(self):
+        calls = []
+        inner = sampler_estimator(fixed_sample_policy(2))
+
+        def counting(oracle, x, y, delta, trials):
+            calls.append(delta)
+            return inner(oracle, x, y, delta, trials)
+
+        spec = small_spec(trials=1000, alpha_grid=(4.0, 8.0), h=3.0)
+        audit_conditions(("a1", "a2", "a2h", "variance"), gaussian_oracle(), counting, X, G, spec)
+        assert calls == list(spec.delta_grid)
+
+    def test_a1_counts_nest_in_threshold(self):
+        # Every cell at one delta counts the same errors, so a larger
+        # threshold never counts more exceedances, even where the
+        # thresholds are too close for fresh sets to keep the order.
+        spec = small_spec(eps_f=0.2, p_grid=(0.5, 0.498, 0.496, 0.494, 0.492, 0.49), trials=2000)
+        est = sampler_estimator(fixed_sample_policy(1))
+        report = audit_a1(gaussian_oracle(seed=8), est, X, G, spec)
+        for delta in spec.delta_grid:
+            cells = sorted((c for c in report.cells if c.delta == delta), key=lambda c: c.threshold)
+            counts = [c.exceedances for c in cells]
+            assert counts == sorted(counts, reverse=True)
+            assert counts[0] > counts[-1]
 
 
 class TestVacuousCells:
@@ -277,6 +317,12 @@ class TestVacuousCells:
         spec = small_spec(delta_grid=(2.0,), h=2000.0, alpha_grid=(4.0,), trials=1000)
         with pytest.raises(ValueError, match="threshold at delta=2.0, alpha=4.0 is not finite"):
             audit_generalized(gaussian_oracle(), sampler_estimator(fixed_sample_policy(1)), X, G, spec)
+
+    @pytest.mark.parametrize("k_f,delta", [(1.0, 1e100), (1e200, 1.0)], ids=["delta", "k_f"])
+    def test_overflowing_variance_bound_rejected(self, k_f, delta):
+        est = sampler_estimator(fixed_sample_policy(1))
+        with pytest.raises(ValueError, match=re.escape(f"variance bound k_f^2 delta^4 at delta={delta} is not finite")):
+            audit_variance_condition(gaussian_oracle(), est, X, G, k_f, delta_grid=(delta,), trials=1000)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # f(x + delta g) overflows
     @pytest.mark.parametrize("name", ["a1", "variance"])
