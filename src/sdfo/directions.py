@@ -5,10 +5,21 @@ CDF coordinate-wise and normalizes, which spreads a low-discrepancy cube
 sequence over the sphere in any dimension.  Direction choice never looks
 at function estimates, so the measurability requirement of the optimizers
 holds by construction.
+
+For the same reason the k-th quasi-random direction is a function of the
+dimension and the Halton index alone, so one module-level table memoizes
+it for every generator and every run in the process.  Memoizing is exact:
+each row is computed by the same scalar code as an uncached direction, and
+callers get a copy.  The table holds at most ``TABLE_ROWS`` rows (about
+10 MB at d = 50, 5 MB at d = 2); once full, further directions are
+computed without being stored.  Rows are read-only and inserts take a
+lock, so concurrent threads keep the table within its bound and read the
+same sequences; forked workers inherit the rows their parent has built.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -17,6 +28,15 @@ import numpy as np
 from .stats import inverse_normal_cdf
 
 _DEGENERATE_NORM = 1e-8
+
+# Bound on the rows of the direction table.
+TABLE_ROWS = 2**14
+
+# (dimension, Halton index) -> read-only unit direction, or None where the
+# Halton point maps too near the origin and the sequence skips it.
+_table: dict[tuple[int, int], np.ndarray | None] = {}
+_table_lock = threading.Lock()
+_MISSING = object()
 
 
 def first_primes(count: int) -> tuple[int, ...]:
@@ -53,6 +73,34 @@ def halton_point(index: int, bases) -> np.ndarray:
     if len(bases) != len(set(bases)):
         raise ValueError("bases must be distinct")
     return np.array([radical_inverse(index, b) for b in bases])
+
+
+def halton_direction(index: int, bases) -> np.ndarray | None:
+    """The normalized normal quantiles of a Halton point, uncached.
+
+    None when their norm is below ``1e-8``; the sequence skips that index.
+    """
+    u = halton_point(index, bases)
+    z = np.array([inverse_normal_cdf(c) for c in u])
+    norm = float(np.linalg.norm(z))
+    return z / norm if norm >= _DEGENERATE_NORM else None
+
+
+def _quasi_random_row(index: int, bases: tuple[int, ...]) -> np.ndarray | None:
+    """``halton_direction(index, bases)`` through the shared table, read-only.
+
+    ``bases`` are the first d primes, so ``(d, index)`` is the row's key.
+    """
+    key = (len(bases), index)
+    row = _table.get(key, _MISSING)
+    if row is _MISSING:
+        row = halton_direction(index, bases)
+        if row is not None:
+            row.flags.writeable = False
+        with _table_lock:
+            if len(_table) < TABLE_ROWS:
+                row = _table.setdefault(key, row)
+    return row
 
 
 @dataclass(frozen=True)
@@ -148,11 +196,9 @@ class DirectionGenerator:
     def _quasi_random_direction(self) -> np.ndarray:
         while True:
             self._halton_index += 1
-            u = halton_point(self._halton_index, self._bases)
-            z = np.array([inverse_normal_cdf(c) for c in u])
-            norm = float(np.linalg.norm(z))
-            if norm >= _DEGENERATE_NORM:
-                return z / norm
+            row = _quasi_random_row(self._halton_index, self._bases)
+            if row is not None:
+                return row.copy()
 
 
 def next_direction(gen: DirectionGenerator) -> np.ndarray:

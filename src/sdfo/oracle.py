@@ -231,24 +231,33 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     oracle.draws += repeats * k * n
     if oracle.noise.kind == "none":
         return truth, np.tile(truth, (repeats, 1))
-    means = np.empty((repeats, k))
-    if n > CHUNK_DRAWS:
+    if repeats * k * n <= CHUNK_DRAWS:
+        # The only pass of the chunk loop below, without block slicing.
+        means = _chunk_sums(oracle, truth, repeats, n)
+    elif n > CHUNK_DRAWS:
+        means = np.empty((repeats, k))
         for r, p in np.ndindex(repeats, k):
             means[r, p] = _draw_sum(oracle, n, truth[p])
     else:
         # A chunk holds whole rounds of the k points when one round fits,
         # and a slice of one round's points otherwise.
+        means = np.empty((repeats, k))
         per_chunk = CHUNK_DRAWS // n
         rounds, width = max(1, per_chunk // k), min(k, per_chunk)
         for r in range(0, repeats, rounds):
             for p in range(0, k, width):
                 block = means[r : r + rounds, p : p + width]
-                values = oracle.noise.draw(oracle._rng, block.size * n).reshape(*block.shape, n)
-                values += truth[p : p + width, None]
-                np.add.reduce(values, axis=-1, out=block)
+                block[...] = _chunk_sums(oracle, truth[p : p + width], block.shape[0], n)
     # The sum and the division by n are np.mean's own steps.
     means /= n
     return truth, means
+
+
+def _chunk_sums(oracle: StochasticOracle, truth: np.ndarray, rounds: int, n: int) -> np.ndarray:
+    """``(rounds, k)`` sums of each of the ``k`` truths plus its next ``n`` draws, in one draw call."""
+    values = oracle.noise.draw(oracle._rng, rounds * truth.size * n).reshape(rounds, truth.size, n)
+    values += truth[:, None]
+    return np.add.reduce(values, axis=-1)
 
 
 def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:
@@ -322,7 +331,7 @@ def required_samples(variance: float, k_f: float, delta: float) -> int:
         scale = delta**4
     except OverflowError:  # past the float range V / (k_f^2 delta^4) rounds to 0
         return 1
-    return max(1, math.ceil(variance / (k_f * k_f * scale)))
+    return _whole_count(delta, lambda: variance / (k_f * k_f * scale))
 
 
 def moment_oracle_samples(
@@ -355,7 +364,20 @@ def moment_oracle_samples(
         scale = eps_q ** (1.0 + r - r_h) * delta ** (h * r)
     except OverflowError:  # past the float range the count rounds to 0
         return 1
-    return max(1, math.ceil((2.0 * bound / scale) ** (1.0 / (r - 1.0))))
+    return _whole_count(delta, lambda: (2.0 * bound / scale) ** (1.0 / (r - 1.0)))
+
+
+def _whole_count(delta: float, count: Callable[[], float]) -> int:
+    """``max(1, ceil(count()))``; a ``ValueError`` naming ``delta`` when the
+    count is not a finite number (its delta power underflowed, or it is past
+    the float range)."""
+    try:
+        value = count()
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"sample count at delta={delta} is not a finite number")
+    return max(1, math.ceil(value))
 
 
 # --- sample-count policies ----------------------------------------------

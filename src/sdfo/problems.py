@@ -45,7 +45,7 @@ def _rosenbrock(x: np.ndarray) -> float:
 
 
 def _l1norm(x: np.ndarray) -> float:
-    return float(np.sum(np.abs(x)))
+    return float(np.abs(x).sum())
 
 
 def _max_quadratics(x: np.ndarray) -> float:

@@ -65,14 +65,30 @@ def row_writer(cls, columns: tuple[str, ...]):
     Each cell is formatted by its field's annotation: strings and ints as
     they are, bools as 1/0, floats with 17 significant digits (as
     ``format_float``), and None in an optional field as an empty cell.
+    The row is one ``%`` template: ``"%.17g" % v`` and ``"%d" % v`` equal
+    ``format(v, ".17g")`` and ``format(v, "d")``, and ``"%s" % v`` equals
+    ``format(v, "")``.  Optional cells are formatted first and enter as
+    ``%s``.
     """
     hints = typing.get_type_hints(cls)
     # An optional field ``X | None`` is formatted as ``X``.
-    specs = [_SPECS[(typing.get_args(hints[c]) or (hints[c],))[0]] for c in columns]
-    values = operator.attrgetter(*columns)
-    return lambda obj: ",".join(
-        ["" if v is None else format(v, spec) for spec, v in zip(specs, values(obj))]
+    kinds = [typing.get_args(hints[c]) or (hints[c],) for c in columns]
+    specs = [_SPECS[kind[0]] for kind in kinds]
+    optional = [(i, specs[i]) for i, kind in enumerate(kinds) if type(None) in kind]
+    template = ",".join(
+        "%s" if type(None) in kind else "%" + (spec or "s") for kind, spec in zip(kinds, specs)
     )
+    values = operator.attrgetter(*columns)
+    if not optional:
+        return lambda obj: template % values(obj)
+
+    def write(obj) -> str:
+        row = list(values(obj))
+        for i, spec in optional:
+            row[i] = "" if row[i] is None else format(row[i], spec)
+        return template % tuple(row)
+
+    return write
 
 
 def metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:

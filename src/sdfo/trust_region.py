@@ -231,11 +231,12 @@ def take_step(
     pair = estimate_pair(oracle, state.x, trial, n, n)
     success = pair.est_current - pair.est_trial >= cfg.theta * scale * scale
 
+    # sqrt(s.s) is np.linalg.norm's own computation for a 1-D float vector.
     record = IterationRecord(
         k=state.k,
         success=success,
         delta=delta,
-        step_norm=float(np.linalg.norm(step)),
+        step_norm=math.sqrt(step.dot(step)),
         f_true_current=pair.f_true_current,
         est_current=pair.est_current,
         est_trial=pair.est_trial,
@@ -271,7 +272,7 @@ def tr_step(
     else:
         model, stencil_samples = build_model(state, gen, oracle, cfg.hessian_policy, sampler)
         direction, step = model.g, solve_exact(model).s
-    scale = float(np.linalg.norm(step))
+    scale = math.sqrt(step.dot(step))
     return take_step(state, cfg, oracle, sampler, direction, step, scale, stencil_samples)
 
 

@@ -315,6 +315,15 @@ class TestStrictConfig:
         assert main(["audit", str(cfg_path), "--out", str(tmp_path / "a1")]) == 0
         assert " n=1 -> pass" in (tmp_path / "a1" / "audit_sphere_summary.txt").read_text()
 
+    def test_underflowing_delta_power_exits_2(self, tmp_path, capsys):
+        # delta**4 underflows to 0 at delta = 1e-100.
+        raw = json.loads((ROOT / "tests" / "data" / "golden_audit.json").read_text())
+        raw["audit"]["delta_grid"] = [1e-100]
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["audit", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: sample count at delta=1e-100 is not a finite number\n"
+
     def test_auto_sampler_matches_library_default(self, tmp_path):
         out = tmp_path / "out"
         cfg_path = write_run_config(tmp_path / "cfg.json", out, seeds=(0, 1), max_iters=12)

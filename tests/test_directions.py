@@ -1,5 +1,7 @@
 """Direction sequences: Halton construction, norms, density, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from sdfo import (
     halton_point,
     next_direction,
 )
-from sdfo.directions import first_primes, radical_inverse
+from sdfo import directions
+from sdfo.directions import first_primes, halton_direction, radical_inverse
 from sdfo.stats import inverse_normal_cdf
 
 
@@ -146,3 +149,84 @@ class TestDensity:
         d1 = np.array([gen1.next_direction() for _ in range(200)])
         d2 = np.array([gen2.next_direction() for _ in range(200)])
         assert np.array_equal(d1, d2)
+
+
+def uncached_sequence(dim, count):
+    """The first ``count`` quasi-random directions, computed without the table."""
+    bases = first_primes(dim)
+    out, index = [], 0
+    while len(out) < count:
+        index += 1
+        row = halton_direction(index, bases)
+        if row is not None:
+            out.append(row)
+    return np.array(out)
+
+
+@pytest.fixture
+def small_table(monkeypatch):
+    """An empty direction table bounded at 40 rows for the test's duration."""
+    table = {}
+    monkeypatch.setattr(directions, "_table", table)
+    monkeypatch.setattr(directions, "TABLE_ROWS", 40)
+    return table
+
+
+class TestDirectionTable:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 20, 31])
+    def test_rows_equal_uncached_before_and_past_the_bound(self, small_table, dim):
+        gen = DirectionGenerator(dim, QuasiRandomSphere())
+        drawn = np.array([gen.next_direction() for _ in range(100)])
+        assert np.array_equal(drawn, uncached_sequence(dim, 100))
+        # 100 draws reach past the 40 stored rows.
+        assert len(small_table) == 40
+        for (d, index), row in small_table.items():
+            expected = halton_direction(index, first_primes(d))
+            assert (row is None and expected is None) or np.array_equal(row, expected)
+        # A second generator reads the stored rows and computes the rest.
+        again = DirectionGenerator(dim, QuasiRandomSphere())
+        assert np.array_equal([again.next_direction() for _ in range(100)], drawn)
+
+    def test_one_dimensional_origin_is_stored_as_skipped(self, small_table):
+        DirectionGenerator(1, QuasiRandomSphere()).next_direction()
+        # Halton index 1 is the point 0.5, whose quantile is the origin.
+        assert small_table[(1, 1)] is None
+        assert np.array_equal(small_table[(1, 2)], [-1.0])
+
+    def test_mutating_a_direction_leaves_the_table_alone(self, small_table):
+        gen = DirectionGenerator(3, QuasiRandomSphere())
+        first = gen.next_direction()
+        expected = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(DirectionGenerator(3, QuasiRandomSphere()).next_direction(), expected)
+        with pytest.raises(ValueError):
+            small_table[(3, 1)][0] = 7.0
+
+    def test_table_never_exceeds_its_bound(self, small_table):
+        for dim in (2, 3, 5):
+            gen = DirectionGenerator(dim, QuasiRandomSphere())
+            for _ in range(30):
+                gen.next_direction()
+                assert len(small_table) <= directions.TABLE_ROWS
+        assert len(small_table) == directions.TABLE_ROWS
+
+    def test_threads_draw_identical_sequences(self, monkeypatch):
+        monkeypatch.setattr(directions, "_table", {})
+        count, results = 300, [None, None]
+        start = threading.Barrier(2)
+
+        def draw(slot):
+            gen = DirectionGenerator(4, QuasiRandomSphere())
+            start.wait()
+            results[slot] = np.array([gen.next_direction() for _ in range(count)])
+
+        threads = [threading.Thread(target=draw, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert np.array_equal(results[0], results[1])
+        assert np.array_equal(results[0], uncached_sequence(4, count))
+
+    def test_shared_table_respects_its_bound(self):
+        assert len(directions._table) <= directions.TABLE_ROWS

@@ -100,6 +100,25 @@ class TestRequiredSamples:
         assert moment_oracle_samples(1.0, 1.5, 1e100, 3.0, 1.0) == 1
         assert moment_oracle_samples(1.0, 2.0, 1e100, 2.0, 1e-300) == 1
 
+    @pytest.mark.parametrize(
+        "rule,args",
+        [
+            # delta**4 (delta**(h r)) underflows to 0.
+            (required_samples, (1.0, 1.0, 1e-100)),
+            (moment_oracle_samples, (1.0, 1.5, 1e-200, 3.0, 1.0)),
+            # The count itself is past the float range.
+            (required_samples, (1.0, 1.0, 1e-80)),
+            (moment_oracle_samples, (1.0, 1.5, 1e-60, 3.0, 1.0)),
+        ],
+    )
+    def test_non_finite_count_names_delta(self, rule, args):
+        with pytest.raises(ValueError, match=f"delta={args[2]} is not a finite number"):
+            rule(*args)
+
+    def test_finite_count_keeps_the_formula_near_the_float_range(self):
+        assert required_samples(1.0, 1.0, 1e-60) == math.ceil(1.0 / (1e-60) ** 4)
+        assert moment_oracle_samples(1.0, 2.0, 1e-30, 2.0, 1.0) == math.ceil(2.0 / (1e-30) ** 4)
+
     def test_variance_after_averaging_meets_bound(self):
         # n = required_samples gives Var[mean] = V/n <= k_f^2 delta^4.
         for variance, k_f, delta in [(1.0, 1.0, 0.5), (3.0, 0.7, 0.8), (0.2, 2.0, 0.3)]:
@@ -222,6 +241,21 @@ class TestSampleMeans:
         assert a.draws == b.draws == repeats * k * n
         # Both streams stop at the same place.
         assert a._rng.random() == b._rng.random()
+
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @pytest.mark.parametrize(
+        "k,repeats,n",
+        [
+            (1, 1, CHUNK_DRAWS),
+            (2, 2, CHUNK_DRAWS // 4),
+            (1, 1, CHUNK_DRAWS + 1),
+            (5, 1, (CHUNK_DRAWS + 1) // 5),
+        ],
+    )
+    def test_one_chunk_boundary_matches_reference(self, noise, k, repeats, n):
+        # repeats * k * n at CHUNK_DRAWS is one draw call; one past it is not.
+        assert repeats * k * n in (CHUNK_DRAWS, CHUNK_DRAWS + 1)
+        self.test_matches_per_point_reference_bit_for_bit(noise, k, repeats, n)
 
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
     def test_callers_match_reference(self, noise):

@@ -1,10 +1,15 @@
 """Trace CSV schema, lossless float round-trip and metadata headers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdfo import IterationRecord, read_trace_csv, write_trace_csv
-from sdfo.trace import TRACE_COLUMNS, format_float
+from sdfo.diagnostics import SUMMARY_COLUMNS, RunSummary, _summary_row
+from sdfo.trace import TRACE_COLUMNS, _trace_row, format_float
 
 
 def make_record(k, rng):
@@ -80,3 +85,40 @@ def test_write_is_byte_deterministic(tmp_path):
     write_trace_csv(p1, records, metadata={"seed": 1})
     write_trace_csv(p2, records, metadata={"seed": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def per_cell_row(obj, columns, specs):
+    """A CSV row built one ``format`` call per cell: the writer's reference."""
+    return ",".join(
+        "" if v is None else format(v, spec) for spec, v in zip(specs, (getattr(obj, c) for c in columns))
+    )
+
+
+TRACE_SPECS = ("", "d", ".17g", ".17g", ".17g", ".17g", ".17g", "", "")
+SUMMARY_SPECS = ("", "", ".17g", ".17g", ".17g", ".17g", ".17g", ".17g")
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324)
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+any_int = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=any_int, success=st.booleans(), floats=st.lists(any_float, min_size=5, max_size=5),
+    samples=st.tuples(any_int, any_int),
+)
+@example(k=0, success=True, floats=[math.nan, math.inf, -math.inf, -0.0, 5e-324], samples=(1, 1))
+def test_template_row_equals_per_cell_format(k, success, floats, samples):
+    record = IterationRecord(k, success, *floats, *samples)
+    assert _trace_row(record) == per_cell_row(record, TRACE_COLUMNS, TRACE_SPECS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.none() | any_int, iterations=any_int, floats=st.lists(any_float, min_size=6, max_size=6),
+    gap_missing=st.booleans(),
+)
+@example(seed=None, iterations=0, floats=[math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.0], gap_missing=True)
+def test_optional_cells_match_per_cell_format(seed, iterations, floats, gap_missing):
+    final_delta, cum, tail, final_f, gap, rate = floats
+    summary = RunSummary(seed, iterations, final_delta, cum, tail, final_f, None if gap_missing else gap, rate)
+    assert _summary_row(summary) == per_cell_row(summary, SUMMARY_COLUMNS, SUMMARY_SPECS)
