@@ -1,8 +1,12 @@
 """Command-line harness: seed batches, audits, CSV traces and summaries.
 
 Runs are deterministic given the config file, so repeated invocations
-produce byte-identical outputs; seed-level work may run in parallel with
-``--jobs`` because every run writes only its own files.
+produce byte-identical outputs.  ``run`` moves its seeds through
+``trust_region.run_steps`` in lockstep, and writes each seed's trace and
+the summary straight from the trace columns.  ``--jobs J`` splits the seed
+list into ``min(J, seeds)`` contiguous batches, one per worker process;
+since a seed's trace does not depend on the batch it ran in, and every
+seed writes only its own file, the outputs do not depend on ``J``.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ from pathlib import Path
 
 from . import diagnostics
 from .config import ConfigError, ExperimentConfig, SCHEMA_VERSION, load_config
-from .direct_search import ds_run
+from .direct_search import propose_ds
 from .directions import DirectionGenerator, QuasiRandomSphere
 from .oracle import StochasticOracle
 from .problems import get_problem, list_problems
 from .tail_audit import audit_conditions, format_report, sampler_estimator, write_report_csv
 from .trace import write_trace_csv
-from .trust_region import default_k_f, tr_run, validate_theta_tr
+from .trust_region import default_k_f, propose_tr, run_steps, validate_theta_tr
 
 ENV_OUT_DIR = "SDFO_OUT"
 
@@ -45,39 +49,38 @@ def _print_theta_warnings(cfg: ExperimentConfig) -> None:
         print(f"warning: {verdict.message}", file=sys.stderr)
 
 
-def _run_one_seed(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
-    """Run a single seed; executed in-process or in a worker process."""
+def _run_batch(cfg: ExperimentConfig, out_dir: Path, seeds: list[int]) -> list[dict]:
+    """Run a batch of seeds in lockstep; executed in-process or in a worker process."""
     problem = get_problem(cfg.problem, cfg.dimension)
     gen = DirectionGenerator(cfg.dimension, QuasiRandomSphere())
     sampler = cfg.sampler.build(cfg.noise, default_k_f(cfg.algo))
-    run = ds_run if cfg.algorithm == "direct_search" else tr_run
-    _, records = run(
-        cfg.algo,
-        problem,
-        cfg.noise,
-        gen,
-        cfg.x0,
-        seed=seed,
-        sampler=sampler,
-        delta_floor=cfg.delta_floor,
+    propose = propose_ds if cfg.algorithm == "direct_search" else propose_tr
+    runs = run_steps(
+        propose, cfg.algo, problem, cfg.noise, gen, cfg.x0, seeds, sampler, cfg.delta_floor,
+        vectors=False,
     )
-    trace_path = None
-    if cfg.write_trace and records:
-        trace_path = out_dir / f"{cfg.algorithm}_{cfg.problem}_seed{seed}.csv"
-        write_trace_csv(
-            trace_path,
-            records,
-            metadata={
-                "schema_version": SCHEMA_VERSION,
-                "algorithm": cfg.algorithm,
-                "problem": cfg.problem,
-                "dimension": cfg.dimension,
-                "noise": cfg.noise.kind,
-                "seed": seed,
-            },
+    results = []
+    for seed, (_, trace) in zip(seeds, runs):
+        trace_path = None
+        if cfg.write_trace and len(trace):
+            trace_path = out_dir / f"{cfg.algorithm}_{cfg.problem}_seed{seed}.csv"
+            write_trace_csv(
+                trace_path,
+                trace,
+                metadata={
+                    "schema_version": SCHEMA_VERSION,
+                    "algorithm": cfg.algorithm,
+                    "problem": cfg.problem,
+                    "dimension": cfg.dimension,
+                    "noise": cfg.noise.kind,
+                    "seed": seed,
+                },
+            )
+        summary = (
+            diagnostics.summarize(trace, seed=seed, f_star=problem.optimum_value) if len(trace) else None
         )
-    summary = diagnostics.summarize(records, seed=seed, f_star=problem.optimum_value) if records else None
-    return {"seed": seed, "summary": summary, "trace": trace_path}
+        results.append({"seed": seed, "summary": summary, "trace": trace_path})
+    return results
 
 
 def run_experiment(
@@ -86,19 +89,24 @@ def run_experiment(
     jobs: int = 1,
     seed_offset: int = 0,
 ) -> list[Path]:
-    """Run the configured seed batch; returns the paths written."""
+    """Run the configured seed batch; returns the paths written.
+
+    ``jobs`` workers each run one contiguous slice of the seeds in lockstep.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     directory = _resolve_out_dir(cfg, out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     _print_theta_warnings(cfg)
     seeds = [s + seed_offset for s in cfg.seeds]
-    run = functools.partial(_run_one_seed, cfg, directory)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, seeds))
+    workers = min(jobs, len(seeds))
+    batches = [seeds[len(seeds) * i // workers : len(seeds) * (i + 1) // workers] for i in range(workers)]
+    run = functools.partial(_run_batch, cfg, directory)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = [r for batch in pool.map(run, batches) for r in batch]
     else:
-        results = list(map(run, seeds))
+        results = run(seeds)
     results.sort(key=lambda r: r["seed"])
 
     written = [r["trace"] for r in results if r["trace"] is not None]

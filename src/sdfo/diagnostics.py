@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .problems import TestProblem
-from .trace import IterationRecord, metadata_lines, row_writer
+from .trace import IterationRecord, TraceColumns, metadata_lines, row_writer
 
 
 class UnsupportedProblemError(ValueError):
@@ -41,34 +41,38 @@ _summary_row = row_writer(RunSummary, SUMMARY_COLUMNS)
 
 
 def summarize(
-    trace: Sequence[IterationRecord],
+    trace: TraceColumns | Sequence[IterationRecord],
     seed: int | None = None,
     f_star: float | None = None,
 ) -> RunSummary:
-    """Aggregate a trace into a run summary.
+    """Aggregate a trace, as columns or as records, into a run summary.
 
     ``final_delta`` and ``final_f_true`` are taken from the last row (the
     last stepsize used and the true value at the last evaluated iterate).
     ``tail_fraction`` is the share of the squared-stepsize mass contributed
     by the last tenth of the iterations; a summable stepsize sequence with
-    a decaying tail makes it small.
+    a decaying tail makes it small.  Sums run left to right in Python, so
+    they do not depend on how numpy splits a reduction.
     """
-    if not trace:
+    if not isinstance(trace, TraceColumns):
+        trace = TraceColumns.from_records(trace)
+    if not len(trace):
         raise ValueError("cannot summarize an empty trace")
-    deltas_sq = [rec.delta * rec.delta for rec in trace]
+    deltas = trace.delta.tolist()
+    deltas_sq = [delta * delta for delta in deltas]
     cum = sum(deltas_sq)
-    tail_count = max(1, len(trace) // 10)
+    tail_count = max(1, len(deltas) // 10)
     tail = sum(deltas_sq[-tail_count:])
-    final_f = trace[-1].f_true_current
+    final_f = trace.f_true_current[-1].item()
     return RunSummary(
         seed=seed,
-        iterations=len(trace),
-        final_delta=trace[-1].delta,
+        iterations=len(deltas),
+        final_delta=deltas[-1],
         cum_delta_sq=cum,
         tail_fraction=tail / cum if cum > 0.0 else 0.0,
         final_f_true=final_f,
         gap=None if f_star is None else final_f - f_star,
-        success_rate=sum(1 for rec in trace if rec.success) / len(trace),
+        success_rate=sum(trace.success.tolist()) / len(deltas),
     )
 
 

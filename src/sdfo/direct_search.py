@@ -1,7 +1,7 @@
 """Stochastic direct search: the zero-model case of the shared iteration.
 
 Each iteration samples one unit direction ``d`` and proposes the step
-``delta * d``.  ``trust_region.take_step`` estimates the objective at the
+``delta * d``.  ``trust_region.iterate`` estimates the objective at the
 current and the trial point and accepts when the estimated decrease
 reaches ``theta * delta**2``.  Successful steps expand the stepsize by
 ``tau_bar``; unsuccessful ones contract it by ``1 - tau``.
@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
+import numpy as np
+
 from .directions import DirectionGenerator
 from .oracle import NoiseModel, SamplePolicy, StochasticOracle
 from .problems import TestProblem
@@ -23,7 +25,7 @@ from .trust_region import (
     ZeroHessian,
     check_step_config,
     run_steps,
-    take_step,
+    step_once,
     validate_theta_tr,
 )
 
@@ -49,6 +51,12 @@ class DirectSearchConfig:
         check_step_config(self)
 
 
+def propose_ds(cfg, gen, oracles, sampler, x, radii):
+    """Direct-search steps ``delta * d`` along the shared direction, tested at scale ``delta``."""
+    direction = gen.next_direction()
+    return direction, np.multiply.outer(radii, direction), radii, [0] * len(radii)
+
+
 def ds_step(
     state: DirectSearchState,
     cfg: DirectSearchConfig,
@@ -57,8 +65,7 @@ def ds_step(
     sampler: SamplePolicy,
 ) -> tuple[DirectSearchState, IterationRecord]:
     """One direct-search iteration: the step ``delta * d``, tested at scale ``delta``."""
-    direction = gen.next_direction()
-    return take_step(state, cfg, oracle, sampler, direction, state.delta * direction, state.delta)
+    return step_once(propose_ds, state, cfg, gen, oracle, sampler)
 
 
 def ds_run(
@@ -72,5 +79,7 @@ def ds_run(
     delta_floor: float = DEFAULT_DELTA_FLOOR,
 ) -> tuple[DirectSearchState, list[IterationRecord]]:
     """Run direct search from ``x0``; deterministic given the oracle seed
-    and the generator state.  Stops as ``trust_region.run_steps`` says."""
-    return run_steps(ds_step, cfg, problem, noise, gen, x0, seed, sampler, delta_floor)
+    and the generator state.  A one-seed ``trust_region.run_steps``, which
+    says when a run stops."""
+    ((state, trace),) = run_steps(propose_ds, cfg, problem, noise, gen, x0, (seed,), sampler, delta_floor)
+    return state, trace.records()

@@ -227,30 +227,87 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     if stack.ndim != 2 or stack.shape[1] != oracle.problem.dimension:
         raise ValueError(f"points have shape {stack.shape}, expected (k, {oracle.problem.dimension})")
     truth = np.array([float(oracle.problem.eval_true(point)) for point in stack])
-    k = truth.size
-    oracle.draws += repeats * k * n
+    oracle.draws += repeats * truth.size * n
     if oracle.noise.kind == "none":
         return truth, np.tile(truth, (repeats, 1))
-    if repeats * k * n <= CHUNK_DRAWS:
-        # The only pass of the chunk loop below, without block slicing.
-        means = _chunk_sums(oracle, truth, repeats, n)
-    elif n > CHUNK_DRAWS:
-        means = np.empty((repeats, k))
-        for r, p in np.ndindex(repeats, k):
-            means[r, p] = _draw_sum(oracle, n, truth[p])
-    else:
-        # A chunk holds whole rounds of the k points when one round fits,
-        # and a slice of one round's points otherwise.
-        means = np.empty((repeats, k))
-        per_chunk = CHUNK_DRAWS // n
-        rounds, width = max(1, per_chunk // k), min(k, per_chunk)
-        for r in range(0, repeats, rounds):
-            for p in range(0, k, width):
-                block = means[r : r + rounds, p : p + width]
-                block[...] = _chunk_sums(oracle, truth[p : p + width], block.shape[0], n)
+    means = _sums(oracle, truth, n, repeats)
     # The sum and the division by n are np.mean's own steps.
     means /= n
     return truth, means
+
+
+def batch_means(oracles, points: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """``(S, k)`` true values and means of ``counts[s]`` samples at each point ``points[s]``.
+
+    ``points`` has shape ``(S, k, d)``; seed ``s`` draws from
+    ``oracles[s]``, and the oracles share one problem.  Seed ``s`` gets
+    exactly what ``sample_means(oracles[s], points[s], counts[s])`` gives,
+    bit for bit, and its oracle's stream and ``draws`` advance as that call
+    advances them.  Noisy seeds with one count whose ``k * n`` draws fit
+    one ``CHUNK_DRAWS`` chunk are stacked, as many to a chunk as fit: each
+    draws its values from its own stream and one reduction sums the stack.
+    Larger counts take ``sample_means``'s chunk loop seed by seed, so no
+    draw buffer grows past one chunk.
+    """
+    problem = oracles[0].problem
+    if len(oracles) > 1 and any(oracle.problem is not problem for oracle in oracles):
+        raise ValueError("batched oracles must share one problem")
+    f = problem.eval_true
+    batch, k, dimension = points.shape
+    truth = np.array([float(f(point)) for point in points.reshape(-1, dimension)]).reshape(batch, k)
+    # (rows, their means): noiseless seeds keep their truths.
+    parts: list = []
+    stacked: dict[int, list[int]] = {}
+    for s, (oracle, n) in enumerate(zip(oracles, counts)):
+        if n < 1:
+            raise ValueError(f"sample count must be >= 1, got {n}")
+        oracle.draws += k * n
+        if oracle.noise.kind == "none":
+            parts.append((s, truth[s]))
+        elif k * n > CHUNK_DRAWS:
+            parts.append((s, _sums(oracle, truth[s], n, 1)[0] / n))
+        else:
+            stacked.setdefault(n, []).append(s)
+    for n, seeds in stacked.items():
+        per_chunk = CHUNK_DRAWS // (k * n)
+        for i in range(0, len(seeds), per_chunk):
+            block = seeds[i : i + per_chunk]
+            draws = [oracles[s].noise.draw(oracles[s]._rng, k * n) for s in block]
+            values = (draws[0] if len(draws) == 1 else np.concatenate(draws)).reshape(-1, k, n)
+            if block[-1] - block[0] == len(block) - 1:
+                block = slice(block[0], block[-1] + 1)
+            values += truth[block, :, np.newaxis]
+            sums = np.add.reduce(values, axis=-1)
+            sums /= n
+            parts.append((block, sums))
+    if len(parts) == 1 and parts[0][1].shape == truth.shape:
+        return truth, parts[0][1]
+    means = np.empty_like(truth)
+    for rows, part in parts:
+        means[rows] = part
+    return truth, means
+
+
+def _sums(oracle: StochasticOracle, truth: np.ndarray, n: int, repeats: int) -> np.ndarray:
+    """``(repeats, k)`` sums of each truth plus its next ``n`` draws, in chunks."""
+    k = truth.size
+    if repeats * k * n <= CHUNK_DRAWS:
+        # The only pass of the chunk loop below, without block slicing.
+        return _chunk_sums(oracle, truth, repeats, n)
+    sums = np.empty((repeats, k))
+    if n > CHUNK_DRAWS:
+        for r, p in np.ndindex(repeats, k):
+            sums[r, p] = _draw_sum(oracle, n, truth[p])
+        return sums
+    # A chunk holds whole rounds of the k points when one round fits, and a
+    # slice of one round's points otherwise.
+    per_chunk = CHUNK_DRAWS // n
+    rounds, width = max(1, per_chunk // k), min(k, per_chunk)
+    for r in range(0, repeats, rounds):
+        for p in range(0, k, width):
+            block = sums[r : r + rounds, p : p + width]
+            block[...] = _chunk_sums(oracle, truth[p : p + width], block.shape[0], n)
+    return sums
 
 
 def _chunk_sums(oracle: StochasticOracle, truth: np.ndarray, rounds: int, n: int) -> np.ndarray:

@@ -1,36 +1,51 @@
-"""Stochastic trust-region method and the iteration it shares with direct search.
+"""Stochastic trust-region method and the run loop it shares with direct search.
 
 Each trust-region iteration builds a quadratic model from a unit direction
 and a symmetric matrix and minimizes it exactly over the trust-region ball.
-``take_step`` then does what both optimizers do with a proposed step:
+``iterate`` then does what both optimizers do with a proposed step:
 estimate the objective at the current and the trial point, accept when the
 estimated decrease reaches ``theta * scale**2``, expand the radius by
 ``tau_bar`` (never beyond ``delta_max``) on success and contract it by
 ``1 - tau`` otherwise.  Direct search is the case of a zero model matrix,
-no radius cap and the scale ``delta``; ``run_steps`` is the run loop of both.
+no radius cap and the scale ``delta``.
+
+``run_steps`` is the one run loop of both.  It runs a batch of seeds in
+lockstep: the state is an ``(S, d)`` array of iterates and ``S`` radii,
+and the direction generator advances once per iteration for all seeds.
+That is exact because a run's k-th direction depends only on k, never on
+estimates, so every seed of a batch would draw the same sequence from a
+fresh generator.  Each seed draws its noise from its own oracle stream,
+so a seed's trace does not depend on the batch it ran in; a library run
+(``tr_run``, ``ds_run``) is a batch of one.  A seed leaves the batch when
+it stops, and its final state names why (``STOP_REASONS``).
+
+Non-finite values act as an extreme barrier (Audet & Dennis, SIAM J.
+Optim. 2006).  When f is ``+inf`` or NaN at a trial point, the trial
+estimate is ``+inf`` or NaN, the acceptance comparison is false, so the
+step fails and the radius contracts; the value is written to the trace as
+``inf`` or ``nan``.  A ``-inf`` trial value is an infinite decrease and is
+accepted.  ``f(x0)`` must be finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .directions import DirectionGenerator
-from .oracle import (
-    NoiseModel,
-    SamplePolicy,
-    StochasticOracle,
-    estimate_pair,
-    sample_means,
-    sample_policy,
-)
+from .oracle import NoiseModel, SamplePolicy, StochasticOracle, batch_means, sample_policy
 from .problems import TestProblem
 from .subproblem import QuadraticModel, solve_exact
-from .trace import IterationRecord
+from .trace import IterationRecord, TraceColumns
 
 DEFAULT_DELTA_FLOOR = 1e-8
+
+# Why a seed stopped: its iteration budget ran out, its radius fell below
+# ``delta_floor``, or ``theta * delta**2`` rounded to zero.
+STOP_REASONS = ("max_iters", "delta_floor", "threshold_underflow")
 
 
 @dataclass(frozen=True)
@@ -78,10 +93,17 @@ class TrustRegionConfig:
 
 @dataclass(frozen=True)
 class TrustRegionState:
+    """Iterate, radius, iteration count and the running sum of squared radii.
+
+    The final state of a run also says why the run stopped, as one of
+    ``STOP_REASONS``; other states carry None.
+    """
+
     x: np.ndarray
     delta: float
     k: int = 0
     cum_delta_sq: float = 0.0
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -184,22 +206,41 @@ def build_model(
     construction.
     """
     direction = gen.next_direction()
-    n = state.x.shape[0]
-    delta = state.delta
-    if isinstance(policy, ZeroHessian):
-        matrix = np.zeros((n, n))
-        return QuadraticModel(g=direction, B=matrix, radius=delta), 0
+    (model,), (used,) = stencil_models(
+        direction, [oracle], policy, state.x[None, :], [state.delta], sampler
+    )
+    return model, used
 
-    n_sten = sampler(delta)
+
+def stencil_models(
+    direction, oracles, policy: HessianPolicy, x: np.ndarray, radii, sampler
+) -> tuple[list[QuadraticModel], list[int]]:
+    """Each seed's model around the shared direction, and the stencil samples it spent.
+
+    A zero policy gives zero matrices for no samples.  Otherwise seed ``s``
+    estimates f with ``sampler(radii[s])`` samples per point at ``x[s]``
+    and ``x[s] +/- radii[s] e_i`` and clips its central differences into
+    ``[-m delta**-q, M delta**-q]``.
+    """
+    batch, n = x.shape
+    if isinstance(policy, ZeroHessian):
+        return [QuadraticModel(g=direction, B=np.zeros((n, n)), radius=r) for r in radii], [0] * batch
+    counts = [sampler(r) for r in radii]
+    delta = np.array(radii)
+    offsets = delta[:, None, None] * np.eye(n)
     # Rows x, x + delta e_1, x - delta e_1, x + delta e_2, ...
-    offsets = delta * np.eye(n)
-    stencil = np.vstack([state.x, np.hstack([state.x + offsets, state.x - offsets]).reshape(2 * n, n)])
-    (means,) = sample_means(oracle, stencil, n_sten)[1]
-    curvature = (means[1::2] - 2.0 * means[0] + means[2::2]) / (delta * delta)
-    hi = policy.M * delta ** (-policy.q)
-    lo = -policy.m * delta ** (-policy.q)
-    matrix = np.diag(np.clip(curvature, lo, hi))
-    return QuadraticModel(g=direction, B=matrix, radius=delta), (2 * n + 1) * n_sten
+    stencil = np.empty((batch, 2 * n + 1, n))
+    stencil[:, 0] = x
+    np.add(x[:, None, :], offsets, out=stencil[:, 1::2])
+    np.subtract(x[:, None, :], offsets, out=stencil[:, 2::2])
+    means = batch_means(oracles, stencil, counts)[1]
+    curvature = (means[:, 1::2] - 2.0 * means[:, :1] + means[:, 2::2]) / (delta * delta)[:, None]
+    # Python's float power, as for a single radius.
+    hi = [policy.M * r ** (-policy.q) for r in radii]
+    lo = [-policy.m * r ** (-policy.q) for r in radii]
+    clipped = np.clip(curvature, np.array(lo)[:, None], np.array(hi)[:, None])
+    models = [QuadraticModel(g=direction, B=np.diag(c), radius=r) for c, r in zip(clipped, radii)]
+    return models, [(2 * n + 1) * count for count in counts]
 
 
 def rho(est_current: float, est_trial: float, theta: float, step_norm: float) -> float:
@@ -209,48 +250,81 @@ def rho(est_current: float, est_trial: float, theta: float, step_norm: float) ->
     return (est_current - est_trial) / (theta * step_norm * step_norm)
 
 
-def take_step(
-    state: TrustRegionState,
-    cfg,
-    oracle: StochasticOracle,
-    sampler: SamplePolicy,
-    direction: np.ndarray,
-    step: np.ndarray,
-    scale: float,
-    stencil_samples: int = 0,
-) -> tuple[TrustRegionState, IterationRecord]:
-    """Test the proposed ``step`` and update the state; the shared iteration.
+# A proposal maps (cfg, gen, oracles, sampler, x, radii) for a seed batch
+# with iterates ``x`` (S, d) and radii (S Python floats) to the shared
+# direction, the steps (S, d), the acceptance scales (S floats) or None for
+# the step norms, and the stencil samples each seed spent (S ints).
+Proposal = Callable[..., tuple[np.ndarray, np.ndarray, list | None, list]]
 
-    Both points get ``sampler(scale)`` samples.  The step is accepted when
-    the estimated decrease reaches ``theta * scale**2``.  ``stencil_samples``
-    (spent on the model) are added to the current point's count.
+
+def propose_tr(cfg, gen, oracles, sampler, x, radii):
+    """Trust-region steps: the exact model minimizers, tested at their norms.
+
+    A zero model matrix needs neither stencil nor subproblem: its minimizer
+    is ``-delta * g``.  Otherwise each seed fits its own stencil model
+    around the shared direction and solves it on its own ball.
     """
-    delta = state.delta
-    trial = state.x + step
-    n = sampler(scale)
-    pair = estimate_pair(oracle, state.x, trial, n, n)
-    success = pair.est_current - pair.est_trial >= cfg.theta * scale * scale
+    direction = gen.next_direction()
+    if isinstance(cfg.hessian_policy, ZeroHessian):
+        return direction, np.multiply.outer([-r for r in radii], direction), None, [0] * len(radii)
+    models, stencil = stencil_models(direction, oracles, cfg.hessian_policy, x, radii, sampler)
+    return direction, np.array([solve_exact(model).s for model in models]), None, stencil
 
+
+def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii: list):
+    """One lockstep iteration of a seed batch; the iteration both optimizers share.
+
+    ``propose`` gives each seed a step and the scale its test works at.
+    Both points of a seed get ``sampler(scale)`` samples, drawn from the
+    seed's own oracle, and ``batch_means`` averages them for all seeds at
+    once.  A step is accepted when the estimated decrease reaches
+    ``theta * scale**2``; the radius then grows by ``tau_bar`` (never
+    beyond ``delta_max``) and otherwise shrinks by ``1 - tau``.  The test
+    and the update are a few float operations per seed, done on Python
+    floats: for batches of up to about 20 seeds that is cheaper than numpy
+    calls on ``(S,)`` arrays, and a non-finite estimate compares false
+    without a warning.  Returns each seed's trace row (the columns after
+    ``k``), the direction, the steps, and the new iterates and radii.
+    """
+    direction, step, scales, stencil = propose(cfg, gen, oracles, sampler, x, radii)
     # sqrt(s.s) is np.linalg.norm's own computation for a 1-D float vector.
-    record = IterationRecord(
-        k=state.k,
-        success=success,
-        delta=delta,
-        step_norm=math.sqrt(step.dot(step)),
-        f_true_current=pair.f_true_current,
-        est_current=pair.est_current,
-        est_trial=pair.est_trial,
-        samples_current=pair.samples_current + stencil_samples,
-        samples_trial=pair.samples_trial,
-        x=state.x.copy(),
-        direction=direction,
-        step=step,
+    norms = [math.sqrt(s.dot(s)) for s in step]
+    if scales is None:
+        scales = norms
+    counts = [sampler(s) for s in scales]
+    trial = x + step
+    points = np.concatenate([x, trial], axis=1).reshape(-1, 2, x.shape[1])
+    truth, means = batch_means(oracles, points, counts)
+    theta, grow, shrink = cfg.theta, cfg.tau_bar, 1.0 - cfg.tau
+    rows, new_radii = [], []
+    for r, norm, (f, _), (cur, new), s, n, n_sten in zip(
+        radii, norms, truth.tolist(), means.tolist(), scales, counts, stencil
+    ):
+        success = cur - new >= theta * s * s
+        rows.append((success, r, norm, f, cur, new, n + n_sten, n))
+        new_radii.append(min(cfg.delta_max, grow * r) if success else shrink * r)
+    accepted = [row[0] for row in rows]
+    if all(accepted):
+        new_x = trial
+    elif any(accepted):
+        new_x = np.where(np.array(accepted)[:, None], trial, x)
+    else:
+        new_x = x
+    return rows, direction, step, new_x, new_radii
+
+
+def step_once(propose: Proposal, state: TrustRegionState, cfg, gen, oracle, sampler):
+    """``iterate`` for one state; returns the new state and its record."""
+    x = np.array(state.x, dtype=float)[None, :]
+    ((row,), direction, step, new_x, (delta,)) = iterate(
+        propose, cfg, gen, [oracle], sampler, x, [float(state.delta)]
     )
+    record = IterationRecord(state.k, *row, x=x[0], direction=direction, step=step[0])
     new_state = TrustRegionState(
-        x=trial if success else state.x,
-        delta=min(cfg.delta_max, cfg.tau_bar * delta) if success else (1.0 - cfg.tau) * delta,
+        x=new_x[0].copy(),
+        delta=delta,
         k=state.k + 1,
-        cum_delta_sq=state.cum_delta_sq + delta * delta,
+        cum_delta_sq=state.cum_delta_sq + state.delta * state.delta,
     )
     return new_state, record
 
@@ -262,38 +336,32 @@ def tr_step(
     oracle: StochasticOracle,
     sampler: SamplePolicy,
 ) -> tuple[TrustRegionState, IterationRecord]:
-    """One trust-region iteration: model, exact subproblem, test at scale ``||s||``.
-
-    A zero model matrix needs neither: its minimizer is ``-delta * g``.
-    """
-    if isinstance(cfg.hessian_policy, ZeroHessian):
-        direction = gen.next_direction()
-        step, stencil_samples = -state.delta * direction, 0
-    else:
-        model, stencil_samples = build_model(state, gen, oracle, cfg.hessian_policy, sampler)
-        direction, step = model.g, solve_exact(model).s
-    scale = math.sqrt(step.dot(step))
-    return take_step(state, cfg, oracle, sampler, direction, step, scale, stencil_samples)
+    """One trust-region iteration: model, exact subproblem, test at scale ``||s||``."""
+    return step_once(propose_tr, state, cfg, gen, oracle, sampler)
 
 
 def run_steps(
-    step,
+    propose: Proposal,
     cfg,
     problem: TestProblem,
     noise: NoiseModel,
     gen: DirectionGenerator,
     x0,
-    seed: int,
+    seeds: Sequence[int],
     sampler: SamplePolicy | None,
     delta_floor: float,
-) -> tuple[TrustRegionState, list[IterationRecord]]:
-    """Iterate ``step`` from ``x0`` until ``max_iters`` or a stop condition.
+    vectors: bool = True,
+) -> list[tuple[TrustRegionState, TraceColumns]]:
+    """Run one seed per oracle stream from ``x0``, all seeds in lockstep.
 
-    The run stops when the radius falls below ``delta_floor`` or when
-    ``theta * delta**2`` is no longer positive, since an acceptance test
-    against a zero threshold would take any estimated non-increase.  When
-    ``sampler`` is omitted, the per-iteration count follows the declared
-    noise statistics with ``k_f = default_k_f(cfg)``.
+    Returns each seed's final state and trace columns, in seed order.  A
+    seed stops after ``max_iters`` iterations, when its radius falls below
+    ``delta_floor``, or when ``theta * delta**2`` is no longer positive,
+    since an acceptance test against a zero threshold would take any
+    estimated non-increase; ``stop_reason`` on its final state names which.
+    When ``sampler`` is omitted, the per-iteration count follows the
+    declared noise statistics with ``k_f = default_k_f(cfg)``.  Without
+    ``vectors`` the traces leave out the iterates, directions and steps.
     """
     if not delta_floor >= 0.0:
         raise ValueError(f"delta_floor must be nonnegative, got {delta_floor}")
@@ -305,17 +373,56 @@ def run_steps(
         raise ValueError(f"f(x0) must be finite, got {f0}")
     if gen.dimension != problem.dimension:
         raise ValueError("direction generator dimension does not match the problem")
-    oracle = StochasticOracle(problem, noise, seed)
+    if not seeds:
+        raise ValueError("at least one seed is required")
     if sampler is None:
         sampler = sample_policy(noise, k_f=default_k_f(cfg))
-    state = TrustRegionState(x=start, delta=float(cfg.delta0))
-    records: list[IterationRecord] = []
-    for _ in range(cfg.max_iters):
-        if state.delta < delta_floor or not cfg.theta * state.delta * state.delta > 0.0:
-            break
-        state, record = step(state, cfg, gen, oracle, sampler)
-        records.append(record)
-    return state, records
+    oracles = [StochasticOracle(problem, noise, seed) for seed in seeds]
+    live = list(range(len(seeds)))
+    x = np.tile(start, (len(seeds), 1))
+    radii = [float(cfg.delta0)] * len(seeds)
+    # Per seed: trace rows, vector rows, and (x, delta, k, stop reason) once it stops.
+    rows: list[list] = [[] for _ in seeds]
+    vecs: list[list] = [[] for _ in seeds]
+    ends: list = [None] * len(seeds)
+    k = 0
+    for k in range(cfg.max_iters):
+        # delta < floor and theta * delta**2 <= 0 are monotone in delta, so
+        # the smallest radius tells whether any seed stops.
+        smallest = min(radii)
+        if smallest < delta_floor or not cfg.theta * smallest * smallest > 0.0:
+            kept = []
+            for i, r in enumerate(radii):
+                if r < delta_floor:
+                    ends[live[i]] = (x[i].copy(), r, k, "delta_floor")
+                elif not cfg.theta * r * r > 0.0:
+                    ends[live[i]] = (x[i].copy(), r, k, "threshold_underflow")
+                else:
+                    kept.append(i)
+            live, x, radii = [live[i] for i in kept], x[kept], [radii[i] for i in kept]
+            oracles = [oracles[i] for i in kept]
+            if not live:
+                break
+        new_rows, direction, step, new_x, new_radii = iterate(
+            propose, cfg, gen, oracles, sampler, x, radii
+        )
+        for i, row in zip(live, new_rows):
+            rows[i].append(row)
+        if vectors:
+            for i, x_i, step_i in zip(live, x, step):
+                vecs[i].append((x_i, direction, step_i))
+        x, radii = new_x, new_radii
+    else:
+        k = cfg.max_iters
+    for i, r in enumerate(radii):
+        ends[live[i]] = (x[i].copy(), r, k, "max_iters")
+    runs = []
+    for (x_end, delta, iterations, reason), seed_rows, seed_vecs in zip(ends, rows, vecs):
+        trace = TraceColumns.from_rows(seed_rows, seed_vecs)
+        # np.add.accumulate sums left to right, as a loop over the rows would.
+        cum = np.add.accumulate(trace.delta * trace.delta)[-1].item() if iterations else 0.0
+        runs.append((TrustRegionState(x_end, delta, iterations, cum, reason), trace))
+    return runs
 
 
 def tr_run(
@@ -332,6 +439,7 @@ def tr_run(
 
     The sample policy is keyed to the step norm for the acceptance
     estimates (stencil estimates use the radius as a proxy, taken before
-    the step is known).
+    the step is known).  A one-seed ``run_steps``.
     """
-    return run_steps(tr_step, cfg, problem, noise, gen, x0, seed, sampler, delta_floor)
+    ((state, trace),) = run_steps(propose_tr, cfg, problem, noise, gen, x0, (seed,), sampler, delta_floor)
+    return state, trace.records()

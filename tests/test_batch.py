@@ -1,0 +1,320 @@
+"""Lockstep seed batches: one-seed equality bit for bit, stop reasons, non-finite values."""
+
+import math
+import struct
+import warnings
+
+import numpy as np
+import pytest
+
+from sdfo import (
+    DirectSearchConfig,
+    DirectionGenerator,
+    FixedCycle,
+    NoiseModel,
+    QuasiRandomSphere,
+    RegressionClipped,
+    TrustRegionConfig,
+    ds_run,
+    estimate_pair,
+    fixed_sample_policy,
+    get_problem,
+    sample_policy,
+    tr_run,
+    write_trace_csv,
+)
+from sdfo.direct_search import propose_ds
+from sdfo.oracle import CHUNK_DRAWS, StochasticOracle
+from sdfo.problems import TestProblem as Problem
+from sdfo.trace import TRACE_COLUMNS, TraceColumns
+from sdfo.trust_region import STOP_REASONS, TrustRegionState, propose_tr, run_steps
+
+BASE = {"delta0": 1.0, "tau": 0.1, "tau_bar": 1.1, "theta": 0.25}
+
+# name -> (proposal, one-seed run, config factory, problem, x0)
+METHODS = {
+    "direct_search": (
+        propose_ds, ds_run, lambda **kw: DirectSearchConfig(**{**BASE, **kw}),
+        get_problem("l1norm", 2), (2.0, -1.5),
+    ),
+    "trust_region_zero": (
+        propose_tr, tr_run, lambda **kw: TrustRegionConfig(**{**BASE, "delta_max": 2.0, **kw}),
+        get_problem("l1norm", 2), (2.0, -1.5),
+    ),
+    "regression_clipped": (
+        propose_tr, tr_run,
+        lambda **kw: TrustRegionConfig(
+            **{**BASE, "delta_max": 2.0, "hessian_policy": RegressionClipped(0.5, 10.0, 10.0), **kw}
+        ),
+        get_problem("rosenbrock", 3), (1.5, -0.5, 0.8),
+    ),
+}
+
+NOISES = {
+    "none": NoiseModel.none(),
+    "gaussian": NoiseModel.gaussian(0.01),
+    "student_t": NoiseModel.student_t(3.0, 0.1),
+    "pareto_symmetric": NoiseModel.pareto_symmetric(1.5, 0.1),
+}
+
+SEEDS = (0, 1, 2, 3, 4)
+
+
+def bits(value):
+    """A value's exact identity: type and bytes, so NaN and -0.0 compare too."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def assert_same_run(batch_run, single_run):
+    (state_b, trace_b), (state_s, trace_s) = batch_run, single_run
+    for name in ("x", "delta", "k", "cum_delta_sq", "stop_reason"):
+        assert bits(getattr(state_b, name)) == bits(getattr(state_s, name)), name
+    assert len(trace_b) == len(trace_s)
+    for rec_b, rec_s in zip(trace_b, trace_s):
+        for name in TRACE_COLUMNS + ("x", "direction", "step"):
+            assert bits(getattr(rec_b, name)) == bits(getattr(rec_s, name)), (rec_b.k, name)
+
+
+def batch_and_singles(method, seeds, noise=NOISES["gaussian"], sampler=None, delta_floor=0.0, **cfg):
+    """A lockstep batch over ``seeds`` and one one-seed run per seed, with records,
+    checked to agree bit for bit."""
+    propose, run, make_cfg, problem, x0 = METHODS[method]
+    config = make_cfg(**cfg)
+
+    def gen():
+        return DirectionGenerator(problem.dimension, QuasiRandomSphere())
+
+    batch = run_steps(propose, config, problem, noise, gen(), x0, seeds, sampler, delta_floor)
+    batch = [(state, trace.records()) for state, trace in batch]
+    singles = [
+        run(config, problem, noise, gen(), x0, seed=seed, sampler=sampler, delta_floor=delta_floor)
+        for seed in seeds
+    ]
+    for batch_run, single_run in zip(batch, singles):
+        assert_same_run(batch_run, single_run)
+    return batch, singles
+
+
+@pytest.mark.parametrize("noise", sorted(NOISES))
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_batch_equals_one_seed_runs(method, noise):
+    batch, singles = batch_and_singles(
+        method, SEEDS, NOISES[noise], fixed_sample_policy(3), max_iters=40
+    )
+    if noise != "none":
+        # The seeds' own streams give them different traces.
+        assert len({tuple(rec.est_current for rec in trace) for _, trace in singles}) == len(SEEDS)
+
+
+@pytest.mark.parametrize("method", ["direct_search", "trust_region_zero"])
+def test_auto_sampler(method):
+    batch_and_singles(method, SEEDS, NoiseModel.gaussian(0.05), None, 0.2, max_iters=40)
+
+
+def ragged_policy(scale):
+    """Counts that follow the scale, so seeds at different radii draw different counts."""
+    return 1 + int(20 * scale)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_counts_differ_across_seeds(method):
+    # The variance rule with a loose k_f leaves the seeds' acceptance
+    # decisions to their noise, so their radii and counts part ways, and
+    # some iterations mix stacked seeds with seeds past one chunk.  The
+    # regression model's interior steps can be far shorter than the radius,
+    # where a delta**-4 count has no cap, so it runs a ragged rule of its own.
+    noise = NoiseModel.gaussian(0.5)
+    regression = method == "regression_clipped"
+    sampler = ragged_policy if regression else sample_policy(noise, "variance", k_f=0.5)
+    _, singles = batch_and_singles(method, SEEDS, noise, sampler, 0.05, max_iters=40)
+    traces = [trace for _, trace in singles]
+    counts = [{trace[k].samples_trial for trace in traces} for k in range(min(map(len, traces)))]
+    assert any(len(row) > 1 for row in counts)
+    if not regression:
+        assert any(min(row) <= CHUNK_DRAWS // 2 < max(row) for row in counts)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_seeds_stop_at_different_iterations(method):
+    batch, _ = batch_and_singles(
+        method, SEEDS, NoiseModel.gaussian(0.25), fixed_sample_policy(2), delta_floor=0.3,
+        max_iters=150,
+    )
+    lengths = {state.k for state, _ in batch}
+    assert len(lengths) > 1
+    assert {state.stop_reason for state, _ in batch} <= set(STOP_REASONS)
+    assert "delta_floor" in {state.stop_reason for state, _ in batch}
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_stacked_draws_cross_a_chunk(method):
+    # Each seed's draws fit one chunk; the batch's stacked draws do not.
+    points = 2 * METHODS[method][3].dimension + 1 if method == "regression_clipped" else 2
+    n = CHUNK_DRAWS // points
+    assert points * n <= CHUNK_DRAWS < 3 * points * n
+    batch_and_singles(method, (5, 6, 7), sampler=fixed_sample_policy(n), max_iters=3)
+
+
+@pytest.mark.parametrize("seeds", [(7,), (7, 8)], ids=["one", "two"])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_counts_past_one_chunk(method, seeds):
+    n = CHUNK_DRAWS + 5
+    _, singles = batch_and_singles(method, seeds, sampler=fixed_sample_policy(n), max_iters=2)
+    for _, trace in singles:
+        assert [rec.samples_trial for rec in trace] == [n, n]
+
+
+def reference_run(cfg, problem, noise, gen, x0, seed, n, sign):
+    """The shared iteration as a scalar loop over one seed: zero model only."""
+    oracle = StochasticOracle(problem, noise, seed)
+    x, delta, rows = np.asarray(x0, dtype=float), cfg.delta0, []
+    for k in range(cfg.max_iters):
+        direction = gen.next_direction()
+        step = sign * delta * direction
+        norm = math.sqrt(step.dot(step))
+        scale = delta if sign > 0 else norm
+        pair = estimate_pair(oracle, x, x + step, n, n)
+        success = pair.est_current - pair.est_trial >= cfg.theta * scale * scale
+        rows.append((k, success, delta, norm, pair.f_true_current, pair.est_current, pair.est_trial, n, n))
+        x = x + step if success else x
+        delta = min(cfg.delta_max, cfg.tau_bar * delta) if success else (1.0 - cfg.tau) * delta
+    return rows
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "pareto_symmetric"])
+@pytest.mark.parametrize(("method", "sign"), [("direct_search", 1.0), ("trust_region_zero", -1.0)])
+def test_one_seed_run_matches_a_scalar_loop(method, sign, noise):
+    propose, run, make_cfg, problem, x0 = METHODS[method]
+    cfg = make_cfg(max_iters=60)
+    _, trace = run(
+        cfg, problem, NOISES[noise], DirectionGenerator(2, QuasiRandomSphere()), x0,
+        seed=3, sampler=fixed_sample_policy(4), delta_floor=0.0,
+    )
+    expected = reference_run(
+        cfg, problem, NOISES[noise], DirectionGenerator(2, QuasiRandomSphere()), x0, 3, 4, sign
+    )
+    assert [tuple(bits(getattr(rec, c)) for c in TRACE_COLUMNS) for rec in trace] == [
+        tuple(map(bits, row)) for row in expected
+    ]
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_max_iters(self, method):
+        (state, _), = batch_and_singles(method, (0,), sampler=fixed_sample_policy(2), max_iters=3)[0]
+        assert (state.k, state.stop_reason) == (3, "max_iters")
+
+    def test_no_iterations(self):
+        (state, trace), = batch_and_singles("direct_search", (0,), max_iters=0)[0]
+        assert (state.k, state.stop_reason, trace) == (0, "max_iters", [])
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_delta_floor(self, method):
+        # From the minimizer without noise every step fails and halves delta.
+        _, run, make_cfg, problem, _ = METHODS[method]
+        start = (0.0,) * problem.dimension if problem.name == "l1norm" else (1.0,) * problem.dimension
+        state, trace = run(
+            make_cfg(max_iters=50, tau=0.5, tau_bar=1.0), problem, NoiseModel.none(),
+            DirectionGenerator(problem.dimension, QuasiRandomSphere()), start, delta_floor=0.2,
+        )
+        assert (state.k, state.delta, state.stop_reason) == (3, 0.125, "delta_floor")
+        assert [rec.delta for rec in trace] == [1.0, 0.5, 0.25]
+
+    def test_threshold_underflow(self):
+        state, trace = ds_run(
+            DirectSearchConfig(**{**BASE, "tau": 0.5, "tau_bar": 1.0, "max_iters": 3000}),
+            get_problem("sphere", 2), NoiseModel.none(), DirectionGenerator(2, QuasiRandomSphere()),
+            (0.0, 0.0), delta_floor=0.0,
+        )
+        assert state.stop_reason == "threshold_underflow"
+        assert 0 < state.k == len(trace) < 3000
+        assert BASE["theta"] * state.delta * state.delta == 0.0
+
+    def test_states_outside_a_run_carry_none(self):
+        assert TrustRegionState(x=np.zeros(1), delta=1.0).stop_reason is None
+
+
+def barrier_problem(value):
+    """f(x) = x**2 for x >= 0.5 and ``value`` below it."""
+    return Problem(
+        dimension=1, eval_true=lambda x: float(x[0] * x[0]) if x[0] >= 0.5 else value, name="barrier"
+    )
+
+
+BARRIER_RUNS = {
+    # Direct search steps along d; the trust-region step is -delta * g.
+    "direct_search": (propose_ds, ds_run, DirectSearchConfig, FixedCycle([(-1.0,)])),
+    "trust_region_zero": (
+        propose_tr, tr_run, lambda **kw: TrustRegionConfig(delta_max=2.0, **kw), FixedCycle([(1.0,)])
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("method", sorted(BARRIER_RUNS))
+def test_non_finite_trial_value_fails_the_step(method, value, tmp_path):
+    propose, run, make_cfg, cycle = BARRIER_RUNS[method]
+    cfg = make_cfg(delta0=1.0, tau=0.5, tau_bar=1.0, theta=0.25, max_iters=4)
+    problem, noise, sampler = barrier_problem(value), NOISES["gaussian"], fixed_sample_policy(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = run_steps(
+            propose, cfg, problem, noise, DirectionGenerator(1, cycle), (1.0,), SEEDS, sampler, 0.0
+        )
+        singles = [
+            run(cfg, problem, noise, DirectionGenerator(1, cycle), (1.0,), seed=seed, sampler=sampler,
+                delta_floor=0.0)
+            for seed in SEEDS
+        ]
+    for (state, trace), single in zip(batch, singles):
+        assert_same_run((state, trace.records()), single)
+        first, second = single[1][:2]
+        # The trial point 0 sits past the barrier; 0.5 does not.
+        assert not first.success and bits(first.est_trial) == bits(value)
+        assert second.delta == 0.5 and second.success
+    write_trace_csv(tmp_path / "trace.csv", batch[0][1])
+    assert f",{value}," in (tmp_path / "trace.csv").read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize("method", sorted(BARRIER_RUNS))
+def test_minus_infinity_is_an_accepted_decrease(method):
+    propose, run, make_cfg, cycle = BARRIER_RUNS[method]
+    cfg = make_cfg(delta0=1.0, tau=0.5, tau_bar=1.0, theta=0.25, max_iters=3)
+    problem = barrier_problem(-math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = run_steps(
+            propose, cfg, problem, NOISES["gaussian"], DirectionGenerator(1, cycle), (1.0,), SEEDS,
+            fixed_sample_policy(3), 0.0,
+        )
+    for state, trace in batch:
+        # Accepted into the region; from there -inf - (-inf) is NaN, a failure.
+        assert trace.success.tolist() == [True, False, False]
+        assert state.x.tolist() == [0.0]
+        assert math.isnan(trace.est_current.tolist()[1] - trace.est_trial.tolist()[1])
+
+
+def test_trace_columns_without_vectors_build_plain_records():
+    propose, _, make_cfg, problem, x0 = METHODS["direct_search"]
+    ((_, trace),) = run_steps(
+        propose, make_cfg(max_iters=5), problem, NOISES["gaussian"],
+        DirectionGenerator(2, QuasiRandomSphere()), x0, (0,), fixed_sample_policy(2), 0.0,
+        vectors=False,
+    )
+    assert isinstance(trace, TraceColumns) and trace.x is None
+    assert all(rec.x is None and rec.step is None for rec in trace.records())
+    assert [rec.k for rec in trace.records()] == list(range(5))
+
+
+@pytest.mark.parametrize("seeds", [(), []])
+def test_empty_seed_batch_rejected(seeds):
+    propose, _, make_cfg, problem, x0 = METHODS["direct_search"]
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_steps(
+            propose, make_cfg(max_iters=1), problem, NoiseModel.none(),
+            DirectionGenerator(2, QuasiRandomSphere()), x0, seeds, None, 0.0,
+        )

@@ -92,11 +92,13 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(out2)]) == 0
         assert read_all(out1) == read_all(out2)
 
-    def test_jobs_parallelism_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_jobs_parallelism_matches_serial(self, tmp_path, jobs):
+        # Five seeds split into uneven lockstep batches across the workers.
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        cfg = write_run_config(tmp_path / "cfg.json", out1, seeds=(0, 1, 2, 3))
+        cfg = write_run_config(tmp_path / "cfg.json", out1, seeds=(0, 1, 2, 3, 4))
         assert main(["run", str(cfg)]) == 0
-        assert main(["run", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
+        assert main(["run", str(cfg), "--out", str(out2), "--jobs", jobs]) == 0
         assert read_all(out1) == read_all(out2)
 
     def test_seed_offset_shifts_filenames(self, tmp_path):

@@ -19,6 +19,7 @@ from sdfo import (
 )
 from sdfo.oracle import (
     CHUNK_DRAWS,
+    batch_means,
     default_sample_policy,
     fixed_sample_policy,
     moment_sample_policy,
@@ -306,6 +307,60 @@ class TestSampleMeans:
             tracemalloc.stop()
         assert peak < 2**20
         assert oracle.draws == 2**21
+
+
+class TestBatchMeans:
+    """One stacked estimate for a seed batch equals each seed's own ``sample_means``."""
+
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @pytest.mark.parametrize("k", [2, 2 * D + 1])
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            lambda k: [16] * 5,
+            # Each seed fits one chunk; the five together do not.
+            lambda k: [CHUNK_DRAWS // (2 * k)] * 5,
+            lambda k: [1, 16, 16, CHUNK_DRAWS + 5, 256],
+            lambda k: [CHUNK_DRAWS + 3] * 2,
+        ],
+        ids=["equal", "stack-past-a-chunk", "ragged", "past-a-chunk"],
+    )
+    def test_matches_each_seed_bit_for_bit(self, noise, k, counts):
+        counts = counts(k)
+        seeds = range(len(counts))
+        problem = get_problem("sphere", D)
+        batch = [StochasticOracle(problem, noise, seed=s) for s in seeds]
+        alone = [make_oracle(noise, seed=s, dim=D) for s in seeds]
+        points = np.stack([np.roll(STACK_POINTS[:k], s, axis=0) for s in seeds])
+        truth, means = batch_means(batch, points, counts)
+        assert truth.shape == means.shape == (len(counts), k)
+        for s, n in enumerate(counts):
+            own_truth, own_means = sample_means(alone[s], points[s], n)
+            assert truth[s].tobytes() == own_truth.tobytes()
+            assert means[s].tobytes() == own_means[0].tobytes()
+            assert batch[s].draws == alone[s].draws == k * n
+            assert batch[s]._rng.random() == alone[s]._rng.random()
+
+    def test_stacked_draws_stay_within_one_chunk(self):
+        # 40 seeds of 2 x 8192 draws: 5.2 MB as one stack.
+        problem = get_problem("sphere", 2)
+        oracles = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(40)]
+        points = np.zeros((40, 2, 2))
+        tracemalloc.start()
+        try:
+            batch_means(oracles, points, [CHUNK_DRAWS // 2] * 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * CHUNK_DRAWS
+
+    def test_rejects_bad_counts_and_mixed_problems(self):
+        sphere = make_oracle(NoiseModel.gaussian(1.0))
+        with pytest.raises(ValueError, match="sample count"):
+            batch_means([sphere], np.zeros((1, 2, 2)), [0])
+        other = make_oracle(NoiseModel.gaussian(1.0), name="l1norm")
+        with pytest.raises(ValueError, match="share one problem"):
+            batch_means([sphere, other], np.zeros((2, 2, 2)), [1, 1])
 
 
 class TestMomentOracleSamples:

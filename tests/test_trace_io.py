@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdfo import IterationRecord, read_trace_csv, write_trace_csv
+from sdfo import IterationRecord, read_trace_csv, summarize, write_trace_csv
 from sdfo.diagnostics import SUMMARY_COLUMNS, RunSummary, _summary_row
-from sdfo.trace import TRACE_COLUMNS, _trace_row, format_float
+from sdfo.trace import TRACE_COLUMNS, TraceColumns, _trace_row, format_float
 
 
 def make_record(k, rng):
@@ -122,3 +122,28 @@ def test_optional_cells_match_per_cell_format(seed, iterations, floats, gap_miss
     final_delta, cum, tail, final_f, gap, rate = floats
     summary = RunSummary(seed, iterations, final_delta, cum, tail, final_f, None if gap_missing else gap, rate)
     assert _summary_row(summary) == per_cell_row(summary, SUMMARY_COLUMNS, SUMMARY_SPECS)
+
+
+def test_columns_write_the_records_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    records = [make_record(k, rng) for k in range(40)]
+    records[3] = IterationRecord(3, False, 0.5, 0.5, 1.0, -0.0, math.nan, 2, 2)
+    records[4] = IterationRecord(4, False, 0.5, 0.5, 1.0, math.inf, -math.inf, 2, 2)
+    columns = TraceColumns.from_records(records)
+    assert len(columns) == 40
+    write_trace_csv(tmp_path / "records.csv", records, metadata={"seed": 1})
+    write_trace_csv(tmp_path / "columns.csv", columns, metadata={"seed": 1})
+    assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+    rebuilt = columns.records()
+    assert [_trace_row(r) for r in rebuilt] == [_trace_row(r) for r in records]
+    for new, old in zip(rebuilt, records):
+        assert [type(getattr(new, c)) for c in TRACE_COLUMNS] == [
+            type(getattr(old, c)) for c in TRACE_COLUMNS
+        ]
+
+
+def test_summary_from_columns_equals_summary_from_records():
+    rng = np.random.default_rng(6)
+    records = [make_record(k, rng) for k in range(57)]
+    columns = TraceColumns.from_records(records)
+    assert summarize(columns, seed=2, f_star=-1.0) == summarize(records, seed=2, f_star=-1.0)
