@@ -3,10 +3,11 @@
 Runs are deterministic given the config file, so repeated invocations
 produce byte-identical outputs.  ``run`` moves its seeds through
 ``trust_region.run_steps`` in lockstep, and writes each seed's trace and
-the summary straight from the trace columns.  ``--jobs J`` splits the seed
-list into ``min(J, seeds)`` contiguous batches, one per worker process;
-since a seed's trace does not depend on the batch it ran in, and every
-seed writes only its own file, the outputs do not depend on ``J``.
+the summary straight from its rows, plain tuples without vectors.
+``--jobs J`` splits the seed list into ``min(J, seeds)`` contiguous
+batches, one per worker process; since a seed's trace does not depend on
+the batch it ran in, and every seed writes only its own file, the outputs
+do not depend on ``J``.
 """
 
 from __future__ import annotations

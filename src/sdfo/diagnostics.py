@@ -11,13 +11,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .problems import TestProblem
-from .trace import IterationRecord, TraceColumns, metadata_lines, row_writer
+from .trace import TRACE_COLUMNS, IterationRecord, metadata_lines, rows_writer
 
 
 class UnsupportedProblemError(ValueError):
@@ -37,33 +38,37 @@ class RunSummary:
 
 
 SUMMARY_COLUMNS = tuple(field.name for field in dataclasses.fields(RunSummary))
-_summary_row = row_writer(RunSummary, SUMMARY_COLUMNS)
+_summary_rows = rows_writer(RunSummary, SUMMARY_COLUMNS)
+
+
+_success, _delta, _f_true = (
+    itemgetter(TRACE_COLUMNS.index(name)) for name in ("success", "delta", "f_true_current")
+)
 
 
 def summarize(
-    trace: TraceColumns | Sequence[IterationRecord],
+    trace: Sequence[tuple],
     seed: int | None = None,
     f_star: float | None = None,
 ) -> RunSummary:
-    """Aggregate a trace, as columns or as records, into a run summary.
+    """Aggregate trace rows (records, or tuples that start with the
+    ``TRACE_COLUMNS`` values) into a run summary.
 
     ``final_delta`` and ``final_f_true`` are taken from the last row (the
     last stepsize used and the true value at the last evaluated iterate).
     ``tail_fraction`` is the share of the squared-stepsize mass contributed
     by the last tenth of the iterations; a summable stepsize sequence with
-    a decaying tail makes it small.  Sums run left to right in Python, so
-    they do not depend on how numpy splits a reduction.
+    a decaying tail makes it small.  Sums run left to right in Python, as
+    the run loop's ``cum_delta_sq`` does.
     """
-    if not isinstance(trace, TraceColumns):
-        trace = TraceColumns.from_records(trace)
-    if not len(trace):
+    if not trace:
         raise ValueError("cannot summarize an empty trace")
-    deltas = trace.delta.tolist()
+    deltas = list(map(_delta, trace))
     deltas_sq = [delta * delta for delta in deltas]
     cum = sum(deltas_sq)
     tail_count = max(1, len(deltas) // 10)
     tail = sum(deltas_sq[-tail_count:])
-    final_f = trace.f_true_current[-1].item()
+    final_f = _f_true(trace[-1])
     return RunSummary(
         seed=seed,
         iterations=len(deltas),
@@ -72,7 +77,7 @@ def summarize(
         tail_fraction=tail / cum if cum > 0.0 else 0.0,
         final_f_true=final_f,
         gap=None if f_star is None else final_f - f_star,
-        success_rate=sum(trace.success.tolist()) / len(deltas),
+        success_rate=sum(map(_success, trace)) / len(deltas),
     )
 
 
@@ -135,5 +140,5 @@ def write_summary_csv(
 ) -> None:
     lines = metadata_lines(metadata)
     lines.append(",".join(SUMMARY_COLUMNS))
-    lines.extend(_summary_row(s) for s in summaries)
+    lines.extend(_summary_rows(summaries))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -81,5 +81,5 @@ def ds_run(
     """Run direct search from ``x0``; deterministic given the oracle seed
     and the generator state.  A one-seed ``trust_region.run_steps``, which
     says when a run stops."""
-    ((state, trace),) = run_steps(propose_ds, cfg, problem, noise, gen, x0, (seed,), sampler, delta_floor)
-    return state, trace.records()
+    (run,) = run_steps(propose_ds, cfg, problem, noise, gen, x0, (seed,), sampler, delta_floor)
+    return run

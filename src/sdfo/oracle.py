@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -451,9 +452,16 @@ SAMPLER_FIELDS = {"auto": (), "fixed": ("n",), "variance": ("k_f",), "moment": (
 
 
 def fixed_sample_policy(n: int) -> SamplePolicy:
-    if n < 1:
-        raise ValueError("fixed sample count must be >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = int(n)
     return lambda delta: n
+
+
+def _check_k_f(k_f) -> float:
+    if not (isinstance(k_f, numbers.Real) and 0.0 < k_f < math.inf):
+        raise ValueError(f"k_f must be positive and finite, got {k_f!r}")
+    return k_f
 
 
 def variance_sample_policy(variance: float, k_f: float) -> SamplePolicy:
@@ -477,7 +485,9 @@ def sample_policy(
     (the declared variance and ``k_f``) or ``moment`` (the declared moment,
     ``h = 1 + 2/r`` and ``eps_q``, by default ``4 k_f^2``).  ``auto`` takes one
     sample without noise, else the variance rule if a variance is declared,
-    else the moment rule.
+    else the moment rule.  A rule that reads ``n`` or ``k_f`` raises
+    ``ValueError`` unless ``n`` is an integer >= 1 and ``k_f`` positive and
+    finite.
     """
     if kind == "auto" and noise.kind == "none":
         kind, n = "fixed", 1
@@ -488,13 +498,15 @@ def sample_policy(
     if kind == "variance":
         if noise.declared_variance is None:
             raise ValueError("variance sampler needs noise with a declared variance")
-        return variance_sample_policy(noise.declared_variance, k_f)
+        return variance_sample_policy(noise.declared_variance, _check_k_f(k_f))
     if kind != "moment":
         raise ValueError(f"unknown sampler kind {kind!r}")
     if noise.declared_moment is None:
         raise ValueError("moment sampler needs noise with a declared moment")
     r, bound = noise.declared_moment
-    eps_q = 4.0 * k_f * k_f if eps_q is None else eps_q
+    if eps_q is None:
+        k_f = _check_k_f(k_f)
+        eps_q = 4.0 * k_f * k_f
     return moment_sample_policy(bound, r, 1.0 + 2.0 / r, eps_q)
 
 

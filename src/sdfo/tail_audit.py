@@ -47,7 +47,7 @@ import numpy as np
 
 from .oracle import NoiseModel, SamplePolicy, StochasticOracle, estimate_pairs
 from .stats import wilson_upper
-from .trace import format_float, metadata_lines, row_writer
+from .trace import format_float, metadata_lines, rows_writer
 
 # Estimator: (oracle, x_current, x_trial, delta, trials) -> ((trials, 2) estimates, samples per estimate)
 Estimator = Callable[[StochasticOracle, np.ndarray, np.ndarray, float, int], tuple[np.ndarray, int]]
@@ -139,11 +139,11 @@ class MomentCell:
     passed: bool
 
 
-_exceedance_row = row_writer(
+_exceedance_rows = rows_writer(
     ExceedanceCell, ("delta", "threshold", "frequency", "wilson_upper", "passed")
 )
 # Variance report rows are the fields of MomentCell in order.
-_moment_row = row_writer(MomentCell, tuple(field.name for field in fields(MomentCell)))
+_moment_rows = rows_writer(MomentCell, tuple(field.name for field in fields(MomentCell)))
 
 
 @dataclass(frozen=True)
@@ -396,12 +396,12 @@ def write_report_csv(path, report: AuditReport, metadata: Mapping[str, object] |
     lines = metadata_lines(metadata)
     if report.condition == "variance":
         lines.append("which,delta,samples,trials,bound,moment,slack,pass")
-        lines.extend(_moment_row(cell) for cell in report.cells)
+        lines.extend(_moment_rows(report.cells))
     else:
         lines.append("p,delta,threshold,freq,wilson_upper,pass")
         lines.extend(
-            f"{format_float(cell.p if cell.p is not None else cell.bound)},{_exceedance_row(cell)}"
-            for cell in report.cells
+            f"{format_float(cell.p if cell.p is not None else cell.bound)},{row}"
+            for cell, row in zip(report.cells, _exceedance_rows(report.cells))
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import operator
 import typing
-from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,13 +27,14 @@ TRACE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One optimizer iteration.
+class IterationRecord(NamedTuple):
+    """One optimizer iteration: a trace row.
 
-    The nine scalar fields form the CSV schema.  The vector fields
-    (iterate, direction, step) are kept in memory for diagnostics that
-    need them and are not serialized.
+    The first nine items are the ``TRACE_COLUMNS`` values, so any tuple
+    that starts with them is a trace row too (the run loop's rows without
+    vectors are plain tuples).  The vector fields (iterate, direction,
+    step) are kept in memory for diagnostics that need them and are not
+    serialized.
     """
 
     k: int
@@ -52,57 +51,6 @@ class IterationRecord:
     step: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class TraceColumns:
-    """One run's trace as one array per trace column; row ``k`` is iteration ``k``.
-
-    The optional vector fields hold one 1-D array per row (read-only by
-    convention: rows of a seed batch may share memory).  A run keeps its
-    trace in this form until it is written or summarized; :meth:`records`
-    builds the per-iteration records.
-    """
-
-    success: np.ndarray
-    delta: np.ndarray
-    step_norm: np.ndarray
-    f_true_current: np.ndarray
-    est_current: np.ndarray
-    est_trial: np.ndarray
-    samples_current: np.ndarray
-    samples_trial: np.ndarray
-    x: tuple[np.ndarray, ...] | None = None
-    direction: tuple[np.ndarray, ...] | None = None
-    step: tuple[np.ndarray, ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self.delta)
-
-    @classmethod
-    def from_rows(cls, rows: list[tuple], vectors: list[tuple] = ()) -> "TraceColumns":
-        """Columns from rows of the values after ``k``, and rows of (x, direction, step)."""
-        values = zip(*rows) if rows else [()] * len(_COLUMN_TYPES)
-        columns = [np.array(column, dtype=kind) for column, kind in zip(values, _COLUMN_TYPES)]
-        return cls(*columns, *zip(*vectors))
-
-    @classmethod
-    def from_records(cls, records: Iterable[IterationRecord]) -> "TraceColumns":
-        return cls.from_rows([_column_values(rec) for rec in records])
-
-    def rows(self) -> Iterator[tuple]:
-        """The ``TRACE_COLUMNS`` values of each row, as Python scalars."""
-        return zip(range(len(self)), *(getattr(self, c).tolist() for c in TRACE_COLUMNS[1:]))
-
-    def records(self) -> list[IterationRecord]:
-        """One ``IterationRecord`` per row, with the vectors when the trace has them."""
-        vectors = zip(self.x, self.direction, self.step) if self.x is not None else repeat((None,) * 3)
-        return [IterationRecord(*row, *vecs) for row, vecs in zip(self.rows(), vectors)]
-
-
-# The types of the trace columns after ``k``, read off ``IterationRecord``.
-_COLUMN_TYPES = tuple(typing.get_type_hints(IterationRecord)[c] for c in TRACE_COLUMNS[1:])
-_column_values = operator.attrgetter(*TRACE_COLUMNS[1:])
-
-
 def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -111,17 +59,25 @@ _SPECS = {int: "", bool: "d", float: ".17g", str: ""}
 _PARSE = {int: int, bool: lambda s: bool(int(s)), float: float}
 
 
-def row_formatter(cls, columns: tuple[str, ...]):
-    """A function that writes a tuple of ``cls``'s ``columns`` values as a CSV row.
+def rows_writer(cls, columns: tuple[str, ...]):
+    """A function that writes the ``columns`` values of ``cls`` rows as CSV lines.
 
-    Each cell is formatted by its field's annotation: strings and ints as
-    they are, bools as 1/0, floats with 17 significant digits (as
-    ``format_float``), and None in an optional field as an empty cell.
-    The row is one ``%`` template: ``"%.17g" % v`` and ``"%d" % v`` equal
-    ``format(v, ".17g")`` and ``format(v, "d")``, and ``"%s" % v`` equals
-    ``format(v, "")``.  Optional cells are formatted first and enter as
-    ``%s``.
+    It maps an iterable of rows to an iterator of lines, one per row.  A
+    dataclass row is read by attribute.  The columns of a NamedTuple must
+    be its leading fields: they are read by position, so any tuple that
+    starts with their values writes the same line.  Each cell is formatted by its
+    field's annotation: strings and ints as they are, bools as 1/0, floats
+    with 17 significant digits (as ``format_float``), and None in an
+    optional field as an empty cell.  The row is one ``%`` template:
+    ``"%.17g" % v`` and ``"%d" % v`` equal ``format(v, ".17g")`` and
+    ``format(v, "d")``, and ``"%s" % v`` equals ``format(v, "")``.
+    Optional cells are formatted first and enter as ``%s``; without them
+    the per-row work stays in C (``map`` of ``%`` over ``map`` of a getter).
     """
+    if issubclass(cls, tuple):
+        values = operator.itemgetter(slice(len(columns)))
+    else:
+        values = operator.attrgetter(*columns)
     hints = typing.get_type_hints(cls)
     # An optional field ``X | None`` is formatted as ``X``.
     kinds = [typing.get_args(hints[c]) or (hints[c],) for c in columns]
@@ -130,22 +86,15 @@ def row_formatter(cls, columns: tuple[str, ...]):
     template = ",".join(
         "%s" if type(None) in kind else "%" + (spec or "s") for kind, spec in zip(kinds, specs)
     )
-    if not optional:
-        return template.__mod__
 
-    def write(values) -> str:
-        row = list(values)
+    def write(cells) -> str:
+        cells = list(cells)
         for i, spec in optional:
-            row[i] = "" if row[i] is None else format(row[i], spec)
-        return template % tuple(row)
+            cells[i] = "" if cells[i] is None else format(cells[i], spec)
+        return template % tuple(cells)
 
-    return write
-
-
-def row_writer(cls, columns: tuple[str, ...]):
-    """A function that writes ``columns`` of a ``cls`` instance as a CSV row (see ``row_formatter``)."""
-    fmt, values = row_formatter(cls, columns), operator.attrgetter(*columns)
-    return lambda obj: fmt(values(obj))
+    fmt = write if optional else template.__mod__
+    return lambda rows: map(fmt, map(values, rows))
 
 
 def metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
@@ -154,21 +103,18 @@ def metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
     return [f"# {key}={value}" for key, value in metadata.items()]
 
 
-_trace_format = row_formatter(IterationRecord, TRACE_COLUMNS)
-_trace_row = row_writer(IterationRecord, TRACE_COLUMNS)
+_trace_rows = rows_writer(IterationRecord, TRACE_COLUMNS)
 
 
 def write_trace_csv(
     path,
-    trace: TraceColumns | Iterable[IterationRecord],
+    trace: Iterable[tuple],
     metadata: Mapping[str, object] | None = None,
 ) -> None:
+    """Write trace rows (records, or tuples that start with the column values)."""
     lines = metadata_lines(metadata)
     lines.append(",".join(TRACE_COLUMNS))
-    if isinstance(trace, TraceColumns):
-        lines.extend(map(_trace_format, trace.rows()))
-    else:
-        lines.extend(map(_trace_row, trace))
+    lines.extend(_trace_rows(trace))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -39,7 +39,7 @@ from .directions import DirectionGenerator
 from .oracle import NoiseModel, SamplePolicy, StochasticOracle, batch_means, sample_policy
 from .problems import TestProblem
 from .subproblem import QuadraticModel, solve_exact
-from .trace import IterationRecord, TraceColumns
+from .trace import IterationRecord
 
 DEFAULT_DELTA_FLOOR = 1e-8
 
@@ -120,7 +120,8 @@ def check_step_config(cfg) -> None:
     """Validate a direct-search or trust-region config; derive an omitted theta.
 
     An omitted ``theta`` becomes ``1.1`` times its admissibility bound,
-    which needs a positive ``eps_f_hint``.
+    which needs a positive ``eps_f_hint``.  ``delta0``, ``delta_max`` and
+    ``theta`` are then Python floats, whatever numbers they were given as.
     """
     if not 0.0 < cfg.delta0 < math.inf:
         raise ValueError(f"delta0 must be positive and finite, got {cfg.delta0}")
@@ -151,6 +152,11 @@ def check_step_config(cfg) -> None:
         object.__setattr__(cfg, "theta", 1.1 * theta_bound(cfg))
     elif not cfg.theta > 0.0:
         raise ValueError("theta must be positive")
+    # Radii start at delta0 and are capped at delta_max, and theta scales
+    # each threshold: as floats they keep every radius and trace value one.
+    for name in ("delta0", "delta_max", "theta"):
+        if type(getattr(cfg, name)) is not float:
+            object.__setattr__(cfg, name, float(getattr(cfg, name)))
 
 
 def curvature_floor(cfg) -> float:
@@ -225,7 +231,7 @@ def stencil_models(
     batch, n = x.shape
     if isinstance(policy, ZeroHessian):
         return [QuadraticModel(g=direction, B=np.zeros((n, n)), radius=r) for r in radii], [0] * batch
-    counts = [sampler(r) for r in radii]
+    counts = [int(sampler(r)) for r in radii]
     delta = np.array(radii)
     offsets = delta[:, None, None] * np.eye(n)
     # Rows x, x + delta e_1, x - delta e_1, x + delta e_2, ...
@@ -271,7 +277,7 @@ def propose_tr(cfg, gen, oracles, sampler, x, radii):
     return direction, np.array([solve_exact(model).s for model in models]), None, stencil
 
 
-def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii: list):
+def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii: list, k: int):
     """One lockstep iteration of a seed batch; the iteration both optimizers share.
 
     ``propose`` gives each seed a step and the scale its test works at.
@@ -283,15 +289,16 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
     and the update are a few float operations per seed, done on Python
     floats: for batches of up to about 20 seeds that is cheaper than numpy
     calls on ``(S,)`` arrays, and a non-finite estimate compares false
-    without a warning.  Returns each seed's trace row (the columns after
-    ``k``), the direction, the steps, and the new iterates and radii.
+    without a warning.  Returns each seed's trace row for iteration ``k``
+    (its ``TRACE_COLUMNS`` values), the direction, the steps, and the new
+    iterates and radii.
     """
     direction, step, scales, stencil = propose(cfg, gen, oracles, sampler, x, radii)
     # sqrt(s.s) is np.linalg.norm's own computation for a 1-D float vector.
     norms = [math.sqrt(s.dot(s)) for s in step]
     if scales is None:
         scales = norms
-    counts = [sampler(s) for s in scales]
+    counts = [int(sampler(s)) for s in scales]
     trial = x + step
     points = np.concatenate([x, trial], axis=1).reshape(-1, 2, x.shape[1])
     truth, means = batch_means(oracles, points, counts)
@@ -301,9 +308,9 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
         radii, norms, truth.tolist(), means.tolist(), scales, counts, stencil
     ):
         success = cur - new >= theta * s * s
-        rows.append((success, r, norm, f, cur, new, n + n_sten, n))
+        rows.append((k, success, r, norm, f, cur, new, n + n_sten, n))
         new_radii.append(min(cfg.delta_max, grow * r) if success else shrink * r)
-    accepted = [row[0] for row in rows]
+    accepted = [row[1] for row in rows]
     if all(accepted):
         new_x = trial
     elif any(accepted):
@@ -317,9 +324,9 @@ def step_once(propose: Proposal, state: TrustRegionState, cfg, gen, oracle, samp
     """``iterate`` for one state; returns the new state and its record."""
     x = np.array(state.x, dtype=float)[None, :]
     ((row,), direction, step, new_x, (delta,)) = iterate(
-        propose, cfg, gen, [oracle], sampler, x, [float(state.delta)]
+        propose, cfg, gen, [oracle], sampler, x, [float(state.delta)], state.k
     )
-    record = IterationRecord(state.k, *row, x=x[0], direction=direction, step=step[0])
+    record = IterationRecord(*row, x[0], direction, step[0])
     new_state = TrustRegionState(
         x=new_x[0].copy(),
         delta=delta,
@@ -351,17 +358,20 @@ def run_steps(
     sampler: SamplePolicy | None,
     delta_floor: float,
     vectors: bool = True,
-) -> list[tuple[TrustRegionState, TraceColumns]]:
+) -> list[tuple[TrustRegionState, list[tuple]]]:
     """Run one seed per oracle stream from ``x0``, all seeds in lockstep.
 
-    Returns each seed's final state and trace columns, in seed order.  A
+    Returns each seed's final state and trace rows, in seed order.  A
     seed stops after ``max_iters`` iterations, when its radius falls below
     ``delta_floor``, or when ``theta * delta**2`` is no longer positive,
     since an acceptance test against a zero threshold would take any
     estimated non-increase; ``stop_reason`` on its final state names which.
     When ``sampler`` is omitted, the per-iteration count follows the
-    declared noise statistics with ``k_f = default_k_f(cfg)``.  Without
-    ``vectors`` the traces leave out the iterates, directions and steps.
+    declared noise statistics with ``k_f = default_k_f(cfg)``.  With
+    ``vectors`` a row is an ``IterationRecord`` that carries the iterate,
+    the direction and the step; without, it is the plain tuple of its
+    ``TRACE_COLUMNS`` values, which is cheaper to build and writes and
+    summarizes the same.
     """
     if not delta_floor >= 0.0:
         raise ValueError(f"delta_floor must be nonnegative, got {delta_floor}")
@@ -380,10 +390,9 @@ def run_steps(
     oracles = [StochasticOracle(problem, noise, seed) for seed in seeds]
     live = list(range(len(seeds)))
     x = np.tile(start, (len(seeds), 1))
-    radii = [float(cfg.delta0)] * len(seeds)
-    # Per seed: trace rows, vector rows, and (x, delta, k, stop reason) once it stops.
+    radii = [cfg.delta0] * len(seeds)
+    # Per seed: trace rows, and (x, delta, k, stop reason) once it stops.
     rows: list[list] = [[] for _ in seeds]
-    vecs: list[list] = [[] for _ in seeds]
     ends: list = [None] * len(seeds)
     k = 0
     for k in range(cfg.max_iters):
@@ -404,23 +413,24 @@ def run_steps(
             if not live:
                 break
         new_rows, direction, step, new_x, new_radii = iterate(
-            propose, cfg, gen, oracles, sampler, x, radii
+            propose, cfg, gen, oracles, sampler, x, radii, k
         )
-        for i, row in zip(live, new_rows):
-            rows[i].append(row)
         if vectors:
-            for i, x_i, step_i in zip(live, x, step):
-                vecs[i].append((x_i, direction, step_i))
+            for i, row, x_i, step_i in zip(live, new_rows, x, step):
+                rows[i].append(IterationRecord(*row, x_i, direction, step_i))
+        else:
+            for i, row in zip(live, new_rows):
+                rows[i].append(row)
         x, radii = new_x, new_radii
     else:
         k = cfg.max_iters
     for i, r in enumerate(radii):
         ends[live[i]] = (x[i].copy(), r, k, "max_iters")
     runs = []
-    for (x_end, delta, iterations, reason), seed_rows, seed_vecs in zip(ends, rows, vecs):
-        trace = TraceColumns.from_rows(seed_rows, seed_vecs)
-        # np.add.accumulate sums left to right, as a loop over the rows would.
-        cum = np.add.accumulate(trace.delta * trace.delta)[-1].item() if iterations else 0.0
+    for (x_end, delta, iterations, reason), trace in zip(ends, rows):
+        # The squared radii (row[2]) summed as ``diagnostics.summarize`` sums
+        # them, so the two agree bit for bit.
+        cum = sum([row[2] * row[2] for row in trace], 0.0)
         runs.append((TrustRegionState(x_end, delta, iterations, cum, reason), trace))
     return runs
 
@@ -441,5 +451,5 @@ def tr_run(
     estimates (stencil estimates use the radius as a proxy, taken before
     the step is known).  A one-seed ``run_steps``.
     """
-    ((state, trace),) = run_steps(propose_tr, cfg, problem, noise, gen, x0, (seed,), sampler, delta_floor)
-    return state, trace.records()
+    (run,) = run_steps(propose_tr, cfg, problem, noise, gen, x0, (seed,), sampler, delta_floor)
+    return run

@@ -26,7 +26,7 @@ from sdfo import (
 from sdfo.direct_search import propose_ds
 from sdfo.oracle import CHUNK_DRAWS, StochasticOracle
 from sdfo.problems import TestProblem as Problem
-from sdfo.trace import TRACE_COLUMNS, TraceColumns
+from sdfo.trace import TRACE_COLUMNS, IterationRecord
 from sdfo.trust_region import STOP_REASONS, TrustRegionState, propose_tr, run_steps
 
 BASE = {"delta0": 1.0, "tau": 0.1, "tau_bar": 1.1, "theta": 0.25}
@@ -89,7 +89,6 @@ def batch_and_singles(method, seeds, noise=NOISES["gaussian"], sampler=None, del
         return DirectionGenerator(problem.dimension, QuasiRandomSphere())
 
     batch = run_steps(propose, config, problem, noise, gen(), x0, seeds, sampler, delta_floor)
-    batch = [(state, trace.records()) for state, trace in batch]
     singles = [
         run(config, problem, noise, gen(), x0, seed=seed, sampler=sampler, delta_floor=delta_floor)
         for seed in seeds
@@ -271,7 +270,7 @@ def test_non_finite_trial_value_fails_the_step(method, value, tmp_path):
             for seed in SEEDS
         ]
     for (state, trace), single in zip(batch, singles):
-        assert_same_run((state, trace.records()), single)
+        assert_same_run((state, trace), single)
         first, second = single[1][:2]
         # The trial point 0 sits past the barrier; 0.5 does not.
         assert not first.success and bits(first.est_trial) == bits(value)
@@ -293,9 +292,9 @@ def test_minus_infinity_is_an_accepted_decrease(method):
         )
     for state, trace in batch:
         # Accepted into the region; from there -inf - (-inf) is NaN, a failure.
-        assert trace.success.tolist() == [True, False, False]
+        assert [rec.success for rec in trace] == [True, False, False]
         assert state.x.tolist() == [0.0]
-        assert math.isnan(trace.est_current.tolist()[1] - trace.est_trial.tolist()[1])
+        assert math.isnan(trace[1].est_current - trace[1].est_trial)
 
 
 def test_trace_columns_without_vectors_build_plain_records():
@@ -305,9 +304,33 @@ def test_trace_columns_without_vectors_build_plain_records():
         DirectionGenerator(2, QuasiRandomSphere()), x0, (0,), fixed_sample_policy(2), 0.0,
         vectors=False,
     )
-    assert isinstance(trace, TraceColumns) and trace.x is None
-    assert all(rec.x is None and rec.step is None for rec in trace.records())
-    assert [rec.k for rec in trace.records()] == list(range(5))
+    assert all(type(row) is tuple and len(row) == len(TRACE_COLUMNS) for row in trace)
+    assert [IterationRecord(*row).k for row in trace] == list(range(5))
+
+
+TRACE_TYPES = (int, bool, float, float, float, float, float, int, int)
+
+
+@pytest.mark.parametrize(
+    "sampler", [fixed_sample_policy(3), lambda scale: np.int64(3)], ids=["int", "numpy_int64"]
+)
+@pytest.mark.parametrize("policy", [None, RegressionClipped(0.5, 10.0, 10.0)], ids=["zero", "regression"])
+def test_trace_values_are_python_scalars(policy, sampler):
+    # An integer delta_max caps the radius at 2 from the third iteration on.
+    cfg = TrustRegionConfig(
+        delta0=1, delta_max=2, tau=0.5, tau_bar=1.5, max_iters=4, theta=0.01,
+        **({} if policy is None else {"hessian_policy": policy}),
+    )
+    problem = get_problem("sphere", 1)
+    for vectors in (True, False):
+        ((state, trace),) = run_steps(
+            propose_tr, cfg, problem, NoiseModel.none(), DirectionGenerator(1, FixedCycle([[1.0]])),
+            (10.0,), (0,), sampler, 0.0, vectors=vectors,
+        )
+        assert type(state.delta) is float and type(state.cum_delta_sq) is float
+        assert [tuple(map(type, row[: len(TRACE_COLUMNS)])) for row in trace] == [TRACE_TYPES] * 4
+        if policy is None:
+            assert [row[2] for row in trace] == [1.0, 1.5, 2.0, 2.0] and state.delta == 2.0
 
 
 @pytest.mark.parametrize("seeds", [(), []])

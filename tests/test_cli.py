@@ -5,9 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from sdfo import DirectionGenerator, QuasiRandomSphere, ds_run, get_problem, required_samples
+from sdfo import (
+    DirectionGenerator,
+    QuasiRandomSphere,
+    ds_run,
+    get_problem,
+    required_samples,
+    summarize,
+    tr_run,
+    write_trace_csv,
+)
 from sdfo.cli import main
 from sdfo.config import load_config
+from sdfo.diagnostics import write_summary_csv
 from sdfo.trace import read_trace_csv
 from sdfo.trust_region import default_k_f
 
@@ -131,6 +141,34 @@ class TestRun:
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", str(cfg_path)]) == 0
         assert (out / "direct_search_l1norm_seed0.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("algorithm", "run"), [("direct_search", ds_run), ("trust_region", tr_run)],
+        ids=["direct_search", "trust_region"],
+    )
+    def test_outputs_are_the_library_records_bytes(self, tmp_path, algorithm, run):
+        # The CLI writes and summarizes plain rows; the library returns records.
+        out = tmp_path / "out"
+        cfg_path = write_run_config(tmp_path / "cfg.json", out, seeds=(0, 1, 2), algorithm=algorithm)
+        assert main(["run", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        problem = get_problem("l1norm", 2)
+        summaries = []
+        for seed in cfg.seeds:
+            _, records = run(
+                cfg.algo, problem, cfg.noise, DirectionGenerator(2, QuasiRandomSphere()), cfg.x0,
+                seed=seed, sampler=cfg.sampler.build(cfg.noise, default_k_f(cfg.algo)),
+                delta_floor=cfg.delta_floor,
+            )
+            cli_trace = out / f"{algorithm}_l1norm_seed{seed}.csv"
+            header = [line[2:] for line in cli_trace.read_text().splitlines() if line.startswith("# ")]
+            write_trace_csv(tmp_path / "records.csv", records, dict(line.split("=", 1) for line in header))
+            assert (tmp_path / "records.csv").read_bytes() == cli_trace.read_bytes()
+            summaries.append(summarize(records, seed=seed, f_star=problem.optimum_value))
+        cli_summary = out / f"{algorithm}_l1norm_summary.csv"
+        header = [line[2:] for line in cli_summary.read_text().splitlines() if line.startswith("# ")]
+        write_summary_csv(tmp_path / "summary.csv", summaries, dict(line.split("=", 1) for line in header))
+        assert (tmp_path / "summary.csv").read_bytes() == cli_summary.read_bytes()
 
     def test_trace_header_metadata(self, tmp_path):
         out = tmp_path / "out"

@@ -570,3 +570,29 @@ class TestPolicyConstantsCheckedAtBuild:
     def test_fixed_policy(self):
         with pytest.raises(ValueError):
             fixed_sample_policy(0)
+
+    @pytest.mark.parametrize("n", [None, 2.5, 3.0, "3", 0, -1])
+    def test_fixed_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+            fixed_sample_policy(n)
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+            sample_policy(NoiseModel.gaussian(1.0), "fixed", n=n)
+
+    def test_fixed_count_is_a_python_int(self):
+        assert type(fixed_sample_policy(np.int64(3))(0.5)) is int
+
+    @pytest.mark.parametrize("k_f", [None, 0.0, -1.0, math.inf, math.nan, "1"])
+    @pytest.mark.parametrize(
+        ("noise", "kind"),
+        [(NoiseModel.gaussian(1.0), "variance"), (NoiseModel.pareto_symmetric(1.5), "moment"),
+         (NoiseModel.gaussian(1.0), "auto")],
+    )
+    def test_k_f_must_be_positive_and_finite(self, noise, kind, k_f):
+        with pytest.raises(ValueError, match=r"^k_f must be positive and finite, got "):
+            sample_policy(noise, kind, k_f=k_f)
+
+    def test_moment_rule_with_eps_q_reads_no_k_f(self):
+        noise = NoiseModel.pareto_symmetric(1.5)
+        assert sample_policy(noise, "moment", eps_q=3.0)(0.5) == sample_policy(
+            noise, "moment", k_f=0.5, eps_q=3.0
+        )(0.5)

@@ -1,15 +1,30 @@
 """Trace CSV schema, lossless float round-trip and metadata headers."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdfo import IterationRecord, read_trace_csv, summarize, write_trace_csv
-from sdfo.diagnostics import SUMMARY_COLUMNS, RunSummary, _summary_row
-from sdfo.trace import TRACE_COLUMNS, TraceColumns, _trace_row, format_float
+from sdfo import (
+    DirectionGenerator,
+    IterationRecord,
+    NoiseModel,
+    QuasiRandomSphere,
+    ds_run,
+    fixed_sample_policy,
+    get_problem,
+    read_trace_csv,
+    summarize,
+    tr_run,
+    write_trace_csv,
+)
+from sdfo.diagnostics import SUMMARY_COLUMNS, RunSummary, _summary_rows
+from sdfo.direct_search import DirectSearchConfig, propose_ds
+from sdfo.trace import TRACE_COLUMNS, _trace_rows, format_float
+from sdfo.trust_region import TrustRegionConfig, propose_tr, run_steps
 
 
 def make_record(k, rng):
@@ -109,7 +124,9 @@ any_int = st.integers(min_value=-(2**70), max_value=2**70)
 @example(k=0, success=True, floats=[math.nan, math.inf, -math.inf, -0.0, 5e-324], samples=(1, 1))
 def test_template_row_equals_per_cell_format(k, success, floats, samples):
     record = IterationRecord(k, success, *floats, *samples)
-    assert _trace_row(record) == per_cell_row(record, TRACE_COLUMNS, TRACE_SPECS)
+    expected = per_cell_row(record, TRACE_COLUMNS, TRACE_SPECS)
+    # A record, and the plain row tuple the run loop builds without vectors.
+    assert list(_trace_rows([record, tuple(record)[: len(TRACE_COLUMNS)]])) == [expected, expected]
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,29 +138,47 @@ def test_template_row_equals_per_cell_format(k, success, floats, samples):
 def test_optional_cells_match_per_cell_format(seed, iterations, floats, gap_missing):
     final_delta, cum, tail, final_f, gap, rate = floats
     summary = RunSummary(seed, iterations, final_delta, cum, tail, final_f, None if gap_missing else gap, rate)
-    assert _summary_row(summary) == per_cell_row(summary, SUMMARY_COLUMNS, SUMMARY_SPECS)
+    assert list(_summary_rows([summary])) == [per_cell_row(summary, SUMMARY_COLUMNS, SUMMARY_SPECS)]
 
 
-def test_columns_write_the_records_bytes(tmp_path):
-    rng = np.random.default_rng(5)
-    records = [make_record(k, rng) for k in range(40)]
-    records[3] = IterationRecord(3, False, 0.5, 0.5, 1.0, -0.0, math.nan, 2, 2)
-    records[4] = IterationRecord(4, False, 0.5, 0.5, 1.0, math.inf, -math.inf, 2, 2)
-    columns = TraceColumns.from_records(records)
-    assert len(columns) == 40
-    write_trace_csv(tmp_path / "records.csv", records, metadata={"seed": 1})
-    write_trace_csv(tmp_path / "columns.csv", columns, metadata={"seed": 1})
-    assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
-    rebuilt = columns.records()
-    assert [_trace_row(r) for r in rebuilt] == [_trace_row(r) for r in records]
-    for new, old in zip(rebuilt, records):
-        assert [type(getattr(new, c)) for c in TRACE_COLUMNS] == [
-            type(getattr(old, c)) for c in TRACE_COLUMNS
-        ]
+LIBRARY_RUNS = {
+    "direct_search": (
+        propose_ds, ds_run, DirectSearchConfig(delta0=1.0, tau=0.1, tau_bar=1.1, max_iters=300, theta=0.25),
+    ),
+    "trust_region": (
+        propose_tr, tr_run,
+        TrustRegionConfig(delta0=1.0, delta_max=2.0, tau=0.1, tau_bar=1.1, max_iters=300, theta=0.25),
+    ),
+}
 
 
-def test_summary_from_columns_equals_summary_from_records():
+def rows_and_records(method, seed=4):
+    """One seed's run twice: as the CLI runs it (plain rows) and as the library runs it (records)."""
+    propose, run, cfg = LIBRARY_RUNS[method]
+    problem, noise, sampler = get_problem("l1norm", 2), NoiseModel.gaussian(0.01), fixed_sample_policy(5)
+    ((rows_state, rows),) = run_steps(
+        propose, cfg, problem, noise, DirectionGenerator(2, QuasiRandomSphere()), (2.0, -1.5), (seed,),
+        sampler, 0.0, vectors=False,
+    )
+    state, records = run(
+        cfg, problem, noise, DirectionGenerator(2, QuasiRandomSphere()), (2.0, -1.5), seed=seed,
+        sampler=sampler, delta_floor=0.0,
+    )
+    return (rows_state, rows), (state, records)
+
+
+@pytest.mark.parametrize("method", sorted(LIBRARY_RUNS))
+def test_summary_of_rows_equals_summary_of_records(method):
+    (_, rows), (_, records) = rows_and_records(method)
+    assert len(rows) == len(records) == 300
+    assert summarize(rows, seed=2, f_star=-1.0) == summarize(records, seed=2, f_star=-1.0)
     rng = np.random.default_rng(6)
-    records = [make_record(k, rng) for k in range(57)]
-    columns = TraceColumns.from_records(records)
-    assert summarize(columns, seed=2, f_star=-1.0) == summarize(records, seed=2, f_star=-1.0)
+    made = [make_record(k, rng) for k in range(57)]
+    assert summarize([tuple(r)[: len(TRACE_COLUMNS)] for r in made]) == summarize(made)
+
+
+@pytest.mark.parametrize("method", sorted(LIBRARY_RUNS))
+def test_state_cum_delta_sq_is_the_summary_sum(method):
+    for state, trace in rows_and_records(method):
+        packed = struct.pack("<d", state.cum_delta_sq)
+        assert packed == struct.pack("<d", summarize(trace).cum_delta_sq)
