@@ -51,7 +51,7 @@ class DirectSearchConfig:
         check_step_config(self)
 
 
-def propose_ds(cfg, gen, oracles, sampler, x, radii):
+def propose_ds(cfg, gen, oracles, sampler, x, radii, fx):
     """Direct-search steps ``delta * d`` along the shared direction, tested at scale ``delta``."""
     direction = gen.next_direction()
     return direction, np.multiply.outer(radii, direction), radii, [0] * len(radii)

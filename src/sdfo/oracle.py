@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -237,28 +238,37 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     return truth, means
 
 
-def batch_means(oracles, points: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.ndarray, np.ndarray]:
     """``(S, k)`` true values and means of ``counts[s]`` samples at each point ``points[s]``.
 
     ``points`` has shape ``(S, k, d)``; seed ``s`` draws from
-    ``oracles[s]``, and the oracles share one problem.  Seed ``s`` gets
-    exactly what ``sample_means(oracles[s], points[s], counts[s])`` gives,
-    bit for bit, and its oracle's stream and ``draws`` advance as that call
-    advances them.  Noisy seeds with one count whose ``k * n`` draws fit
-    one ``CHUNK_DRAWS`` chunk are stacked, as many to a chunk as fit: each
+    ``oracles[s]``, and the oracles share one problem.  ``first``, when
+    given, holds each seed's true value at its first point, and f is
+    evaluated at the other points only.  Seed ``s`` gets exactly what
+    ``sample_means(oracles[s], points[s], counts[s])`` gives, bit for bit,
+    and its oracle's stream and ``draws`` advance as that call advances
+    them.  Noisy seeds with one count whose ``k * n`` draws fit one
+    ``CHUNK_DRAWS`` chunk are stacked, as many to a chunk as fit: each
     draws its values from its own stream and one reduction sums the stack.
-    Larger counts take ``sample_means``'s chunk loop seed by seed, so no
-    draw buffer grows past one chunk.
+    Larger counts take ``sample_means``'s chunk loop, one seed per task on
+    a pool of one thread per usable CPU, longest count first, while this
+    thread draws the stacks; a seed reads only its own stream, so no value
+    depends on the scheduling.  Draw memory stays O(``CHUNK_DRAWS``) per
+    thread.
     """
     problem = oracles[0].problem
     if len(oracles) > 1 and any(oracle.problem is not problem for oracle in oracles):
         raise ValueError("batched oracles must share one problem")
     f = problem.eval_true
     batch, k, dimension = points.shape
-    truth = np.array([float(f(point)) for point in points.reshape(-1, dimension)]).reshape(batch, k)
+    rest = points if first is None else points[:, 1:]
+    truth = np.array([float(f(point)) for point in rest.reshape(-1, dimension)]).reshape(batch, -1)
+    if first is not None:
+        truth = np.column_stack([first, truth])
     # (rows, their means): noiseless seeds keep their truths.
     parts: list = []
     stacked: dict[int, list[int]] = {}
+    large: list[tuple[int, int]] = []
     for s, (oracle, n) in enumerate(zip(oracles, counts)):
         if n < 1:
             raise ValueError(f"sample count must be >= 1, got {n}")
@@ -266,9 +276,16 @@ def batch_means(oracles, points: np.ndarray, counts) -> tuple[np.ndarray, np.nda
         if oracle.noise.kind == "none":
             parts.append((s, truth[s]))
         elif k * n > CHUNK_DRAWS:
-            parts.append((s, _sums(oracle, truth[s], n, 1)[0] / n))
+            large.append((s, n))
         else:
             stacked.setdefault(n, []).append(s)
+    pending = []
+    if len(large) > 1 and _usable_cpus() > 1:
+        pool = _draw_pool()
+        for s, n in sorted(large, key=lambda seed: -seed[1]):
+            pending.append((s, n, pool.submit(_sums, oracles[s], truth[s], n, 1)))
+    else:
+        parts.extend((s, _sums(oracles[s], truth[s], n, 1)[0] / n) for s, n in large)
     for n, seeds in stacked.items():
         per_chunk = CHUNK_DRAWS // (k * n)
         for i in range(0, len(seeds), per_chunk):
@@ -281,12 +298,45 @@ def batch_means(oracles, points: np.ndarray, counts) -> tuple[np.ndarray, np.nda
             sums = np.add.reduce(values, axis=-1)
             sums /= n
             parts.append((block, sums))
+    parts.extend((s, future.result()[0] / n) for s, n, future in pending)
     if len(parts) == 1 and parts[0][1].shape == truth.shape:
         return truth, parts[0][1]
     means = np.empty_like(truth)
     for rows, part in parts:
         means[rows] = part
     return truth, means
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The threads that draw ``batch_means``' past-a-chunk seeds, started on
+# first use.  A forked child (a ``sdfo run --jobs J`` worker) inherits the
+# pool object but none of its threads, so it drops the pool and starts its
+# own.
+_pool = None
+
+
+def _draw_pool():
+    global _pool
+    if _pool is None:
+        from concurrent.futures.thread import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="sdfo-draws")
+    return _pool
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _sums(oracle: StochasticOracle, truth: np.ndarray, n: int, repeats: int) -> np.ndarray:

@@ -219,14 +219,15 @@ def build_model(
 
 
 def stencil_models(
-    direction, oracles, policy: HessianPolicy, x: np.ndarray, radii, sampler
+    direction, oracles, policy: HessianPolicy, x: np.ndarray, radii, sampler, fx=None
 ) -> tuple[list[QuadraticModel], list[int]]:
     """Each seed's model around the shared direction, and the stencil samples it spent.
 
     A zero policy gives zero matrices for no samples.  Otherwise seed ``s``
     estimates f with ``sampler(radii[s])`` samples per point at ``x[s]``
     and ``x[s] +/- radii[s] e_i`` and clips its central differences into
-    ``[-m delta**-q, M delta**-q]``.
+    ``[-m delta**-q, M delta**-q]``.  ``fx``, when given, holds the true
+    values at the ``x[s]``, which are then not evaluated again.
     """
     batch, n = x.shape
     if isinstance(policy, ZeroHessian):
@@ -239,7 +240,7 @@ def stencil_models(
     stencil[:, 0] = x
     np.add(x[:, None, :], offsets, out=stencil[:, 1::2])
     np.subtract(x[:, None, :], offsets, out=stencil[:, 2::2])
-    means = batch_means(oracles, stencil, counts)[1]
+    means = batch_means(oracles, stencil, counts, fx)[1]
     curvature = (means[:, 1::2] - 2.0 * means[:, :1] + means[:, 2::2]) / (delta * delta)[:, None]
     # Python's float power, as for a single radius.
     hi = [policy.M * r ** (-policy.q) for r in radii]
@@ -256,14 +257,15 @@ def rho(est_current: float, est_trial: float, theta: float, step_norm: float) ->
     return (est_current - est_trial) / (theta * step_norm * step_norm)
 
 
-# A proposal maps (cfg, gen, oracles, sampler, x, radii) for a seed batch
-# with iterates ``x`` (S, d) and radii (S Python floats) to the shared
+# A proposal maps (cfg, gen, oracles, sampler, x, radii, fx) for a seed
+# batch with iterates ``x`` (S, d), radii (S Python floats) and the true
+# values at the iterates (S floats, or None when unknown) to the shared
 # direction, the steps (S, d), the acceptance scales (S floats) or None for
 # the step norms, and the stencil samples each seed spent (S ints).
 Proposal = Callable[..., tuple[np.ndarray, np.ndarray, list | None, list]]
 
 
-def propose_tr(cfg, gen, oracles, sampler, x, radii):
+def propose_tr(cfg, gen, oracles, sampler, x, radii, fx):
     """Trust-region steps: the exact model minimizers, tested at their norms.
 
     A zero model matrix needs neither stencil nor subproblem: its minimizer
@@ -273,11 +275,11 @@ def propose_tr(cfg, gen, oracles, sampler, x, radii):
     direction = gen.next_direction()
     if isinstance(cfg.hessian_policy, ZeroHessian):
         return direction, np.multiply.outer([-r for r in radii], direction), None, [0] * len(radii)
-    models, stencil = stencil_models(direction, oracles, cfg.hessian_policy, x, radii, sampler)
+    models, stencil = stencil_models(direction, oracles, cfg.hessian_policy, x, radii, sampler, fx)
     return direction, np.array([solve_exact(model).s for model in models]), None, stencil
 
 
-def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii: list, k: int):
+def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii: list, fx, k: int):
     """One lockstep iteration of a seed batch; the iteration both optimizers share.
 
     ``propose`` gives each seed a step and the scale its test works at.
@@ -289,11 +291,13 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
     and the update are a few float operations per seed, done on Python
     floats: for batches of up to about 20 seeds that is cheaper than numpy
     calls on ``(S,)`` arrays, and a non-finite estimate compares false
-    without a warning.  Returns each seed's trace row for iteration ``k``
-    (its ``TRACE_COLUMNS`` values), the direction, the steps, and the new
-    iterates and radii.
+    without a warning.  ``fx`` holds the true values at the iterates (None
+    when unknown), so f is evaluated at the trial points only.  Returns
+    each seed's trace row for iteration ``k`` (its ``TRACE_COLUMNS``
+    values), the direction, the steps, and the new iterates, radii and
+    true values.
     """
-    direction, step, scales, stencil = propose(cfg, gen, oracles, sampler, x, radii)
+    direction, step, scales, stencil = propose(cfg, gen, oracles, sampler, x, radii, fx)
     # sqrt(s.s) is np.linalg.norm's own computation for a 1-D float vector.
     norms = [math.sqrt(s.dot(s)) for s in step]
     if scales is None:
@@ -301,15 +305,16 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
     counts = [int(sampler(s)) for s in scales]
     trial = x + step
     points = np.concatenate([x, trial], axis=1).reshape(-1, 2, x.shape[1])
-    truth, means = batch_means(oracles, points, counts)
+    truth, means = batch_means(oracles, points, counts, fx)
     theta, grow, shrink = cfg.theta, cfg.tau_bar, 1.0 - cfg.tau
-    rows, new_radii = [], []
-    for r, norm, (f, _), (cur, new), s, n, n_sten in zip(
+    rows, new_radii, new_fx = [], [], []
+    for r, norm, (f, f_trial), (cur, new), s, n, n_sten in zip(
         radii, norms, truth.tolist(), means.tolist(), scales, counts, stencil
     ):
         success = cur - new >= theta * s * s
         rows.append((k, success, r, norm, f, cur, new, n + n_sten, n))
         new_radii.append(min(cfg.delta_max, grow * r) if success else shrink * r)
+        new_fx.append(f_trial if success else f)
     accepted = [row[1] for row in rows]
     if all(accepted):
         new_x = trial
@@ -317,14 +322,14 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
         new_x = np.where(np.array(accepted)[:, None], trial, x)
     else:
         new_x = x
-    return rows, direction, step, new_x, new_radii
+    return rows, direction, step, new_x, new_radii, new_fx
 
 
 def step_once(propose: Proposal, state: TrustRegionState, cfg, gen, oracle, sampler):
     """``iterate`` for one state; returns the new state and its record."""
     x = np.array(state.x, dtype=float)[None, :]
-    ((row,), direction, step, new_x, (delta,)) = iterate(
-        propose, cfg, gen, [oracle], sampler, x, [float(state.delta)], state.k
+    ((row,), direction, step, new_x, (delta,), _) = iterate(
+        propose, cfg, gen, [oracle], sampler, x, [float(state.delta)], None, state.k
     )
     record = IterationRecord(*row, x[0], direction, step[0])
     new_state = TrustRegionState(
@@ -391,6 +396,7 @@ def run_steps(
     live = list(range(len(seeds)))
     x = np.tile(start, (len(seeds), 1))
     radii = [cfg.delta0] * len(seeds)
+    fx = [f0] * len(seeds)
     # Per seed: trace rows, and (x, delta, k, stop reason) once it stops.
     rows: list[list] = [[] for _ in seeds]
     ends: list = [None] * len(seeds)
@@ -409,11 +415,11 @@ def run_steps(
                 else:
                     kept.append(i)
             live, x, radii = [live[i] for i in kept], x[kept], [radii[i] for i in kept]
-            oracles = [oracles[i] for i in kept]
+            oracles, fx = [oracles[i] for i in kept], [fx[i] for i in kept]
             if not live:
                 break
-        new_rows, direction, step, new_x, new_radii = iterate(
-            propose, cfg, gen, oracles, sampler, x, radii, k
+        new_rows, direction, step, new_x, new_radii, fx = iterate(
+            propose, cfg, gen, oracles, sampler, x, radii, fx, k
         )
         if vectors:
             for i, row, x_i, step_i in zip(live, new_rows, x, step):

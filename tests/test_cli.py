@@ -1,6 +1,10 @@
 """CLI harness: determinism, file contracts, exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,8 +22,11 @@ from sdfo import (
 from sdfo.cli import main
 from sdfo.config import load_config
 from sdfo.diagnostics import write_summary_csv
+from sdfo.oracle import CHUNK_DRAWS
 from sdfo.trace import read_trace_csv
 from sdfo.trust_region import default_k_f
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_run_config(path, out_dir, seeds=(0, 1, 2), max_iters=40, algorithm="direct_search"):
@@ -109,6 +116,38 @@ class TestRun:
         cfg = write_run_config(tmp_path / "cfg.json", out1, seeds=(0, 1, 2, 3, 4))
         assert main(["run", str(cfg)]) == 0
         assert main(["run", str(cfg), "--out", str(out2), "--jobs", jobs]) == 0
+        assert read_all(out1) == read_all(out2)
+
+    def test_jobs_after_the_draw_pool_started(self, tmp_path):
+        # A forked --jobs worker inherits the draw pool object that a run in
+        # the same process started, but none of its threads; it must start
+        # its own pool rather than wait on that one forever.  The child's
+        # first run (one batch of five seeds past a chunk) starts the pool.
+        cfg_path = write_run_config(tmp_path / "cfg.json", tmp_path, seeds=(0, 1, 2, 3, 4), max_iters=2)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["sampler"]["n"] = CHUNK_DRAWS + 5
+        cfg_path.write_text(json.dumps(cfg))
+        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
+        script = (
+            "from sdfo import oracle\n"
+            "from sdfo.cli import run_experiment\n"
+            "from sdfo.config import load_config\n"
+            "oracle._usable_cpus = lambda: 2\n"
+            f"cfg = load_config({str(cfg_path)!r})\n"
+            f"run_experiment(cfg, out_dir={str(out1)!r}, jobs=1)\n"
+            "assert oracle._pool is not None\n"
+            f"run_experiment(cfg, out_dir={str(out2)!r}, jobs=2)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        # Its own session, so that a hung child's forked workers go with it.
+        child = subprocess.Popen([sys.executable, "-c", script], env=env, start_new_session=True)
+        try:
+            code = child.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            pytest.fail("sdfo run --jobs 2 hung after a run in the same process had started the draw pool")
+        assert code == 0
         assert read_all(out1) == read_all(out2)
 
     def test_seed_offset_shifts_filenames(self, tmp_path):

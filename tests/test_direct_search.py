@@ -271,10 +271,10 @@ class TestRun:
         with pytest.raises(ValueError, match=r"f\(x0\) must be finite"):
             ds_run(cfg, prob, NoiseModel.none(), DirectionGenerator(1, FixedCycle([(1.0,)])), (0.0,))
 
-    def test_two_true_evaluations_per_iteration(self):
-        # One true value per estimate: f(x) at the current point (also the
-        # trace's f_true_current) and f(x + s) at the trial point, plus the
-        # start check f(x0) once per run.
+    def test_one_true_evaluation_per_iteration(self):
+        # f(x + s) at each trial point, plus the start check f(x0) once per
+        # run.  f at the current point (the trace's f_true_current) is
+        # f(x0) or the last accepted trial value, never evaluated again.
         calls = []
 
         def counted(x):
@@ -288,6 +288,6 @@ class TestRun:
             (1.0, -1.0), seed=2, sampler=fixed_sample_policy(3), delta_floor=0.0,
         )
         assert len(trace) == 25
-        assert len(calls) == 1 + 2 * len(trace)
+        assert len(calls) == 1 + len(trace)
         for rec in trace:
             assert rec.f_true_current == float(rec.x @ rec.x)

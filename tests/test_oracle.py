@@ -1,6 +1,7 @@
 """Oracle construction, sample averaging and sample-size rules."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from sdfo import (
     required_samples,
     sample_estimate,
 )
+from sdfo import oracle as oracle_module
 from sdfo.oracle import (
     CHUNK_DRAWS,
     batch_means,
@@ -322,10 +324,17 @@ class TestBatchMeans:
             lambda k: [CHUNK_DRAWS // (2 * k)] * 5,
             lambda k: [1, 16, 16, CHUNK_DRAWS + 5, 256],
             lambda k: [CHUNK_DRAWS + 3] * 2,
+            # Four seeds past a chunk, with unequal counts, on the draw
+            # pool; the last one's n fits a chunk while its k * n does not.
+            lambda k: [CHUNK_DRAWS + 5, 1, 3 * CHUNK_DRAWS + 7, 16, 2 * CHUNK_DRAWS, CHUNK_DRAWS // 2 + 1],
         ],
-        ids=["equal", "stack-past-a-chunk", "ragged", "past-a-chunk"],
+        ids=["equal", "stack-past-a-chunk", "ragged", "past-a-chunk", "pool"],
     )
-    def test_matches_each_seed_bit_for_bit(self, noise, k, counts):
+    def test_matches_each_seed_bit_for_bit(self, noise, k, counts, monkeypatch):
+        # A fresh pool of more draw threads than a small machine has CPUs:
+        # no value may depend on how many there are.
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(oracle_module, "_pool", None)
         counts = counts(k)
         seeds = range(len(counts))
         problem = get_problem("sphere", D)
@@ -340,6 +349,62 @@ class TestBatchMeans:
             assert means[s].tobytes() == own_means[0].tobytes()
             assert batch[s].draws == alone[s].draws == k * n
             assert batch[s]._rng.random() == alone[s]._rng.random()
+
+    def test_draw_threads_under_frequent_switches(self, monkeypatch):
+        # Eight seeds past a chunk on four draw threads, with the
+        # interpreter switching threads every microsecond.
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(oracle_module, "_pool", None)
+        counts = [CHUNK_DRAWS + 1 + 97 * s for s in range(8)]
+        noise = NoiseModel.student_t(3.0)
+        problem = get_problem("sphere", D)
+        points = np.stack([np.roll(STACK_POINTS[:2], s, axis=0) for s in range(8)])
+        oracles = [StochasticOracle(problem, noise, seed=s) for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            means = batch_means(oracles, points, counts)[1]
+        finally:
+            sys.setswitchinterval(interval)
+        for s, n in enumerate(counts):
+            alone = make_oracle(noise, seed=s, dim=D)
+            assert means[s].tobytes() == sample_means(alone, points[s], n)[1][0].tobytes()
+            assert oracles[s]._rng.random() == alone._rng.random()
+
+    def test_one_cpu_draws_in_the_calling_thread(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("one usable CPU must not start the draw pool")
+
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(oracle_module, "_draw_pool", no_pool)
+        counts = [CHUNK_DRAWS + 5, 2 * CHUNK_DRAWS]
+        noise = NoiseModel.gaussian(1.0)
+        problem = get_problem("sphere", D)
+        points = np.stack([STACK_POINTS[:2]] * 2)
+        means = batch_means([StochasticOracle(problem, noise, seed=s) for s in (0, 1)], points, counts)[1]
+        for s, n in enumerate(counts):
+            assert means[s].tobytes() == sample_means(make_oracle(noise, seed=s, dim=D), points[s], n)[1][0].tobytes()
+
+    def test_known_first_values_are_not_evaluated_again(self):
+        from sdfo.problems import TestProblem as Problem
+
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return float(x @ x)
+
+        problem = Problem(dimension=D, eval_true=counted, name="counted_sphere")
+        points = np.stack([np.roll(STACK_POINTS[:3], s, axis=0) for s in range(2)])
+        first = [float(p @ p) for p in points[:, 0]]
+        oracles = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(2)]
+        truth, means = batch_means(oracles, points, [4, 4], first)
+        assert len(calls) == 2 * 2
+        alone = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(2)]
+        for s in range(2):
+            own_truth, own_means = sample_means(alone[s], points[s], 4)
+            assert truth[s].tobytes() == own_truth.tobytes()
+            assert means[s].tobytes() == own_means[0].tobytes()
 
     def test_stacked_draws_stay_within_one_chunk(self):
         # 40 seeds of 2 x 8192 draws: 5.2 MB as one stack.

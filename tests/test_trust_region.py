@@ -276,9 +276,10 @@ class TestRun:
             tr_run(tr_cfg(), prob, NoiseModel.none(), DirectionGenerator(1, FixedCycle([(1.0,)])), (0.0,))
 
     def test_true_evaluations_per_iteration(self):
-        # The d-dimensional stencil evaluates 2d + 1 points and the
-        # acceptance pair 2 more; the trace's f_true_current reuses the
-        # pair's value.  The start check adds f(x0) once per run.
+        # The d-dimensional stencil evaluates the 2d points x +/- delta e_i
+        # and the acceptance pair the trial point; f at the current point
+        # (the stencil centre and the trace's f_true_current) is f(x0) from
+        # the start check or the last accepted trial value.
         calls = []
 
         def counted(x):
@@ -293,7 +294,7 @@ class TestRun:
             (1.0, -1.0, 0.5), seed=4, sampler=one_sample, delta_floor=0.0,
         )
         assert len(trace) == 12
-        assert len(calls) == 1 + (2 * d + 1 + 2) * len(trace)
+        assert len(calls) == 1 + (2 * d + 1) * len(trace)
         for rec in trace:
             assert rec.f_true_current == float(rec.x @ rec.x)
 
