@@ -1,8 +1,10 @@
 """Noisy function oracles and sample-average estimate construction.
 
 An oracle returns ``f(x) + xi`` for zero-mean noise ``xi``.  Every
-estimate, single, paired, repeated or a whole stencil, is a mean of i.i.d.
-draws built by the one primitive ``sample_means``.  ``required_samples`` and
+estimate, single, paired, repeated, a whole stencil or a seed batch, is a
+mean of i.i.d. draws made by one engine, ``_means``, behind the two front
+ends ``sample_means`` (one oracle) and ``batch_means`` (one oracle per
+seed).  ``required_samples`` and
 ``moment_oracle_samples`` give averaging counts under which the estimate
 error of the decrease ``f(x) - f(y)`` obeys the tail bounds that the
 optimizers assume (finite-variance and finite-moment noise respectively).
@@ -207,9 +209,9 @@ class StochasticOracle:
         )
 
 
-# Noise values drawn per call by ``sample_means``: 128 KB of float64, so
-# a batch of estimates costs O(chunk) memory whatever its length.  Twice
-# as large is no faster and raises peak memory.
+# Noise values drawn per call: 128 KB of float64, so a batch of
+# estimates costs O(chunk) memory per drawing thread whatever its length.
+# Twice as large is no faster and raises peak memory.
 CHUNK_DRAWS = 2**14
 
 
@@ -219,23 +221,18 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     f is evaluated once per point.  Each estimate takes the next ``n``
     draws of the stream in repeat-major, point-minor order, so
     ``oracle.draws`` grows by ``repeats * k * n`` and every mean is
-    bit-identical to averaging its own draws.  Draw calls hold at most
-    ``CHUNK_DRAWS`` values.  Noiseless oracles return the true values
-    exactly.
+    bit-identical to averaging its own draws.  Noiseless oracles return
+    the true values exactly.  A non-integer or non-positive ``n`` or
+    ``repeats`` raises ``ValueError`` before the stream or ``draws`` moves.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    for name, value in (("n", n), ("repeats", repeats)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     stack = np.asarray(points, dtype=float)
     if stack.ndim != 2 or stack.shape[1] != oracle.problem.dimension:
         raise ValueError(f"points have shape {stack.shape}, expected (k, {oracle.problem.dimension})")
     truth = np.array([float(oracle.problem.eval_true(point)) for point in stack])
-    oracle.draws += repeats * truth.size * n
-    if oracle.noise.kind == "none":
-        return truth, np.tile(truth, (repeats, 1))
-    means = _sums(oracle, truth, n, repeats)
-    # The sum and the division by n are np.mean's own steps.
-    means /= n
-    return truth, means
+    return truth, _means([oracle], np.tile(truth, (1, repeats)), [n]).reshape(repeats, truth.size)
 
 
 def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.ndarray, np.ndarray]:
@@ -247,35 +244,50 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
     evaluated at the other points only.  Seed ``s`` gets exactly what
     ``sample_means(oracles[s], points[s], counts[s])`` gives, bit for bit,
     and its oracle's stream and ``draws`` advance as that call advances
-    them.  Noisy seeds with one count whose ``k * n`` draws fit one
-    ``CHUNK_DRAWS`` chunk are stacked, as many to a chunk as fit: each
-    draws its values from its own stream and one reduction sums the stack.
-    Larger counts take ``sample_means``'s chunk loop, one seed per task on
-    a pool of one thread per usable CPU, longest count first, while this
-    thread draws the stacks; a seed reads only its own stream, so no value
-    depends on the scheduling.  Draw memory stays O(``CHUNK_DRAWS``) per
-    thread.
+    them: both go through the same engine, which stacks the small seeds
+    and draws the larger ones side by side on the draw threads.
+    ``ValueError`` when ``oracles``, ``counts``, ``points`` (or ``first``)
+    disagree on ``S``, or when a count is below 1.
     """
-    problem = oracles[0].problem
-    if len(oracles) > 1 and any(oracle.problem is not problem for oracle in oracles):
-        raise ValueError("batched oracles must share one problem")
-    f = problem.eval_true
     batch, k, dimension = points.shape
+    sizes = (len(oracles), len(counts), batch, batch if first is None else len(first))
+    if len(set(sizes)) > 1:
+        raise ValueError(f"oracles, counts, point rows and first values must agree in number, got {sizes}")
+    problem = oracles[0].problem
+    if batch > 1 and any(oracle.problem is not problem for oracle in oracles):
+        raise ValueError("batched oracles must share one problem")
+    if min(counts) < 1:
+        raise ValueError(f"sample count must be >= 1, got {min(counts)}")
+    f = problem.eval_true
     rest = points if first is None else points[:, 1:]
     truth = np.array([float(f(point)) for point in rest.reshape(-1, dimension)]).reshape(batch, -1)
     if first is not None:
         truth = np.column_stack([first, truth])
-    # (rows, their means): noiseless seeds keep their truths.
-    parts: list = []
+    return truth, _means(oracles, truth, counts)
+
+
+def _means(oracles, truth: np.ndarray, counts) -> np.ndarray:
+    """``(S, m)`` means: entry ``(s, j)`` averages ``truth[s, j]`` plus each
+    of the next ``counts[s]`` draws of ``oracles[s]``, taken in row order.
+
+    Noiseless seeds keep their truths.  Noisy seeds whose ``m * n`` draws
+    fit one ``CHUNK_DRAWS`` chunk are stacked by count, as many to a chunk
+    as fit, each drawing from its own stream into one reduction.  A larger
+    seed is drawn chunk by chunk of whole estimates; two or more of them
+    run one task per seed on a pool of one thread per usable CPU, longest
+    count first, while this thread draws the stacks.  A seed reads only its
+    own stream, so no value depends on the scheduling, and each estimate is
+    ``np.add.reduce`` over its own contiguous draws.
+    """
+    m = truth.shape[1]
+    means = truth.copy()
     stacked: dict[int, list[int]] = {}
     large: list[tuple[int, int]] = []
     for s, (oracle, n) in enumerate(zip(oracles, counts)):
-        if n < 1:
-            raise ValueError(f"sample count must be >= 1, got {n}")
-        oracle.draws += k * n
+        oracle.draws += m * n
         if oracle.noise.kind == "none":
-            parts.append((s, truth[s]))
-        elif k * n > CHUNK_DRAWS:
+            continue
+        if m * n > CHUNK_DRAWS:
             large.append((s, n))
         else:
             stacked.setdefault(n, []).append(s)
@@ -283,28 +295,42 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
     if len(large) > 1 and _usable_cpus() > 1:
         pool = _draw_pool()
         for s, n in sorted(large, key=lambda seed: -seed[1]):
-            pending.append((s, n, pool.submit(_sums, oracles[s], truth[s], n, 1)))
+            pending.append(pool.submit(_seed_means, oracles[s], truth[s], n, means[s]))
     else:
-        parts.extend((s, _sums(oracles[s], truth[s], n, 1)[0] / n) for s, n in large)
+        for s, n in large:
+            _seed_means(oracles[s], truth[s], n, means[s])
     for n, seeds in stacked.items():
-        per_chunk = CHUNK_DRAWS // (k * n)
+        per_chunk = CHUNK_DRAWS // (m * n)
         for i in range(0, len(seeds), per_chunk):
             block = seeds[i : i + per_chunk]
-            draws = [oracles[s].noise.draw(oracles[s]._rng, k * n) for s in block]
-            values = (draws[0] if len(draws) == 1 else np.concatenate(draws)).reshape(-1, k, n)
-            if block[-1] - block[0] == len(block) - 1:
-                block = slice(block[0], block[-1] + 1)
-            values += truth[block, :, np.newaxis]
-            sums = np.add.reduce(values, axis=-1)
-            sums /= n
-            parts.append((block, sums))
-    parts.extend((s, future.result()[0] / n) for s, n, future in pending)
-    if len(parts) == 1 and parts[0][1].shape == truth.shape:
-        return truth, parts[0][1]
-    means = np.empty_like(truth)
-    for rows, part in parts:
-        means[rows] = part
-    return truth, means
+            rows = slice(block[0], block[-1] + 1) if block[-1] - block[0] == len(block) - 1 else block
+            means[rows] = _chunk_means([oracles[s] for s in block], truth[rows], n)
+    for future in pending:
+        future.result()
+    return means
+
+
+def _seed_means(oracle: StochasticOracle, truth: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Write into ``out`` the means of each truth plus its next ``n`` draws, chunk by chunk of whole estimates."""
+    if n > CHUNK_DRAWS:
+        for j, value in enumerate(truth):
+            out[j] = _draw_sum(oracle, n, value) / n
+        return
+    per_chunk = CHUNK_DRAWS // n
+    for j in range(0, truth.size, per_chunk):
+        out[j : j + per_chunk] = _chunk_means([oracle], truth[np.newaxis, j : j + per_chunk], n)[0]
+
+
+def _chunk_means(oracles, truth: np.ndarray, n: int) -> np.ndarray:
+    """``(rows, m)`` means of each truth plus the next ``n`` draws of its row's oracle, one draw call per row."""
+    rows, m = truth.shape
+    draws = [oracle.noise.draw(oracle._rng, m * n) for oracle in oracles]
+    values = (draws[0] if rows == 1 else np.concatenate(draws)).reshape(rows, m, n)
+    values += truth[:, :, np.newaxis]
+    # The sum and the division by n are np.mean's own steps.
+    sums = np.add.reduce(values, axis=-1)
+    sums /= n
+    return sums
 
 
 def _usable_cpus() -> int:
@@ -314,10 +340,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The threads that draw ``batch_means``' past-a-chunk seeds, started on
-# first use.  A forked child (a ``sdfo run --jobs J`` worker) inherits the
-# pool object but none of its threads, so it drops the pool and starts its
-# own.
+# The threads that draw ``_means``' past-a-chunk seeds, started on first
+# use.  A forked child (a ``sdfo run --jobs J`` worker) inherits the pool
+# object but none of its threads, so it drops the pool and starts its own.
 _pool = None
 
 
@@ -337,35 +362,6 @@ def _drop_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _sums(oracle: StochasticOracle, truth: np.ndarray, n: int, repeats: int) -> np.ndarray:
-    """``(repeats, k)`` sums of each truth plus its next ``n`` draws, in chunks."""
-    k = truth.size
-    if repeats * k * n <= CHUNK_DRAWS:
-        # The only pass of the chunk loop below, without block slicing.
-        return _chunk_sums(oracle, truth, repeats, n)
-    sums = np.empty((repeats, k))
-    if n > CHUNK_DRAWS:
-        for r, p in np.ndindex(repeats, k):
-            sums[r, p] = _draw_sum(oracle, n, truth[p])
-        return sums
-    # A chunk holds whole rounds of the k points when one round fits, and a
-    # slice of one round's points otherwise.
-    per_chunk = CHUNK_DRAWS // n
-    rounds, width = max(1, per_chunk // k), min(k, per_chunk)
-    for r in range(0, repeats, rounds):
-        for p in range(0, k, width):
-            block = sums[r : r + rounds, p : p + width]
-            block[...] = _chunk_sums(oracle, truth[p : p + width], block.shape[0], n)
-    return sums
-
-
-def _chunk_sums(oracle: StochasticOracle, truth: np.ndarray, rounds: int, n: int) -> np.ndarray:
-    """``(rounds, k)`` sums of each of the ``k`` truths plus its next ``n`` draws, in one draw call."""
-    values = oracle.noise.draw(oracle._rng, rounds * truth.size * n).reshape(rounds, truth.size, n)
-    values += truth[:, None]
-    return np.add.reduce(values, axis=-1)
 
 
 def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:

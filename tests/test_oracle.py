@@ -283,6 +283,18 @@ class TestSampleMeans:
             sample_means(oracle, [[0.0, 0.0]], 0)
         assert oracle.draws == 0
 
+    @pytest.mark.parametrize(
+        "n,repeats,name",
+        [(0, 1, "n"), (-1, 1, "n"), (2.5, 1, "n"), (4.0, 1, "n"), ("4", 1, "n")]
+        + [(4, 0, "repeats"), (4, -1, "repeats"), (4, 1.5, "repeats"), (4, None, "repeats")],
+    )
+    def test_bad_counts_leave_the_stream_and_draws_unmoved(self, n, repeats, name):
+        oracle = make_oracle(NoiseModel.gaussian(1.0), seed=9)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
+            sample_means(oracle, [[0.0, 0.0], [1.0, 0.5]], n, repeats)
+        assert oracle.draws == 0
+        assert oracle._rng.random() == make_oracle(NoiseModel.gaussian(1.0), seed=9)._rng.random()
+
     def test_stencil_memory_is_chunked(self):
         # 41 points at n = 200,000 draw 8.2e6 values: 66 MB as one stack.
         oracle = make_oracle(NoiseModel.gaussian(1.0), dim=20)
@@ -418,6 +430,57 @@ class TestBatchMeans:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * CHUNK_DRAWS
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_mixed_noise_kinds_in_one_batch(self, cpus, monkeypatch):
+        # Noiseless rows between stacked rows (n = 16, seeds 0, 2 and 4
+        # share one stack), and three seeds past a chunk: two with n past
+        # a chunk, one whose n fits a chunk while its k * n does not.
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(oracle_module, "_pool", None)
+        noises = [
+            NoiseModel.gaussian(1.0),
+            NoiseModel.none(),
+            NoiseModel.student_t(3.0),
+            NoiseModel.pareto_symmetric(1.5),
+            NoiseModel.pareto_symmetric(1.9),
+            NoiseModel.none(),
+            NoiseModel.student_t(1.5),
+            NoiseModel.gaussian(4.0),
+        ]
+        counts = [16, 16, 16, CHUNK_DRAWS + 5, 16, 3, 2 * CHUNK_DRAWS + 9, CHUNK_DRAWS // 2 + 1]
+        k = 2 * D + 1
+        problem = get_problem("sphere", D)
+        batch = [StochasticOracle(problem, noise, seed=s) for s, noise in enumerate(noises)]
+        alone = [StochasticOracle(problem, noise, seed=s) for s, noise in enumerate(noises)]
+        points = np.stack([np.roll(STACK_POINTS[:k], s, axis=0) for s in range(len(noises))])
+        truth, means = batch_means(batch, points, counts)
+        for s, n in enumerate(counts):
+            own_truth, own_means = sample_means(alone[s], points[s], n)
+            assert truth[s].tobytes() == own_truth.tobytes()
+            assert means[s].tobytes() == own_means[0].tobytes()
+            assert batch[s].draws == alone[s].draws == k * n
+            assert batch[s]._rng.random() == alone[s]._rng.random()
+        assert np.array_equal(means[[1, 5]], truth[[1, 5]])
+
+    @pytest.mark.parametrize(
+        "oracles,rows,counts,first",
+        [
+            (2, 3, 2, None),
+            (3, 3, 2, None),
+            (2, 3, 3, None),
+            (3, 2, 3, None),
+            (3, 3, 3, [1.0, 2.0]),
+            (3, 3, 3, [1.0, 2.0, 3.0, 4.0]),
+        ],
+    )
+    def test_rejects_disagreeing_batch_sizes(self, oracles, rows, counts, first):
+        # A short count list must not leave the last rows without means.
+        problem = get_problem("sphere", 2)
+        batch = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(oracles)]
+        with pytest.raises(ValueError, match="must agree"):
+            batch_means(batch, np.ones((rows, 2, 2)), [4] * counts, first)
+        assert all(oracle.draws == 0 for oracle in batch)
 
     def test_rejects_bad_counts_and_mixed_problems(self):
         sphere = make_oracle(NoiseModel.gaussian(1.0))
