@@ -218,8 +218,9 @@ CHUNK_DRAWS = 2**14
 def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """True values ``(k,)`` and ``(repeats, k)`` means of ``n`` samples at ``k`` points.
 
-    f is evaluated once per point.  Each estimate takes the next ``n``
-    draws of the stream in repeat-major, point-minor order, so
+    f is evaluated once per point, in one ``problem.true_values`` call.
+    Each estimate takes the next ``n`` draws of the stream in
+    repeat-major, point-minor order, so
     ``oracle.draws`` grows by ``repeats * k * n`` and every mean is
     bit-identical to averaging its own draws.  Noiseless oracles return
     the true values exactly.  A non-integer or non-positive ``n`` or
@@ -231,8 +232,9 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     stack = np.asarray(points, dtype=float)
     if stack.ndim != 2 or stack.shape[1] != oracle.problem.dimension:
         raise ValueError(f"points have shape {stack.shape}, expected (k, {oracle.problem.dimension})")
-    truth = np.array([float(oracle.problem.eval_true(point)) for point in stack])
-    return truth, _means([oracle], np.tile(truth, (1, repeats)), [n]).reshape(repeats, truth.size)
+    truth = oracle.problem.true_values(stack)
+    row = truth[np.newaxis] if repeats == 1 else np.tile(truth, (1, repeats))
+    return truth, _means([oracle], row, [n]).reshape(repeats, truth.size)
 
 
 def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +243,8 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
     ``points`` has shape ``(S, k, d)``; seed ``s`` draws from
     ``oracles[s]``, and the oracles share one problem.  ``first``, when
     given, holds each seed's true value at its first point, and f is
-    evaluated at the other points only.  Seed ``s`` gets exactly what
+    evaluated at the other points only, all seeds' in one
+    ``problem.true_values`` call.  Seed ``s`` gets exactly what
     ``sample_means(oracles[s], points[s], counts[s])`` gives, bit for bit,
     and its oracle's stream and ``draws`` advance as that call advances
     them: both go through the same engine, which stacks the small seeds
@@ -258,9 +261,8 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
         raise ValueError("batched oracles must share one problem")
     if min(counts) < 1:
         raise ValueError(f"sample count must be >= 1, got {min(counts)}")
-    f = problem.eval_true
     rest = points if first is None else points[:, 1:]
-    truth = np.array([float(f(point)) for point in rest.reshape(-1, dimension)]).reshape(batch, -1)
+    truth = problem.true_values(rest.reshape(-1, dimension)).reshape(batch, -1)
     if first is not None:
         truth = np.column_stack([first, truth])
     return truth, _means(oracles, truth, counts)

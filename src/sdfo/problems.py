@@ -1,4 +1,15 @@
-"""Benchmark objectives with known optima for experiments and diagnostics."""
+"""Benchmark objectives with known optima for experiments and diagnostics.
+
+Each registry objective is written once, row-wise over the last axis: the
+same function takes one point ``(d,)`` to a 0-d value and an ``(N, d)``
+stack to ``N`` values, each bit-identical to the one-point call.  Use
+numpy operations that act per row, such as ``np.vecdot(x, x)``,
+``reduce(..., axis=-1)``, ``x[..., i]`` and ``np.where`` in place of
+Python's ``max``.  ``TestProblem.true_values`` evaluates a whole stack in
+one call when ``eval_true`` is an objective of the ``PROBLEMS`` table, and
+point by point otherwise: a custom ``TestProblem``, or a registry problem
+whose ``eval_true`` was replaced, needs no row form.
+"""
 
 from __future__ import annotations
 
@@ -35,38 +46,55 @@ class TestProblem:
             )
         return pt
 
+    def true_values(self, points: np.ndarray) -> np.ndarray:
+        """``(N,)`` true values at the rows of an ``(N, d)`` float stack.
 
-def _sphere(x: np.ndarray) -> float:
-    return float(x @ x)
-
-
-def _rosenbrock(x: np.ndarray) -> float:
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-
-
-def _l1norm(x: np.ndarray) -> float:
-    return float(np.abs(x).sum())
+        One ``eval_true`` call on the C-contiguous stack when ``eval_true``
+        is a row-wise ``PROBLEMS`` objective, else one call per row.
+        """
+        if any(self.eval_true is row[0] for row in PROBLEMS.values()):
+            return self.eval_true(np.ascontiguousarray(points))
+        return np.array([float(self.eval_true(point)) for point in points])
 
 
-def _max_quadratics(x: np.ndarray) -> float:
+def _sphere(x: np.ndarray) -> np.ndarray:
+    # Each row's x @ x: the same BLAS ddot.
+    return np.vecdot(x, x)
+
+
+def _rosenbrock(x: np.ndarray) -> np.ndarray:
+    head = x[..., :-1]
+    return np.sum(100.0 * (x[..., 1:] - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
+
+
+def _l1norm(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).sum(axis=-1)
+
+
+def _max_quadratics(x: np.ndarray) -> np.ndarray:
     # Three convex quadratics whose pointwise max has a kink through the
     # origin; the global minimizer is exactly 0 with value 0.
-    sq = float(x @ x)
-    j = 1 if x.shape[0] >= 2 else 0
-    q1 = 0.5 * sq + float(x[0])
-    q2 = 0.5 * sq - float(x[0])
-    q3 = sq + 0.3 * float(x[j])
-    return max(q1, q2, q3)
+    sq = np.vecdot(x, x)
+    j = 1 if x.shape[-1] >= 2 else 0
+    # Python float arithmetic, which overflows to inf and makes NaN silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1 = 0.5 * sq + x[..., 0]
+        q2 = 0.5 * sq - x[..., 0]
+        q3 = sq + 0.3 * x[..., j]
+    # max(q1, q2, q3): a later value wins only when it compares greater, so
+    # a NaN is kept when it comes first and passed over after.
+    m = np.where(q2 > q1, q2, q1)
+    return np.where(q3 > m, q3, m)[()]
 
 
-def _piecewise_linear(x: np.ndarray) -> float:
+def _piecewise_linear(x: np.ndarray) -> np.ndarray:
     # max_i(+/- x_i - 1) = ||x||_inf - 1: piecewise linear, minimum -1 at 0.
-    return float(np.max(np.abs(x))) - 1.0
+    return np.abs(x).max(axis=-1) - 1.0
 
 
-# name -> (objective, optimum value, coordinate of the stationary point
-# (c, ..., c), smallest dimension).
-PROBLEMS: dict[str, tuple[Callable[[np.ndarray], float], float, float, int]] = {
+# name -> (row-wise objective, optimum value, coordinate of the stationary
+# point (c, ..., c), smallest dimension).
+PROBLEMS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float, float, int]] = {
     "sphere": (_sphere, 0.0, 0.0, 1),
     "rosenbrock": (_rosenbrock, 0.0, 1.0, 2),
     "l1norm": (_l1norm, 0.0, 0.0, 1),

@@ -244,8 +244,7 @@ def _collect_errors(
     """
     cell_oracle = oracle.spawn(*key)
     y = x + delta * g
-    f_x = float(oracle.problem.eval_true(x))
-    f_y = float(oracle.problem.eval_true(y))
+    f_x, f_y = oracle.problem.true_values(np.array([x, y])).tolist()
     if not (math.isfinite(f_x) and math.isfinite(f_y)):
         # Every error would be NaN, which no threshold counts as an exceedance.
         raise ValueError(f"f(x) and f(x + delta g) must be finite, got {f_x}, {f_y} at delta={delta}")

@@ -383,7 +383,7 @@ def run_steps(
     start = problem.check_point(x0)
     if not np.all(np.isfinite(start)):
         raise ValueError(f"x0 must be finite, got {start.tolist()}")
-    f0 = float(problem.eval_true(start))
+    f0 = float(problem.true_values(start[np.newaxis])[0])
     if not math.isfinite(f0):
         raise ValueError(f"f(x0) must be finite, got {f0}")
     if gen.dimension != problem.dimension:

@@ -19,6 +19,7 @@ from sdfo import (
     get_problem,
     validate_theta,
 )
+from sdfo.problems import PROBLEMS
 from sdfo.problems import TestProblem as Problem
 
 PARABOLA = Problem(dimension=1, eval_true=lambda x: float(x[0] ** 2), name="parabola")
@@ -291,3 +292,26 @@ class TestRun:
         assert len(calls) == 1 + len(trace)
         for rec in trace:
             assert rec.f_true_current == float(rec.x @ rec.x)
+
+    def test_registry_problem_rows_per_iteration(self, monkeypatch):
+        # A registry problem is evaluated row-wise, one call per iteration:
+        # the same 1 + K points, counted as rows.
+        objective, *rest = PROBLEMS["sphere"]
+        shapes = []
+
+        def counted(x):
+            shapes.append(x.shape)
+            return objective(x)
+
+        monkeypatch.setitem(PROBLEMS, "sphere", (counted, *rest))
+        prob = get_problem("sphere", 2)
+        cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.25, max_iters=25, theta=0.5)
+        _, trace = ds_run(
+            cfg, prob, NoiseModel.gaussian(0.01), DirectionGenerator(2, QuasiRandomSphere()),
+            (1.0, -1.0), seed=2, sampler=fixed_sample_policy(3), delta_floor=0.0,
+        )
+        assert len(trace) == 25
+        assert sum(rows for rows, _ in shapes) == 1 + len(trace)
+        assert shapes == [(1, 2)] * (1 + len(trace))
+        for rec in trace:
+            assert rec.f_true_current == objective(rec.x)

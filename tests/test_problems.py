@@ -1,10 +1,17 @@
-"""Benchmark problem registry contents and declared optima."""
+"""Benchmark problem registry contents, declared optima and row-wise objectives."""
+
+import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdfo import get_problem, list_problems
 from sdfo.problems import PROBLEMS
+from sdfo.problems import TestProblem as Problem
 
 
 def test_registry_contents():
@@ -78,3 +85,126 @@ def test_table_rows_build_problems():
 def test_dimension_messages(name, dimension, message):
     with pytest.raises(ValueError, match=message):
         get_problem(name, dimension)
+
+
+# The registry objectives as one-point functions of Python floats: the
+# reference each row-wise objective must match bit for bit.
+def _sphere(x):
+    return float(x @ x)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _l1norm(x):
+    return float(np.abs(x).sum())
+
+
+def _max_quadratics(x):
+    sq = float(x @ x)
+    j = 1 if x.shape[0] >= 2 else 0
+    q1 = 0.5 * sq + float(x[0])
+    q2 = 0.5 * sq - float(x[0])
+    q3 = sq + 0.3 * float(x[j])
+    return max(q1, q2, q3)
+
+
+def _piecewise_linear(x):
+    return float(np.max(np.abs(x))) - 1.0
+
+
+REFERENCE = {
+    "sphere": _sphere,
+    "rosenbrock": _rosenbrock,
+    "l1norm": _l1norm,
+    "max_quadratics": _max_quadratics,
+    "piecewise_linear": _piecewise_linear,
+}
+
+SPECIAL = [0.0, -0.0, 1e154, -1e154, 1e200, 1e300, -1e300, 1.7e308, -1.7e308,
+           math.inf, -math.inf, math.nan, 5e-324]
+COORDINATE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL), st.floats())
+
+
+def _kinds(call):
+    """``call()`` and the kinds ("overflow", "invalid", ...) of the RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    return value, {str(w.message).split()[0] for w in caught if issubclass(w.category, RuntimeWarning)}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 50), rows=st.integers(1, 3))
+def test_row_form_is_the_scalar_objective_bit_for_bit(name, data, d, rows):
+    objective, _, _, smallest = PROBLEMS[name]
+    d = max(d, smallest)
+    # A (2 rows, 2 d) block: its contiguous head and its every-other row and
+    # column view, so rows are both contiguous and strided.
+    values = data.draw(st.lists(COORDINATE, min_size=4 * rows * d, max_size=4 * rows * d))
+    block = np.array(values).reshape(2 * rows, 2 * d)
+    for stack in (np.ascontiguousarray(block[:rows, :d]), block[::2, ::2], block[1::2, 1::2]):
+        expected, expected_kinds = _kinds(lambda: [REFERENCE[name](row) for row in stack])
+        got, got_kinds = _kinds(lambda: objective(stack))
+        assert got.shape == (rows,)
+        assert np.array_equal(_bits(got), _bits(expected))
+        assert got_kinds <= expected_kinds
+        point, point_kinds = _kinds(lambda: objective(stack[0]))
+        assert np.ndim(point) == 0
+        assert _bits(point) == _bits(expected[0])
+        assert point_kinds <= expected_kinds
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_row_form_on_special_points(name):
+    # In max_quadratics, max(q1, q2, q3) keeps a NaN that comes first and
+    # passes over a later one; these points put NaN in q1, q2 and q3 alone
+    # and together, and overflow each of them.
+    objective = PROBLEMS[name][0]
+    stack = np.array([[math.inf, -math.inf], [-math.inf, math.inf], [math.inf, math.nan],
+                      [1e308, 1e308], [-1e308, -1e308], [0.0, -0.0], [math.nan, 1.0]])
+    expected, expected_kinds = _kinds(lambda: [REFERENCE[name](row) for row in stack])
+    got, got_kinds = _kinds(lambda: objective(stack))
+    assert np.array_equal(_bits(got), _bits(expected))
+    assert got_kinds <= expected_kinds
+
+
+def test_registry_problems_evaluate_rows_in_one_call():
+    for name, (objective, _, _, smallest) in PROBLEMS.items():
+        prob = get_problem(name, smallest + 2)
+        assert prob.eval_true is objective
+        stack = np.random.default_rng(3).uniform(-2.0, 2.0, (5, smallest + 2))
+        # A Fortran-ordered stack is evaluated as its C-ordered copy.
+        for points in (stack, np.asfortranarray(stack)):
+            assert np.array_equal(prob.true_values(points), [prob.eval_true(row) for row in stack])
+
+
+def _counted(shapes, f):
+    def counted(x):
+        shapes.append(x.shape)
+        return f(x)
+
+    return counted
+
+
+def test_custom_problem_is_evaluated_point_by_point():
+    shapes = []
+    prob = Problem(dimension=3, eval_true=_counted(shapes, lambda x: float(x.sum())))
+    values = prob.true_values(np.arange(12.0).reshape(4, 3))
+    assert values.tolist() == [3.0, 12.0, 21.0, 30.0]
+    assert shapes == [(3,)] * 4
+
+
+def test_replaced_objective_of_a_registry_problem_is_evaluated():
+    # Row-wise evaluation follows eval_true itself: a registry problem whose
+    # objective is swapped evaluates the new one, point by point.
+    shapes = []
+    prob = dataclasses.replace(get_problem("sphere", 2), eval_true=_counted(shapes, lambda x: float(x[0])))
+    assert prob.true_values(np.array([[1.0, 5.0], [-2.0, 7.0]])).tolist() == [1.0, -2.0]
+    assert shapes == [(2,), (2,)]

@@ -25,6 +25,7 @@ from sdfo import (
     validate_theta_tr,
 )
 from sdfo.direct_search import DirectSearchConfig
+from sdfo.problems import PROBLEMS
 from sdfo.problems import TestProblem as Problem
 from sdfo.subproblem import QuadraticModel, eigendecomposition
 from sdfo.trust_region import curvature_floor
@@ -297,6 +298,31 @@ class TestRun:
         assert len(calls) == 1 + (2 * d + 1) * len(trace)
         for rec in trace:
             assert rec.f_true_current == float(rec.x @ rec.x)
+
+    def test_registry_problem_rows_per_iteration(self, monkeypatch):
+        # A registry problem is evaluated row-wise: the same 1 + (2d + 1)K
+        # points, counted as rows, in one stencil call and one acceptance
+        # call per iteration.
+        d = 3
+        objective, *rest = PROBLEMS["sphere"]
+        shapes = []
+
+        def counted(x):
+            shapes.append(x.shape)
+            return objective(x)
+
+        monkeypatch.setitem(PROBLEMS, "sphere", (counted, *rest))
+        prob = get_problem("sphere", d)
+        cfg = tr_cfg(max_iters=12, hessian_policy=RegressionClipped(q=0.5, m=1.0, M=1.0))
+        _, trace = tr_run(
+            cfg, prob, NoiseModel.gaussian(0.01), DirectionGenerator(d, QuasiRandomSphere()),
+            (1.0, -1.0, 0.5), seed=4, sampler=one_sample, delta_floor=0.0,
+        )
+        assert len(trace) == 12
+        assert sum(rows for rows, _ in shapes) == 1 + (2 * d + 1) * len(trace)
+        assert shapes == [(1, d)] + [(2 * d, d), (1, d)] * len(trace)
+        for rec in trace:
+            assert rec.f_true_current == objective(rec.x)
 
     def test_zero_iterations(self):
         cfg = tr_cfg(max_iters=0)
