@@ -17,10 +17,7 @@ from .diagnostics import (
 )
 from .direct_search import (
     DirectSearchConfig,
-    DirectSearchState,
     ds_run,
-    ds_step,
-    validate_theta,
 )
 from .directions import (
     DirectionGenerator,
@@ -28,20 +25,17 @@ from .directions import (
     QuasiRandomSphere,
     UniformRandomSphere,
     halton_point,
-    next_direction,
 )
 from .oracle import (
     EstimatePair,
     NoiseModel,
     StochasticOracle,
-    default_sample_policy,
     estimate_pair,
     estimate_pairs,
     fixed_sample_policy,
     moment_oracle_samples,
     moment_sample_policy,
     required_samples,
-    sample_estimate,
     sample_policy,
     variance_sample_policy,
 )
@@ -73,10 +67,7 @@ from .trust_region import (
     TrustRegionConfig,
     TrustRegionState,
     ZeroHessian,
-    build_model,
-    rho,
     tr_run,
-    tr_step,
     validate_theta_tr,
 )
 
@@ -85,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport",
     "DirectSearchConfig",
-    "DirectSearchState",
     "DirectionGenerator",
     "EstimatePair",
     "ExceedanceCell",
@@ -114,10 +104,7 @@ __all__ = [
     "audit_generalized",
     "audit_variance_condition",
     "brute_force_min",
-    "build_model",
-    "default_sample_policy",
     "ds_run",
-    "ds_step",
     "estimate_pair",
     "estimate_pairs",
     "fixed_sample_policy",
@@ -128,19 +115,14 @@ __all__ = [
     "model_value",
     "moment_oracle_samples",
     "moment_sample_policy",
-    "next_direction",
     "read_trace_csv",
     "required_samples",
-    "rho",
-    "sample_estimate",
     "sample_policy",
     "sampler_estimator",
     "solve_exact",
     "stationarity_proxy",
     "summarize",
     "tr_run",
-    "tr_step",
-    "validate_theta",
     "validate_theta_tr",
     "variance_sample_policy",
     "write_trace_csv",

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .directions import DirectionGenerator
-from .oracle import NoiseModel, SamplePolicy, StochasticOracle
+from .oracle import NoiseModel, SamplePolicy
 from .problems import TestProblem
 from .trace import IterationRecord
 from .trust_region import (
@@ -25,12 +25,7 @@ from .trust_region import (
     ZeroHessian,
     check_step_config,
     run_steps,
-    step_once,
-    validate_theta_tr,
 )
-
-DirectSearchState = TrustRegionState
-validate_theta = validate_theta_tr
 
 
 @dataclass(frozen=True)
@@ -57,17 +52,6 @@ def propose_ds(cfg, gen, oracles, sampler, x, radii, fx):
     return direction, np.multiply.outer(radii, direction), radii, [0] * len(radii)
 
 
-def ds_step(
-    state: DirectSearchState,
-    cfg: DirectSearchConfig,
-    gen: DirectionGenerator,
-    oracle: StochasticOracle,
-    sampler: SamplePolicy,
-) -> tuple[DirectSearchState, IterationRecord]:
-    """One direct-search iteration: the step ``delta * d``, tested at scale ``delta``."""
-    return step_once(propose_ds, state, cfg, gen, oracle, sampler)
-
-
 def ds_run(
     cfg: DirectSearchConfig,
     problem: TestProblem,
@@ -77,7 +61,7 @@ def ds_run(
     seed: int = 0,
     sampler: SamplePolicy | None = None,
     delta_floor: float = DEFAULT_DELTA_FLOOR,
-) -> tuple[DirectSearchState, list[IterationRecord]]:
+) -> tuple[TrustRegionState, list[IterationRecord]]:
     """Run direct search from ``x0``; deterministic given the oracle seed
     and the generator state.  A one-seed ``trust_region.run_steps``, which
     says when a run stops."""

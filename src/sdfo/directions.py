@@ -199,8 +199,3 @@ class DirectionGenerator:
             row = _quasi_random_row(self._halton_index, self._bases)
             if row is not None:
                 return row.copy()
-
-
-def next_direction(gen: DirectionGenerator) -> np.ndarray:
-    """Emit the cursor-th direction and advance the cursor."""
-    return gen.next_direction()

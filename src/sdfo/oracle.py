@@ -382,15 +382,6 @@ def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:
     return _draw_sum(oracle, half, truth) + _draw_sum(oracle, n - half, truth)
 
 
-def sample_estimate(oracle: StochasticOracle, x, n: int) -> float:
-    """Arithmetic mean of ``n`` raw oracle samples at ``x``.
-
-    Advances the oracle stream by exactly ``n`` draws.  With noiseless
-    oracles the true value is returned exactly, independent of ``n``.
-    """
-    return float(sample_means(oracle, (x,), n)[1][0, 0])
-
-
 def estimate_pair(
     oracle: StochasticOracle,
     x_current,
@@ -409,7 +400,7 @@ def estimate_pair(
         est_current, est_trial = means[0]
     else:
         truth, means = sample_means(oracle, (x_current,), n_current)
-        est_current, est_trial = means[0, 0], sample_estimate(oracle, x_trial, n_trial)
+        est_current, est_trial = means[0, 0], sample_means(oracle, (x_trial,), n_trial)[1][0, 0]
     return EstimatePair(float(est_current), float(est_trial), n_current, n_trial, float(truth[0]))
 
 
@@ -556,8 +547,3 @@ def sample_policy(
         k_f = _check_k_f(k_f)
         eps_q = 4.0 * k_f * k_f
     return moment_sample_policy(bound, r, 1.0 + 2.0 / r, eps_q)
-
-
-def default_sample_policy(noise: NoiseModel, k_f: float, eps_q: float | None = None) -> SamplePolicy:
-    """Policy matching the declared noise statistics: ``sample_policy``'s ``auto``."""
-    return sample_policy(noise, k_f=k_f, eps_q=eps_q)

@@ -337,32 +337,19 @@ def audit_conditions(
     return tuple(reports[name] for name in names)
 
 
-def audit_condition(
-    name: str,
-    oracle: StochasticOracle,
-    estimator: Estimator,
-    x,
-    g,
-    spec: TailAuditSpec,
-    k_f: float = 1.0,
-) -> AuditReport:
-    """Audit the condition ``CONDITIONS[name]``: one cell per delta and grid point."""
-    return audit_conditions((name,), oracle, estimator, x, g, spec, k_f)[0]
-
-
 def audit_a1(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
     """First-moment tail audit: P(|err| >= (eps_f/p) delta^2) <= p per cell."""
-    return audit_condition("a1", oracle, estimator, x, g, spec)
+    return audit_conditions(("a1",), oracle, estimator, x, g, spec)[0]
 
 
 def audit_a2(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
     """Second-moment tail audit: P(|err| >= sqrt(eps_q/p) delta^2) <= p per cell."""
-    return audit_condition("a2", oracle, estimator, x, g, spec)
+    return audit_conditions(("a2",), oracle, estimator, x, g, spec)[0]
 
 
 def audit_generalized(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
     """Generalized tail audit with threshold alpha * delta^h over alpha >= eps_q."""
-    return audit_condition("a2h", oracle, estimator, x, g, spec)
+    return audit_conditions(("a2h",), oracle, estimator, x, g, spec)[0]
 
 
 def audit_variance_condition(
@@ -381,7 +368,7 @@ def audit_variance_condition(
     bound by more than three standard errors of the moment estimator.
     """
     spec = TailAuditSpec(delta_grid=tuple(delta_grid), trials=trials, seed=seed)
-    return audit_condition("variance", oracle, estimator, x, g, spec, k_f)
+    return audit_conditions(("variance",), oracle, estimator, x, g, spec, k_f)[0]
 
 
 def write_report_csv(path, report: AuditReport, metadata: Mapping[str, object] | None = None) -> None:

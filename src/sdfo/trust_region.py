@@ -30,6 +30,7 @@ accepted.  ``f(x0)`` must be finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -121,7 +122,8 @@ def check_step_config(cfg) -> None:
 
     An omitted ``theta`` becomes ``1.1`` times its admissibility bound,
     which needs a positive ``eps_f_hint``.  ``delta0``, ``delta_max`` and
-    ``theta`` are then Python floats, whatever numbers they were given as.
+    ``theta`` are then Python floats, whatever numbers they were given as,
+    and ``max_iters`` is a Python int; a bool ``max_iters`` is rejected.
     """
     if not 0.0 < cfg.delta0 < math.inf:
         raise ValueError(f"delta0 must be positive and finite, got {cfg.delta0}")
@@ -131,6 +133,8 @@ def check_step_config(cfg) -> None:
         raise ValueError(f"tau must lie in (0, 1), got {cfg.tau}")
     if not 1.0 <= cfg.tau_bar <= 1.0 + cfg.tau:
         raise ValueError(f"tau_bar must lie in [1, 1 + tau], got {cfg.tau_bar}")
+    if isinstance(cfg.max_iters, bool) or not isinstance(cfg.max_iters, numbers.Integral):
+        raise ValueError(f"max_iters must be an integer, got {cfg.max_iters!r}")
     if cfg.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     if not isinstance(cfg.hessian_policy, (ZeroHessian, RegressionClipped)):
@@ -157,6 +161,7 @@ def check_step_config(cfg) -> None:
     for name in ("delta0", "delta_max", "theta"):
         if type(getattr(cfg, name)) is not float:
             object.__setattr__(cfg, name, float(getattr(cfg, name)))
+    object.__setattr__(cfg, "max_iters", int(cfg.max_iters))
 
 
 def curvature_floor(cfg) -> float:
@@ -198,40 +203,19 @@ def validate_theta_tr(cfg) -> ThetaVerdict:
     )
 
 
-def build_model(
-    state: TrustRegionState,
-    gen: DirectionGenerator,
-    oracle: StochasticOracle,
-    policy: HessianPolicy,
-    sampler: SamplePolicy,
-) -> tuple[QuadraticModel, int]:
-    """Quadratic model at the current state; returns the stencil sample count.
-
-    The direction comes from the generator and never depends on function
-    estimates.  The matrix obeys the clipped eigenvalue growth bounds by
-    construction.
-    """
-    direction = gen.next_direction()
-    (model,), (used,) = stencil_models(
-        direction, [oracle], policy, state.x[None, :], [state.delta], sampler
-    )
-    return model, used
-
-
 def stencil_models(
-    direction, oracles, policy: HessianPolicy, x: np.ndarray, radii, sampler, fx=None
+    direction, oracles, policy: RegressionClipped, x: np.ndarray, radii, sampler, fx=None
 ) -> tuple[list[QuadraticModel], list[int]]:
     """Each seed's model around the shared direction, and the stencil samples it spent.
 
-    A zero policy gives zero matrices for no samples.  Otherwise seed ``s``
-    estimates f with ``sampler(radii[s])`` samples per point at ``x[s]``
-    and ``x[s] +/- radii[s] e_i`` and clips its central differences into
-    ``[-m delta**-q, M delta**-q]``.  ``fx``, when given, holds the true
-    values at the ``x[s]``, which are then not evaluated again.
+    Seed ``s`` estimates f with ``sampler(radii[s])`` samples per point
+    at ``x[s]`` and ``x[s] +/- radii[s] e_i`` and clips its central
+    differences into ``[-m delta**-q, M delta**-q]``.  ``fx``, when given,
+    holds the true values at the ``x[s]``, which are then not evaluated
+    again.  A zero model matrix needs no stencil; ``propose_tr`` takes it
+    without this call.
     """
     batch, n = x.shape
-    if isinstance(policy, ZeroHessian):
-        return [QuadraticModel(g=direction, B=np.zeros((n, n)), radius=r) for r in radii], [0] * batch
     counts = [int(sampler(r)) for r in radii]
     delta = np.array(radii)
     offsets = delta[:, None, None] * np.eye(n)
@@ -248,13 +232,6 @@ def stencil_models(
     clipped = np.clip(curvature, np.array(lo)[:, None], np.array(hi)[:, None])
     models = [QuadraticModel(g=direction, B=np.diag(c), radius=r) for c, r in zip(clipped, radii)]
     return models, [(2 * n + 1) * count for count in counts]
-
-
-def rho(est_current: float, est_trial: float, theta: float, step_norm: float) -> float:
-    """Acceptance ratio: estimated decrease over ``theta * step_norm**2``."""
-    if step_norm <= 0.0:
-        raise ValueError("degenerate step: step_norm must be positive")
-    return (est_current - est_trial) / (theta * step_norm * step_norm)
 
 
 # A proposal maps (cfg, gen, oracles, sampler, x, radii, fx) for a seed
@@ -323,33 +300,6 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
     else:
         new_x = x
     return rows, direction, step, new_x, new_radii, new_fx
-
-
-def step_once(propose: Proposal, state: TrustRegionState, cfg, gen, oracle, sampler):
-    """``iterate`` for one state; returns the new state and its record."""
-    x = np.array(state.x, dtype=float)[None, :]
-    ((row,), direction, step, new_x, (delta,), _) = iterate(
-        propose, cfg, gen, [oracle], sampler, x, [float(state.delta)], None, state.k
-    )
-    record = IterationRecord(*row, x[0], direction, step[0])
-    new_state = TrustRegionState(
-        x=new_x[0].copy(),
-        delta=delta,
-        k=state.k + 1,
-        cum_delta_sq=state.cum_delta_sq + state.delta * state.delta,
-    )
-    return new_state, record
-
-
-def tr_step(
-    state: TrustRegionState,
-    cfg: TrustRegionConfig,
-    gen: DirectionGenerator,
-    oracle: StochasticOracle,
-    sampler: SamplePolicy,
-) -> tuple[TrustRegionState, IterationRecord]:
-    """One trust-region iteration: model, exact subproblem, test at scale ``||s||``."""
-    return step_once(propose_tr, state, cfg, gen, oracle, sampler)
 
 
 def run_steps(

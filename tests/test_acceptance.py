@@ -39,7 +39,6 @@ from sdfo import (
     stationarity_proxy,
     summarize,
     tr_run,
-    validate_theta,
     validate_theta_tr,
     variance_sample_policy,
 )
@@ -184,7 +183,7 @@ def noisy_l1_batches():
         delta0=1.0, delta_max=2.0, tau=0.1, tau_bar=1.1, max_iters=RUN_ITERS,
         theta=0.25, eps_f_hint=0.01,
     )
-    assert validate_theta(ds_cfg).ok
+    assert validate_theta_tr(ds_cfg).ok
     assert validate_theta_tr(tr_cfg).ok
     batches = {}
     for label, cfg, run in (("direct_search", ds_cfg, ds_run), ("trust_region", tr_cfg, tr_run)):

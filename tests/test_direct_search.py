@@ -7,26 +7,35 @@ import pytest
 
 from sdfo import (
     DirectSearchConfig,
-    DirectSearchState,
     DirectionGenerator,
     FixedCycle,
     NoiseModel,
     QuasiRandomSphere,
     StochasticOracle,
     ds_run,
-    ds_step,
     fixed_sample_policy,
     get_problem,
-    validate_theta,
+    validate_theta_tr,
 )
+from sdfo.direct_search import propose_ds
 from sdfo.problems import PROBLEMS
 from sdfo.problems import TestProblem as Problem
+from sdfo.trace import IterationRecord
+from sdfo.trust_region import iterate
 
 PARABOLA = Problem(dimension=1, eval_true=lambda x: float(x[0] ** 2), name="parabola")
 
 
 def one_sample(delta):
     return 1
+
+
+def one_step(cfg, gen, oracle, x, delta):
+    """One ``iterate`` of a single seed: its trace record, new iterate and new stepsize."""
+    (row,), _, _, new_x, (new_delta,), _ = iterate(
+        propose_ds, cfg, gen, [oracle], one_sample, np.array([x]), [delta], None, 0
+    )
+    return IterationRecord(*row), new_x[0], new_delta
 
 
 class TestConfigValidation:
@@ -56,7 +65,7 @@ class TestValidateTheta:
         cfg = DirectSearchConfig(
             delta0=1.0, tau=0.5, tau_bar=1.0, max_iters=1, theta=5.0, eps_f_hint=1.0
         )
-        verdict = validate_theta(cfg)
+        verdict = validate_theta_tr(cfg)
         assert verdict.ok
         assert verdict.bound == pytest.approx(8.0 / 3.0)
 
@@ -64,7 +73,7 @@ class TestValidateTheta:
         cfg = DirectSearchConfig(
             delta0=1.0, tau=0.5, tau_bar=1.0, max_iters=1, theta=2.0, eps_f_hint=1.0
         )
-        verdict = validate_theta(cfg)
+        verdict = validate_theta_tr(cfg)
         assert not verdict.ok
         assert verdict.bound == pytest.approx(8.0 / 3.0)
 
@@ -72,12 +81,12 @@ class TestValidateTheta:
         cfg = DirectSearchConfig(
             delta0=1.0, tau=0.5, tau_bar=1.0, max_iters=1, theta=1e-9, eps_f_hint=0.0
         )
-        assert validate_theta(cfg).ok
+        assert validate_theta_tr(cfg).ok
 
     def test_requires_hint(self):
         cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.0, max_iters=1, theta=1.0)
         with pytest.raises(ValueError):
-            validate_theta(cfg)
+            validate_theta_tr(cfg)
 
 
 class TestStep:
@@ -85,49 +94,43 @@ class TestStep:
         cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.25, max_iters=10, theta=0.5)
         oracle = StochasticOracle(PARABOLA, NoiseModel.none())
         gen = DirectionGenerator(1, FixedCycle([(-1.0,)]))
-        state = DirectSearchState(x=np.array([1.0]), delta=1.0)
-        new_state, rec = ds_step(state, cfg, gen, oracle, one_sample)
+        rec, x, delta = one_step(cfg, gen, oracle, [1.0], 1.0)
         # decrease f(1) - f(0) = 1 >= theta * 1
         assert rec.success
-        assert new_state.x[0] == 0.0
-        assert new_state.delta == 1.25
+        assert x[0] == 0.0
+        assert delta == 1.25
         assert rec.est_current == 1.0 and rec.est_trial == 0.0
 
     def test_unsuccessful_at_minimizer(self):
         cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.25, max_iters=10, theta=0.5)
         oracle = StochasticOracle(PARABOLA, NoiseModel.none())
         gen = DirectionGenerator(1, FixedCycle([(1.0,)]))
-        state = DirectSearchState(x=np.array([0.0]), delta=1.0)
-        new_state, rec = ds_step(state, cfg, gen, oracle, one_sample)
+        rec, x, delta = one_step(cfg, gen, oracle, [0.0], 1.0)
         assert not rec.success
-        assert new_state.x[0] == 0.0
-        assert new_state.delta == 0.5
+        assert x[0] == 0.0
+        assert delta == 0.5
 
     def test_contraction_factor(self):
         cfg = DirectSearchConfig(delta0=0.8, tau=0.5, tau_bar=1.25, max_iters=10, theta=0.5)
         oracle = StochasticOracle(PARABOLA, NoiseModel.none())
         gen = DirectionGenerator(1, FixedCycle([(1.0,)]))
-        state = DirectSearchState(x=np.array([0.0]), delta=0.8)
-        new_state, _ = ds_step(state, cfg, gen, oracle, one_sample)
-        assert new_state.delta == pytest.approx(0.4)
+        _, _, delta = one_step(cfg, gen, oracle, [0.0], 0.8)
+        assert delta == pytest.approx(0.4)
 
     def test_tie_counts_as_success(self):
         # f(1) - f(0) = 1 with theta * delta^2 = 1 exactly.
         cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.25, max_iters=10, theta=1.0)
         oracle = StochasticOracle(PARABOLA, NoiseModel.none())
         gen = DirectionGenerator(1, FixedCycle([(-1.0,)]))
-        state = DirectSearchState(x=np.array([1.0]), delta=1.0)
-        _, rec = ds_step(state, cfg, gen, oracle, one_sample)
+        rec, _, _ = one_step(cfg, gen, oracle, [1.0], 1.0)
         assert rec.success
 
     def test_cumulates_squared_stepsizes(self):
-        cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.25, max_iters=10, theta=0.5)
-        oracle = StochasticOracle(PARABOLA, NoiseModel.none())
-        gen = DirectionGenerator(1, FixedCycle([(1.0,)]))
-        state = DirectSearchState(x=np.array([0.0]), delta=1.0)
-        for expected in (1.0, 1.25, 1.3125):
-            state, _ = ds_step(state, cfg, gen, oracle, one_sample)
-            assert state.cum_delta_sq == pytest.approx(expected)
+        for iters, expected in ((1, 1.0), (2, 1.25), (3, 1.3125)):
+            cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.25, max_iters=iters, theta=0.5)
+            gen = DirectionGenerator(1, FixedCycle([(1.0,)]))
+            state, _ = ds_run(cfg, PARABOLA, NoiseModel.none(), gen, (0.0,), sampler=one_sample)
+            assert (state.k, state.cum_delta_sq) == (iters, pytest.approx(expected))
 
 
 class TestRun:

@@ -11,7 +11,6 @@ from sdfo import (
     QuasiRandomSphere,
     UniformRandomSphere,
     halton_point,
-    next_direction,
 )
 from sdfo import directions
 from sdfo.directions import first_primes, halton_direction, radical_inverse
@@ -84,7 +83,7 @@ class TestDirectionGenerator:
 
     def test_fixed_cycle_wraps(self):
         gen = DirectionGenerator(2, FixedCycle([(1.0, 0.0), (0.0, 1.0)]), cursor=2)
-        assert np.array_equal(next_direction(gen), np.array([1.0, 0.0]))
+        assert np.array_equal(gen.next_direction(), np.array([1.0, 0.0]))
 
     def test_fixed_cycle_rejects_non_unit(self):
         with pytest.raises(ValueError):

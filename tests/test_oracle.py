@@ -16,13 +16,11 @@ from sdfo import (
     get_problem,
     moment_oracle_samples,
     required_samples,
-    sample_estimate,
 )
 from sdfo import oracle as oracle_module
 from sdfo.oracle import (
     CHUNK_DRAWS,
     batch_means,
-    default_sample_policy,
     fixed_sample_policy,
     moment_sample_policy,
     sample_means,
@@ -38,12 +36,12 @@ def make_oracle(noise, seed=0, name="sphere", dim=2):
 class TestSampleEstimate:
     def test_zero_noise_exact_value(self):
         oracle = make_oracle(NoiseModel.none())
-        assert sample_estimate(oracle, (1.0, 1.0), 1) == 2.0
+        assert sample_means(oracle, ((1.0, 1.0),), 1)[1][0, 0] == 2.0
 
     def test_zero_noise_averaging_constants(self):
         oracle = make_oracle(NoiseModel.none())
         x = (0.1, -0.7)
-        assert sample_estimate(oracle, x, 5) == sample_estimate(oracle, x, 1)
+        assert sample_means(oracle, (x,), 5)[1][0, 0] == sample_means(oracle, (x,), 1)[1][0, 0]
 
     def test_gaussian_mean_concentrates(self):
         # Mean of 1e6 unit-variance draws: sampling error std is 1e-3, so
@@ -55,32 +53,32 @@ class TestSampleEstimate:
 
         prob = Problem(dimension=1, eval_true=zero, name="flat")
         oracle = StochasticOracle(prob, NoiseModel.gaussian(1.0), seed=123)
-        assert abs(sample_estimate(oracle, (0.0,), 10**6)) < 0.01
+        assert abs(sample_means(oracle, ((0.0,),), 10**6)[1][0, 0]) < 0.01
 
     def test_stream_advances_by_n(self):
         oracle = make_oracle(NoiseModel.gaussian(1.0))
-        sample_estimate(oracle, (0.0, 0.0), 7)
+        sample_means(oracle, ((0.0, 0.0),), 7)
         assert oracle.draws == 7
-        sample_estimate(oracle, (1.0, 0.0), 3)
+        sample_means(oracle, ((1.0, 0.0),), 3)
         assert oracle.draws == 10
 
     def test_sequences_are_seed_deterministic(self):
         a = make_oracle(NoiseModel.gaussian(2.0), seed=42)
         b = make_oracle(NoiseModel.gaussian(2.0), seed=42)
         xs = [(0.0, 0.0), (1.0, 2.0), (0.5, -0.5)]
-        va = [sample_estimate(a, x, n) for x, n in zip(xs, (1, 4, 9))]
-        vb = [sample_estimate(b, x, n) for x, n in zip(xs, (1, 4, 9))]
+        va = [sample_means(a, (x,), n)[1][0, 0] for x, n in zip(xs, (1, 4, 9))]
+        vb = [sample_means(b, (x,), n)[1][0, 0] for x, n in zip(xs, (1, 4, 9))]
         assert va == vb
 
     def test_dimension_mismatch_rejected(self):
         oracle = make_oracle(NoiseModel.none())
         with pytest.raises(ValueError):
-            sample_estimate(oracle, (1.0, 2.0, 3.0), 1)
+            sample_means(oracle, ((1.0, 2.0, 3.0),), 1)
 
     def test_zero_samples_rejected(self):
         oracle = make_oracle(NoiseModel.none())
         with pytest.raises(ValueError):
-            sample_estimate(oracle, (1.0, 1.0), 0)
+            sample_means(oracle, ((1.0, 1.0),), 0)
 
 
 class TestRequiredSamples:
@@ -173,8 +171,8 @@ class TestEstimatePair:
         b = make_oracle(NoiseModel.gaussian(1.0), seed=9)
         x, y = np.zeros(2), np.ones(2)
         pair = estimate_pair(a, x, y, 4, 6)
-        assert pair.est_current == sample_estimate(b, x, 4)
-        assert pair.est_trial == sample_estimate(b, y, 6)
+        assert pair.est_current == sample_means(b, (x,), 4)[1][0, 0]
+        assert pair.est_trial == sample_means(b, (y,), 6)[1][0, 0]
 
 
 ALL_NOISE = [
@@ -203,7 +201,7 @@ class TestEstimatePairs:
         assert np.array_equal(batch, loop)
         assert a.draws == b.draws == 2 * n * trials
         # Both streams stop at the same place.
-        assert sample_estimate(a, x, 3) == sample_estimate(b, x, 3)
+        assert sample_means(a, (x,), 3)[1][0, 0] == sample_means(b, (x,), 3)[1][0, 0]
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -265,7 +263,7 @@ class TestSampleMeans:
         a = make_oracle(noise, seed=3, dim=D)
         b = make_oracle(noise, seed=3, dim=D)
         x, y = STACK_POINTS[0], STACK_POINTS[1]
-        assert sample_estimate(a, x, 9) == reference_estimate(b, x, 9)
+        assert sample_means(a, (x,), 9)[1][0, 0] == reference_estimate(b, x, 9)
         for n_trial in (5, 7):
             pair = estimate_pair(a, x, y, 5, n_trial)
             assert pair.est_current == reference_estimate(b, x, 5)
@@ -315,7 +313,7 @@ class TestSampleMeans:
         oracle = make_oracle(noise)
         tracemalloc.start()
         try:
-            sample_estimate(oracle, (0.5, -0.25), 2**21)
+            sample_means(oracle, ((0.5, -0.25),), 2**21)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -604,7 +602,7 @@ class TestNoiseModels:
         x = (0.3, 0.4)
         truth = oracle.problem.eval_true(np.asarray(x))
         for n in (1, 2, 10, 1000):
-            assert sample_estimate(oracle, x, n) == truth
+            assert sample_means(oracle, (x,), n)[1][0, 0] == truth
 
 
 class TestSpawn:
@@ -614,9 +612,9 @@ class TestSpawn:
         a2 = base.spawn(2)
         b1 = make_oracle(NoiseModel.gaussian(1.0), seed=3).spawn(1)
         x = (0.0, 0.0)
-        va1 = sample_estimate(a1, x, 10)
-        assert va1 == sample_estimate(b1, x, 10)
-        assert va1 != sample_estimate(a2, x, 10)
+        va1 = sample_means(a1, (x,), 10)[1][0, 0]
+        assert va1 == sample_means(b1, (x,), 10)[1][0, 0]
+        assert va1 != sample_means(a2, (x,), 10)[1][0, 0]
 
 
 DELTAS = (2.0, 1.0, 0.5, 0.1, 0.01)
@@ -656,7 +654,6 @@ class TestSamplePolicy:
     def test_auto_follows_declared_statistics(self, noise, kind):
         auto = self.counts(sample_policy(noise, k_f=0.3, eps_q=0.2))
         assert auto == self.counts(sample_policy(noise, kind, n=1, k_f=0.3, eps_q=0.2))
-        assert auto == self.counts(default_sample_policy(noise, 0.3, eps_q=0.2))
 
     def test_declared_statistics_required(self):
         with pytest.raises(ValueError, match="variance sampler needs noise with a declared variance"):

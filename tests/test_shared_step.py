@@ -19,8 +19,7 @@ from sdfo import (
     get_problem,
     tr_run,
 )
-from sdfo.direct_search import DirectSearchState, validate_theta
-from sdfo.trust_region import TrustRegionState, theta_bound, validate_theta_tr
+from sdfo.trust_region import theta_bound
 
 BASE = {"delta0": 1.0, "tau": 0.5, "tau_bar": 1.0, "max_iters": 5, "theta": 0.5}
 RUNS = {
@@ -39,9 +38,7 @@ NOISES = {
 }
 
 
-def test_direct_search_names_alias_the_shared_ones():
-    assert DirectSearchState is TrustRegionState
-    assert validate_theta is validate_theta_tr
+def test_direct_search_config_shares_the_theta_bound():
     cfg = DirectSearchConfig(delta0=1.0, tau=0.5, tau_bar=1.0, max_iters=1, theta=1.0)
     assert cfg.delta_max == math.inf
     # One bound for both configs: a zero model has curvature floor one.
@@ -52,6 +49,29 @@ def test_direct_search_names_alias_the_shared_ones():
         delta0=1.0, tau=0.5, tau_bar=1.0, max_iters=1, theta=1.0, eps_f_hint=0.3
     )
     assert theta_bound(ds) == theta_bound(tr) == 4.0 * 0.3 / 1.5
+
+
+@pytest.mark.parametrize("method", sorted(RUNS))
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["2.5", "3.0", "true", "str"])
+def test_config_rejects_a_non_integer_max_iters(method, value):
+    # A float used to fail only inside the run (range() of a float), and
+    # True ran one iteration with k = True on the final state.
+    _, make_cfg = RUNS[method]
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        make_cfg(max_iters=value)
+
+
+@pytest.mark.parametrize("method", sorted(RUNS))
+def test_numpy_integer_max_iters_is_stored_as_int(method):
+    run, make_cfg = RUNS[method]
+    cfg = make_cfg(max_iters=np.int64(3))
+    assert type(cfg.max_iters) is int
+    state, trace = run(
+        cfg, get_problem("sphere", 2), NoiseModel.none(),
+        DirectionGenerator(2, QuasiRandomSphere()), (1.0, 1.0), delta_floor=0.0,
+    )
+    assert len(trace) == state.k == 3
+    assert type(state.k) is int
 
 
 @pytest.mark.parametrize("method", sorted(RUNS))

@@ -8,21 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdfo import (
-    DirectionGenerator,
-    FixedCycle,
     NoiseModel,
     QuadraticModel,
     RegressionClipped,
     StochasticOracle,
-    TrustRegionState,
     brute_force_min,
-    build_model,
     kkt_residuals,
     model_value,
     solve_exact,
 )
 from sdfo.problems import TestProblem as Problem
 from sdfo.subproblem import _shifted_norm, eigendecomposition
+from sdfo.trust_region import stencil_models
 
 
 def random_model(rng, n, radius=None, eig_range=(-10.0, 10.0)):
@@ -90,15 +87,16 @@ class TestJacobi:
         assert np.array_equal(v, np.eye(3))
 
     def test_clip_eigenvalues(self):
-        # build_model clips the fitted curvature [5, -7, 0.5] into
+        # stencil_models clips the fitted curvature [5, -7, 0.5] into
         # [-m delta^-q, M delta^-q] = [-2, 2]: both bounds bind, and the
         # interior value is kept.
         a = np.array([5.0, -7.0, 0.5])
         prob = Problem(dimension=3, eval_true=lambda x: float(0.5 * np.sum(a * x * x)))
         oracle = StochasticOracle(prob, NoiseModel.none())
-        gen = DirectionGenerator(3, FixedCycle([(1.0, 0.0, 0.0)]))
-        state = TrustRegionState(x=np.zeros(3), delta=0.25)
-        model, _ = build_model(state, gen, oracle, RegressionClipped(q=0.5, m=1.0, M=1.0), lambda d: 1)
+        policy = RegressionClipped(q=0.5, m=1.0, M=1.0)
+        (model,), _ = stencil_models(
+            np.array([1.0, 0.0, 0.0]), [oracle], policy, np.zeros((1, 3)), [0.25], lambda d: 1
+        )
         assert np.count_nonzero(model.B - np.diag(np.diag(model.B))) == 0
         w, _ = eigendecomposition(model.B)
         assert np.allclose(w, [-2.0, 0.5, 2.0], atol=1e-12)

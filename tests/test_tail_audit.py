@@ -26,7 +26,6 @@ from sdfo.stats import wilson_upper
 from sdfo.tail_audit import (
     CONDITIONS,
     _collect_errors,
-    audit_condition,
     audit_conditions,
     format_report,
     tail_order,
@@ -239,7 +238,7 @@ class TestAuditCondition:
         with pytest.raises(ValueError, match="k_f must be positive and finite"):
             audit_variance_condition(oracle, est, X, G, bad, trials=1000)
         with pytest.raises(ValueError, match="k_f must be positive and finite"):
-            audit_condition("variance", oracle, est, X, G, small_spec(), k_f=bad)
+            audit_conditions(("variance",), oracle, est, X, G, small_spec(), k_f=bad)
         assert oracle.draws == 0
 
     @pytest.mark.parametrize("name", ["a1", "a2", "a2h", "variance"])
@@ -255,7 +254,7 @@ class TestAuditCondition:
             ),
         }
         expected = public[name](gaussian_oracle(seed=5))
-        report = audit_condition(name, gaussian_oracle(seed=5), est, X, G, spec, k_f=0.5)
+        (report,) = audit_conditions((name,), gaussian_oracle(seed=5), est, X, G, spec, k_f=0.5)
         assert report == expected
         assert report.condition == name
         grid = {"a1": 3, "a2": 3, "a2h": 2, "variance": 2}[name]  # alpha 2 < eps_q drops
@@ -272,7 +271,8 @@ class TestAuditCondition:
         names = ("a1", "a2", "a2h", "variance")
         joint = audit_conditions(names, gaussian_oracle(seed=6), est, X, G, spec, k_f=1.0)
         single = tuple(
-            audit_condition(name, gaussian_oracle(seed=6), est, X, G, spec, k_f=1.0) for name in names
+            audit_conditions((name,), gaussian_oracle(seed=6), est, X, G, spec, k_f=1.0)[0]
+            for name in names
         )
         assert joint == single
         assert [r.condition for r in joint] == list(names)
@@ -331,7 +331,7 @@ class TestVacuousCells:
         est = sampler_estimator(fixed_sample_policy(1))
         spec = small_spec(eps_f=1e-10, delta_grid=(1e155,), trials=1000)
         with pytest.raises(ValueError, match=r"f\(x\) and f\(x \+ delta g\) must be finite"):
-            audit_condition(name, oracle, est, X, G, spec)
+            audit_conditions((name,), oracle, est, X, G, spec)
         assert oracle.draws == 0
 
 

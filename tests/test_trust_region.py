@@ -13,22 +13,18 @@ from sdfo import (
     RegressionClipped,
     StochasticOracle,
     TrustRegionConfig,
-    TrustRegionState,
-    ZeroHessian,
-    build_model,
     ds_run,
     fixed_sample_policy,
     get_problem,
-    rho,
     tr_run,
-    tr_step,
     validate_theta_tr,
 )
 from sdfo.direct_search import DirectSearchConfig
 from sdfo.problems import PROBLEMS
 from sdfo.problems import TestProblem as Problem
 from sdfo.subproblem import QuadraticModel, eigendecomposition
-from sdfo.trust_region import curvature_floor
+from sdfo.trace import IterationRecord
+from sdfo.trust_region import curvature_floor, iterate, propose_tr, stencil_models
 
 def reference_estimate(oracle, x, n):
     """One estimate as a single draw call and mean."""
@@ -39,19 +35,18 @@ def reference_estimate(oracle, x, n):
     return float(np.mean(value + oracle.noise.draw(oracle._rng, n)))
 
 
-def reference_build_model(state, gen, oracle, policy, sampler):
+def reference_stencil_model(x, delta, gen, oracle, policy, sampler):
     """The stencil model as a loop of 2d + 1 single-point estimates."""
     direction = gen.next_direction()
-    n = state.x.shape[0]
-    delta = state.delta
+    n = x.shape[0]
     n_sten = sampler(delta)
-    center = reference_estimate(oracle, state.x, n_sten)
+    center = reference_estimate(oracle, x, n_sten)
     curvature = np.zeros(n)
     for i in range(n):
         offset = np.zeros(n)
         offset[i] = delta
-        plus = reference_estimate(oracle, state.x + offset, n_sten)
-        minus = reference_estimate(oracle, state.x - offset, n_sten)
+        plus = reference_estimate(oracle, x + offset, n_sten)
+        minus = reference_estimate(oracle, x - offset, n_sten)
         curvature[i] = (plus - 2.0 * center + minus) / (delta * delta)
     hi = policy.M * delta ** (-policy.q)
     lo = -policy.m * delta ** (-policy.q)
@@ -64,6 +59,20 @@ PARABOLA = Problem(dimension=1, eval_true=lambda x: float(x[0] ** 2), name="para
 
 def one_sample(delta):
     return 1
+
+
+def stencil_model(x, delta, gen, oracle, policy, sampler):
+    """One seed's ``stencil_models`` model around the generator's next direction, and its samples."""
+    (model,), (used,) = stencil_models(gen.next_direction(), [oracle], policy, x[None], [delta], sampler)
+    return model, used
+
+
+def one_step(cfg, gen, oracle, x, delta):
+    """One ``iterate`` of a single seed: its trace record, new iterate and new radius."""
+    (row,), _, _, new_x, (new_delta,), _ = iterate(
+        propose_tr, cfg, gen, [oracle], one_sample, np.array([x]), [delta], None, 0
+    )
+    return IterationRecord(*row), new_x[0], new_delta
 
 
 def tr_cfg(**kw):
@@ -143,26 +152,18 @@ class TestValidateThetaTr:
         assert validate_theta_tr(cfg).ok
 
 
-class TestRho:
-    def test_values(self):
-        assert rho(1.0, 0.5, 1.0, 0.5) == pytest.approx(2.0)
-        assert rho(1.0, 1.0, 3.0, 0.7) == 0.0
-        assert rho(0.5, 1.0, 2.0, 0.5) == pytest.approx(-1.0)
-
-    def test_degenerate_step(self):
-        with pytest.raises(ValueError):
-            rho(1.0, 0.0, 1.0, 0.0)
-
-
 class TestBuildModel:
     def test_zero_policy(self):
-        state = TrustRegionState(x=np.zeros(2), delta=0.7)
+        # A zero model matrix needs no stencil: its minimizer is -delta * g.
         oracle = StochasticOracle(get_problem("sphere", 2), NoiseModel.none())
         gen = DirectionGenerator(2, QuasiRandomSphere())
-        model, used = build_model(state, gen, oracle, ZeroHessian(), one_sample)
-        assert not model.B.any()
-        assert used == 0
-        assert model.radius == 0.7
+        direction, step, scales, used = propose_tr(
+            tr_cfg(), gen, [oracle], one_sample, np.zeros((1, 2)), [0.7], None
+        )
+        assert np.array_equal(step, [-0.7 * direction])
+        assert scales is None
+        assert used == [0]
+        assert oracle.draws == 0
 
     @pytest.mark.parametrize(
         "diag", [(2.0, 8.0), (-3.0, 1.5), (0.0, 4.0)], ids=["pd", "indef", "psd"]
@@ -179,8 +180,7 @@ class TestBuildModel:
         oracle = StochasticOracle(prob, NoiseModel.none())
         gen = DirectionGenerator(2, QuasiRandomSphere())
         policy = RegressionClipped(q=0.5, m=10.0, M=10.0)
-        state = TrustRegionState(x=np.array([0.4, -0.2]), delta=0.05)
-        model, used = build_model(state, gen, oracle, policy, one_sample)
+        model, used = stencil_model(np.array([0.4, -0.2]), 0.05, gen, oracle, policy, one_sample)
         assert used == 5
         assert np.allclose(np.diag(model.B), a, atol=1e-7)
 
@@ -200,9 +200,9 @@ class TestBuildModel:
         gen_b = DirectionGenerator(d, QuasiRandomSphere())
         rng = np.random.default_rng(d)
         for delta, n in ((1.0, 1), (0.3, 4), (0.05, 25), (0.01, 700)):
-            state = TrustRegionState(x=rng.uniform(-1.5, 1.5, d), delta=delta)
-            model, used = build_model(state, gen_a, a, policy, fixed_sample_policy(n))
-            ref, ref_used = reference_build_model(state, gen_b, b, policy, fixed_sample_policy(n))
+            x = rng.uniform(-1.5, 1.5, d)
+            model, used = stencil_model(x, delta, gen_a, a, policy, fixed_sample_policy(n))
+            ref, ref_used = reference_stencil_model(x, delta, gen_b, b, policy, fixed_sample_policy(n))
             assert np.array_equal(model.B, ref.B)
             assert np.array_equal(model.g, ref.g)
             assert used == ref_used == (2 * d + 1) * n
@@ -220,8 +220,7 @@ class TestBuildModel:
         gen = DirectionGenerator(2, QuasiRandomSphere())
         policy = RegressionClipped(q=0.5, m=2.0, M=3.0)
         delta = 0.25
-        state = TrustRegionState(x=np.array([0.1, 0.1]), delta=delta)
-        model, _ = build_model(state, gen, oracle, policy, one_sample)
+        model, _ = stencil_model(np.array([0.1, 0.1]), delta, gen, oracle, policy, one_sample)
         w, _ = eigendecomposition(model.B)
         assert w[-1] <= policy.M * delta ** (-policy.q) + 1e-10
         assert -w[0] <= policy.m * delta ** (-policy.q) + 1e-10
@@ -233,35 +232,32 @@ class TestBuildModel:
 class TestStep:
     def test_successful_step_arithmetic(self):
         # f(x)=x^2 at x=1, B=0, g=+1 so s=-delta*g=-0.5: decrease 0.75,
-        # rho = 0.75/0.25 = 3 >= 1.
+        # 0.75 >= theta * ||s||^2 = 0.25.
         cfg = tr_cfg(theta=1.0, delta_max=2.0)
         oracle = StochasticOracle(PARABOLA, NoiseModel.none())
         gen = DirectionGenerator(1, FixedCycle([(1.0,)]))
-        state = TrustRegionState(x=np.array([1.0]), delta=0.5)
-        new_state, rec = tr_step(state, cfg, gen, oracle, one_sample)
+        rec, x, delta = one_step(cfg, gen, oracle, [1.0], 0.5)
         assert rec.success
-        assert new_state.x[0] == 0.5
-        assert new_state.delta == min(2.0, 1.25 * 0.5)
+        assert x[0] == 0.5
+        assert delta == min(2.0, 1.25 * 0.5)
         assert rec.step_norm == 0.5
 
     def test_radius_cap_binds(self):
         cfg = tr_cfg(theta=0.1, delta_max=1.0, delta0=1.0)
         oracle = StochasticOracle(PARABOLA, NoiseModel.none())
         gen = DirectionGenerator(1, FixedCycle([(1.0,)]))
-        state = TrustRegionState(x=np.array([4.0]), delta=1.0)
-        new_state, rec = tr_step(state, cfg, gen, oracle, one_sample)
+        rec, _, delta = one_step(cfg, gen, oracle, [4.0], 1.0)
         assert rec.success
-        assert new_state.delta == 1.0  # min(delta_max, 1.25) = delta_max
+        assert delta == 1.0  # min(delta_max, 1.25) = delta_max
 
     def test_failure_at_minimizer(self):
         cfg = tr_cfg(theta=1.0)
         oracle = StochasticOracle(PARABOLA, NoiseModel.none())
         gen = DirectionGenerator(1, FixedCycle([(1.0,)]))
-        state = TrustRegionState(x=np.array([0.0]), delta=0.5)
-        new_state, rec = tr_step(state, cfg, gen, oracle, one_sample)
+        rec, x, delta = one_step(cfg, gen, oracle, [0.0], 0.5)
         assert not rec.success
-        assert new_state.x[0] == 0.0
-        assert new_state.delta == 0.25
+        assert x[0] == 0.0
+        assert delta == 0.25
 
 
 class TestRun:
