@@ -3,12 +3,13 @@
 The solver characterizes the global minimizer of
 ``g @ s + 0.5 * s @ B @ s`` on ``||s|| <= radius`` through its optimality
 system: ``(B + lam I) s = -g`` with ``lam >= max(0, -lambda_min(B))`` and
-``lam * (radius - ||s||) = 0``.  A full symmetric eigendecomposition
-(LAPACK ``eigh`` through numpy; a diagonal matrix is read off directly)
-makes the boundary equation one-dimensional (safeguarded Newton on the
-secular equation), and the degenerate case where the gradient is
-orthogonal to the lowest eigenspace is closed with an explicit
-eigenvector correction.  A sampling-based verifier provides an
+``lam * (radius - ||s||) = 0``.  On the spectrum of ``B``
+(``solve_spectrum``) the boundary equation is one-dimensional (safeguarded
+Newton on the secular equation), and the degenerate case where the
+gradient is orthogonal to the lowest eigenspace is closed with an explicit
+eigenvector correction.  ``solve_exact`` reaches the spectrum through a
+symmetric eigendecomposition (LAPACK ``eigh`` through numpy; a diagonal
+matrix is read off directly).  A sampling-based verifier provides an
 independent check.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -94,42 +96,22 @@ def _shifted_norm(a: np.ndarray, w: np.ndarray, lam: float) -> float:
     return math.sqrt((terms * terms).cumsum()[-1])
 
 
-def solve_exact(model: QuadraticModel) -> SubproblemSolution:
-    """Global minimizer of the model over the ball.
+def solve_spectrum(
+    w: np.ndarray, a: np.ndarray, radius: float, coords: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, float, bool]:
+    """Step, multiplier and boundary flag of the model on its spectrum (Moré & Sorensen 1983).
 
-    Satisfies the optimality certificate: ``||s|| <= radius``,
-    ``(B + lam I)`` positive semidefinite, and ``lam (radius - ||s||) = 0``
-    to the documented tolerances.
+    ``w`` holds the eigenvalues in ascending order, ``a = Q^T g``, and
+    ``coords`` maps eigenbasis coefficients to coordinates (``Q @ coef``);
+    the boundary rescale takes the norm of the step in coordinates.
     """
-    g = model.g
-    radius = model.radius
-    n = g.shape[0]
-
-    if not model.B.any():
-        # Linear model: the minimizer is exactly -radius * g on the boundary.
-        s = -radius * g
-        return SubproblemSolution(
-            s=s,
-            multiplier=float(np.linalg.norm(g)) / radius,
-            on_boundary=True,
-            model_decrease=model_value(model, s),
-        )
-
-    w, q = eigendecomposition(model.B)
-    a = q.T @ g
     w_min = float(w[0])
 
     if w_min > 0.0:
         newton_coef = -a / w
         newton_norm = float(np.linalg.norm(newton_coef))
         if newton_norm <= radius:
-            s = q @ newton_coef
-            return SubproblemSolution(
-                s=s,
-                multiplier=0.0,
-                on_boundary=newton_norm >= radius * (1.0 - _BOUNDARY_RTOL),
-                model_decrease=model_value(model, s),
-            )
+            return coords(newton_coef), 0.0, newton_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
     lam_floor = max(0.0, -w_min)
     spread = max(1.0, abs(w_min), abs(float(w[-1])))
@@ -144,7 +126,7 @@ def solve_exact(model: QuadraticModel) -> SubproblemSolution:
         # and a lowest-eigenvector component reaches it; for a singular
         # positive-semidefinite matrix the short solution is already
         # optimal with zero multiplier.
-        coef = np.zeros(n)
+        coef = np.zeros_like(a)
         rest = ~lowest
         coef[rest] = -a[rest] / (w[rest] + lam_floor)
         part_norm = float(np.linalg.norm(coef))
@@ -152,20 +134,8 @@ def solve_exact(model: QuadraticModel) -> SubproblemSolution:
             if lam_floor > 0.0:
                 bump = math.sqrt(max(0.0, radius * radius - part_norm * part_norm))
                 coef[int(np.argmax(lowest))] = bump
-                s = q @ coef
-                return SubproblemSolution(
-                    s=s,
-                    multiplier=lam_floor,
-                    on_boundary=True,
-                    model_decrease=model_value(model, s),
-                )
-            s = q @ coef
-            return SubproblemSolution(
-                s=s,
-                multiplier=0.0,
-                on_boundary=part_norm >= radius * (1.0 - _BOUNDARY_RTOL),
-                model_decrease=model_value(model, s),
-            )
+                return coords(coef), lam_floor, True
+            return coords(coef), 0.0, part_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
     # Boundary root of 1/||s(lam)|| = 1/radius on (lam_floor, hi].
     a_norm = float(np.linalg.norm(a))
@@ -193,17 +163,29 @@ def solve_exact(model: QuadraticModel) -> SubproblemSolution:
             candidate = 0.5 * (lo + hi)
         lam = candidate
 
-    coef = -a / (w + lam)
-    s = q @ coef
+    s = coords(-a / (w + lam))
     norm_s = float(np.linalg.norm(s))
     if norm_s > 0.0:
         s = s * (radius / norm_s)
-    return SubproblemSolution(
-        s=s,
-        multiplier=lam,
-        on_boundary=True,
-        model_decrease=model_value(model, s),
-    )
+    return s, lam, True
+
+
+def solve_exact(model: QuadraticModel) -> SubproblemSolution:
+    """Global minimizer of the model over the ball.
+
+    Satisfies the optimality certificate: ``||s|| <= radius``,
+    ``(B + lam I)`` positive semidefinite, and ``lam (radius - ||s||) = 0``
+    to the documented tolerances.
+    """
+    g = model.g
+    radius = model.radius
+    if not model.B.any():
+        # Linear model: the minimizer is exactly -radius * g on the boundary.
+        s, lam, on_boundary = -radius * g, float(np.linalg.norm(g)) / radius, True
+    else:
+        w, q = eigendecomposition(model.B)
+        s, lam, on_boundary = solve_spectrum(w, q.T @ g, radius, lambda coef: q @ coef)
+    return SubproblemSolution(s, lam, on_boundary, model_value(model, s))
 
 
 def brute_force_min(

@@ -1,7 +1,8 @@
 """Stochastic trust-region method and the run loop it shares with direct search.
 
 Each trust-region iteration builds a quadratic model from a unit direction
-and a symmetric matrix and minimizes it exactly over the trust-region ball.
+and a diagonal matrix, zero or a clipped stencil curvature, and minimizes
+it exactly over the trust-region ball on its spectrum.
 ``iterate`` then does what both optimizers do with a proposed step:
 estimate the objective at the current and the trial point, accept when the
 estimated decrease reaches ``theta * scale**2``, expand the radius by
@@ -39,7 +40,7 @@ import numpy as np
 from .directions import DirectionGenerator
 from .oracle import NoiseModel, SamplePolicy, StochasticOracle, batch_means, sample_policy
 from .problems import TestProblem
-from .subproblem import QuadraticModel, solve_exact
+from .subproblem import solve_spectrum
 from .trace import IterationRecord
 
 DEFAULT_DELTA_FLOOR = 1e-8
@@ -204,16 +205,17 @@ def validate_theta_tr(cfg) -> ThetaVerdict:
 
 
 def stencil_models(
-    direction, oracles, policy: RegressionClipped, x: np.ndarray, radii, sampler, fx=None
-) -> tuple[list[QuadraticModel], list[int]]:
-    """Each seed's model around the shared direction, and the stencil samples it spent.
+    oracles, policy: RegressionClipped, x: np.ndarray, radii, sampler, fx=None
+) -> tuple[np.ndarray, list[int]]:
+    """Each seed's diagonal model curvature ``(S, n)``, and the stencil samples it spent.
 
     Seed ``s`` estimates f with ``sampler(radii[s])`` samples per point
     at ``x[s]`` and ``x[s] +/- radii[s] e_i`` and clips its central
     differences into ``[-m delta**-q, M delta**-q]``.  ``fx``, when given,
     holds the true values at the ``x[s]``, which are then not evaluated
-    again.  A zero model matrix needs no stencil; ``propose_tr`` takes it
-    without this call.
+    again.  A NaN curvature raises ``ValueError``; an infinite one clips.
+    A zero model matrix needs no stencil; ``propose_tr`` takes it without
+    this call.
     """
     batch, n = x.shape
     counts = [int(sampler(r)) for r in radii]
@@ -230,8 +232,9 @@ def stencil_models(
     hi = [policy.M * r ** (-policy.q) for r in radii]
     lo = [-policy.m * r ** (-policy.q) for r in radii]
     clipped = np.clip(curvature, np.array(lo)[:, None], np.array(hi)[:, None])
-    models = [QuadraticModel(g=direction, B=np.diag(c), radius=r) for c, r in zip(clipped, radii)]
-    return models, [(2 * n + 1) * count for count in counts]
+    if not np.isfinite(clipped).all():
+        raise ValueError("non-finite stencil curvature: a central difference of the estimates is NaN")
+    return clipped, [(2 * n + 1) * count for count in counts]
 
 
 # A proposal maps (cfg, gen, oracles, sampler, x, radii, fx) for a seed
@@ -245,15 +248,22 @@ Proposal = Callable[..., tuple[np.ndarray, np.ndarray, list | None, list]]
 def propose_tr(cfg, gen, oracles, sampler, x, radii, fx):
     """Trust-region steps: the exact model minimizers, tested at their norms.
 
-    A zero model matrix needs neither stencil nor subproblem: its minimizer
-    is ``-delta * g``.  Otherwise each seed fits its own stencil model
-    around the shared direction and solves it on its own ball.
+    A linear model (a zero model matrix, or an all-zero stencil curvature)
+    has the minimizer ``-delta * g``, which every seed starts from.  Any
+    other seed's diagonal stencil model is solved on its spectrum: the
+    curvature sorted stably, and the direction in the same order.
     """
     direction = gen.next_direction()
+    steps = np.multiply.outer([-r for r in radii], direction)
     if isinstance(cfg.hessian_policy, ZeroHessian):
-        return direction, np.multiply.outer([-r for r in radii], direction), None, [0] * len(radii)
-    models, stencil = stencil_models(direction, oracles, cfg.hessian_policy, x, radii, sampler, fx)
-    return direction, np.array([solve_exact(model).s for model in models]), None, stencil
+        return direction, steps, None, [0] * len(radii)
+    curvature, stencil = stencil_models(oracles, cfg.hessian_policy, x, radii, sampler, fx)
+    for step, c, r in zip(steps, curvature, radii):
+        if c.any():
+            order = np.argsort(c, kind="stable")
+            inverse = np.argsort(order)
+            step[:] = solve_spectrum(c[order], direction[order], r, lambda coef: coef[inverse])[0]
+    return direction, steps, None, stencil
 
 
 def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii: list, fx, k: int):

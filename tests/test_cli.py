@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdfo import (
@@ -23,6 +24,7 @@ from sdfo.cli import main
 from sdfo.config import load_config
 from sdfo.diagnostics import write_summary_csv
 from sdfo.oracle import CHUNK_DRAWS
+from sdfo.problems import PROBLEMS
 from sdfo.trace import read_trace_csv
 from sdfo.trust_region import default_k_f
 
@@ -354,6 +356,22 @@ class TestErrors:
         assert err.startswith("error: config: hessian policy RegressionClipped(")
         assert "curvature floor" in err
         assert not out.exists()
+
+    def test_nan_stencil_curvature_exits_2(self, tmp_path, capsys, monkeypatch):
+        # f is NaN for x[0] > 1.2, which the first stencil from x0 reaches.
+        def nan_wall(x):
+            return np.where(x[..., 0] > 1.2, np.nan, np.vecdot(x, x))
+
+        monkeypatch.setitem(PROBLEMS, "nan_wall", (nan_wall, 0.0, 0.0, 1))
+        cfg_path = write_run_config(tmp_path / "r.json", tmp_path / "out", algorithm="trust_region")
+        raw = json.loads(cfg_path.read_text())
+        raw["problem"]["name"] = "nan_wall"
+        raw["x0"] = [1.0, 0.3]
+        raw["config"]["hessian"] = {"policy": "regression_clipped", "q": 0.5, "m": 10.0, "M": 10.0}
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "finite" in err
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2

@@ -1,7 +1,7 @@
 """Fresh ``sdfo run`` and ``sdfo audit`` outputs match files committed under ``tests/data``.
 
-The run configs keep diagonal model matrices, so the runs involve no LAPACK
-call.  Their dot products (f on the sphere, step norms) are OpenBLAS
+The run configs fit diagonal models, solved on their sorted curvature, so
+the runs involve no LAPACK call.  Their dot products (f on the sphere, step norms) are OpenBLAS
 ``ddot`` calls, and the ``ddot`` kernels of AVX-512 and of AVX2 CPUs round
 differently, even at d = 2; the d <= 3 files were written with the AVX-512
 kernel.  The d = 20 sphere run is where the summation order matters: its f

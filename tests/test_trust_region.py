@@ -1,9 +1,12 @@
 """Trust-region stepping, model construction and radius law."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdfo import (
     DirectionGenerator,
@@ -22,7 +25,7 @@ from sdfo import (
 from sdfo.direct_search import DirectSearchConfig
 from sdfo.problems import PROBLEMS
 from sdfo.problems import TestProblem as Problem
-from sdfo.subproblem import QuadraticModel, eigendecomposition
+from sdfo.subproblem import QuadraticModel, solve_exact
 from sdfo.trace import IterationRecord
 from sdfo.trust_region import curvature_floor, iterate, propose_tr, stencil_models
 
@@ -36,7 +39,8 @@ def reference_estimate(oracle, x, n):
 
 
 def reference_stencil_model(x, delta, gen, oracle, policy, sampler):
-    """The stencil model as a loop of 2d + 1 single-point estimates."""
+    """The stencil model as a loop of 2d + 1 single-point estimates: its
+    direction, clipped curvature and samples."""
     direction = gen.next_direction()
     n = x.shape[0]
     n_sten = sampler(delta)
@@ -50,8 +54,7 @@ def reference_stencil_model(x, delta, gen, oracle, policy, sampler):
         curvature[i] = (plus - 2.0 * center + minus) / (delta * delta)
     hi = policy.M * delta ** (-policy.q)
     lo = -policy.m * delta ** (-policy.q)
-    matrix = np.diag(np.clip(curvature, lo, hi))
-    return QuadraticModel(g=direction, B=matrix, radius=delta), (2 * n + 1) * n_sten
+    return direction, np.clip(curvature, lo, hi), (2 * n + 1) * n_sten
 
 
 PARABOLA = Problem(dimension=1, eval_true=lambda x: float(x[0] ** 2), name="parabola")
@@ -62,9 +65,10 @@ def one_sample(delta):
 
 
 def stencil_model(x, delta, gen, oracle, policy, sampler):
-    """One seed's ``stencil_models`` model around the generator's next direction, and its samples."""
-    (model,), (used,) = stencil_models(gen.next_direction(), [oracle], policy, x[None], [delta], sampler)
-    return model, used
+    """One seed's model around the generator's next direction: the
+    direction, its ``stencil_models`` curvature row and samples."""
+    (curvature,), (used,) = stencil_models([oracle], policy, x[None], [delta], sampler)
+    return gen.next_direction(), curvature, used
 
 
 def one_step(cfg, gen, oracle, x, delta):
@@ -180,9 +184,9 @@ class TestBuildModel:
         oracle = StochasticOracle(prob, NoiseModel.none())
         gen = DirectionGenerator(2, QuasiRandomSphere())
         policy = RegressionClipped(q=0.5, m=10.0, M=10.0)
-        model, used = stencil_model(np.array([0.4, -0.2]), 0.05, gen, oracle, policy, one_sample)
+        _, curvature, used = stencil_model(np.array([0.4, -0.2]), 0.05, gen, oracle, policy, one_sample)
         assert used == 5
-        assert np.allclose(np.diag(model.B), a, atol=1e-7)
+        assert np.allclose(curvature, a, atol=1e-7)
 
     @pytest.mark.parametrize("d", [2, 3, 20])
     @pytest.mark.parametrize(
@@ -201,10 +205,10 @@ class TestBuildModel:
         rng = np.random.default_rng(d)
         for delta, n in ((1.0, 1), (0.3, 4), (0.05, 25), (0.01, 700)):
             x = rng.uniform(-1.5, 1.5, d)
-            model, used = stencil_model(x, delta, gen_a, a, policy, fixed_sample_policy(n))
-            ref, ref_used = reference_stencil_model(x, delta, gen_b, b, policy, fixed_sample_policy(n))
-            assert np.array_equal(model.B, ref.B)
-            assert np.array_equal(model.g, ref.g)
+            g, curvature, used = stencil_model(x, delta, gen_a, a, policy, fixed_sample_policy(n))
+            ref_g, ref, ref_used = reference_stencil_model(x, delta, gen_b, b, policy, fixed_sample_policy(n))
+            assert np.array_equal(curvature, ref)
+            assert np.array_equal(g, ref_g)
             assert used == ref_used == (2 * d + 1) * n
         assert a.draws == b.draws
         assert a._rng.random() == b._rng.random()
@@ -220,13 +224,79 @@ class TestBuildModel:
         gen = DirectionGenerator(2, QuasiRandomSphere())
         policy = RegressionClipped(q=0.5, m=2.0, M=3.0)
         delta = 0.25
-        model, _ = stencil_model(np.array([0.1, 0.1]), delta, gen, oracle, policy, one_sample)
-        w, _ = eigendecomposition(model.B)
+        _, curvature, _ = stencil_model(np.array([0.1, 0.1]), delta, gen, oracle, policy, one_sample)
+        # The diagonal model's eigenvalues: its curvature in ascending order.
+        w = np.sort(curvature)
         assert w[-1] <= policy.M * delta ** (-policy.q) + 1e-10
         assert -w[0] <= policy.m * delta ** (-policy.q) + 1e-10
         # Both bounds actually bind for this curvature.
         assert w[-1] == pytest.approx(3.0 * delta**-0.5)
         assert w[0] == pytest.approx(-2.0 * delta**-0.5)
+
+
+    def test_all_zero_curvature_is_a_linear_step(self):
+        # l1norm is linear away from its kinks; with dyadic coordinates the
+        # noiseless central differences are exactly zero, so the model is
+        # linear and its minimizer -delta * g, after a full stencil.
+        d, delta = 3, 0.25
+        oracle = StochasticOracle(get_problem("l1norm", d), NoiseModel.none())
+        gen = DirectionGenerator(d, QuasiRandomSphere())
+        cfg = tr_cfg(hessian_policy=RegressionClipped(q=0.5, m=10.0, M=10.0))
+        x = np.array([[1.0, 2.0, -1.5]])
+        direction, step, scales, used = propose_tr(
+            cfg, gen, [oracle], fixed_sample_policy(4), x, [delta], None
+        )
+        assert np.array_equal(step, [-delta * direction])
+        assert scales is None
+        assert used == [(2 * d + 1) * 4]
+
+
+@st.composite
+def diagonal_batches(draw):
+    """A shared unit direction and a few seeds' curvature rows and radii.
+
+    Values come from a small pool as often as not, so ties, zeros and
+    negative curvature are common.  The first row may be made nonnegative,
+    a row may be all zero, and the direction may vanish on the first
+    row's lowest entries when they are not positive: the hard case.
+    """
+    n = draw(st.integers(1, 25))
+    pool = st.sampled_from([-5.0, -1.0, -0.25, 0.0, 0.0, 0.5, 1.0, 3.0])
+    row = st.lists(pool | st.floats(-10.0, 10.0), min_size=n, max_size=n)
+    curvature = np.array(draw(st.lists(row, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        curvature[0] = np.abs(curvature[0])
+    if draw(st.booleans()):
+        curvature[draw(st.integers(0, len(curvature) - 1))] = 0.0
+    g = np.array(draw(st.lists(pool | st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    if draw(st.booleans()) and curvature[0].min() <= 0.0:
+        g[curvature[0] == curvature[0].min()] = 0.0
+    if np.linalg.norm(g) < 1e-3:
+        g = np.eye(n)[draw(st.integers(0, n - 1))]
+    g /= np.linalg.norm(g)
+    radii = draw(st.lists(st.floats(0.05, 20.0), min_size=len(curvature), max_size=len(curvature)))
+    return curvature, g, radii
+
+
+class TestDiagonalSolve:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(diagonal_batches())
+    def test_step_equals_dense_solve_exact(self, batch):
+        # Equal values, compared with == rather than by bytes: the dense
+        # path's Q @ coef turns a -0.0 into +0.0.
+        curvature, g, radii = batch
+        counts = [0] * len(radii)
+        cfg = tr_cfg(hessian_policy=RegressionClipped(q=0.5, m=10.0, M=10.0))
+        gen = DirectionGenerator(g.size, FixedCycle([g]))
+        # A tiny positive curvature overflows the Newton point to inf on both paths.
+        with np.errstate(over="ignore"), mock.patch(
+            "sdfo.trust_region.stencil_models", return_value=(curvature, counts)
+        ):
+            _, steps, _, _ = propose_tr(
+                cfg, gen, [None] * len(radii), one_sample, np.zeros(curvature.shape), radii, None
+            )
+            for step, c, r in zip(steps, curvature, radii):
+                assert np.array_equal(step, solve_exact(QuadraticModel(g, np.diag(c), r)).s)
 
 
 class TestStep:
@@ -271,6 +341,16 @@ class TestRun:
         prob = Problem(dimension=1, eval_true=lambda x: math.inf, name="inf")
         with pytest.raises(ValueError, match=r"f\(x0\) must be finite"):
             tr_run(tr_cfg(), prob, NoiseModel.none(), DirectionGenerator(1, FixedCycle([(1.0,)])), (0.0,))
+
+    def test_nan_stencil_curvature_rejected(self):
+        # The first stencil reaches x[0] = 2, where f is NaN.
+        prob = Problem(
+            dimension=2, eval_true=lambda x: math.nan if x[0] > 1.2 else float(x @ x), name="nan_wall"
+        )
+        cfg = tr_cfg(hessian_policy=RegressionClipped(q=0.5, m=10.0, M=10.0))
+        with pytest.raises(ValueError, match="finite"):
+            tr_run(cfg, prob, NoiseModel.none(), DirectionGenerator(2, QuasiRandomSphere()),
+                   (1.0, 0.3), sampler=one_sample)
 
     def test_true_evaluations_per_iteration(self):
         # The d-dimensional stencil evaluates the 2d points x +/- delta e_i
