@@ -99,10 +99,16 @@ def run_experiment(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    seeds = [s + seed_offset for s in cfg.seeds]
+    low = min(cfg.seeds)
+    if low + seed_offset < 0:
+        raise ValueError(
+            f"seed-offset: seed {low} shifted by {seed_offset} is {low + seed_offset}; "
+            "seeds must be nonnegative"
+        )
     directory = _resolve_out_dir(cfg, out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     _print_theta_warnings(cfg)
-    seeds = [s + seed_offset for s in cfg.seeds]
     workers = min(jobs, len(seeds))
     batches = [seeds[len(seeds) * i // workers : len(seeds) * (i + 1) // workers] for i in range(workers)]
     run = functools.partial(_run_batch, cfg, directory)
@@ -217,7 +223,7 @@ def main(argv=None) -> int:
         for path in written:
             print(path)
         return 0
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -117,6 +117,8 @@ class ExperimentConfig:
                 raise ConfigError("seeds: at least one seed is required")
             if len(set(self.seeds)) != len(self.seeds):
                 raise ConfigError("seeds: seeds must be distinct")
+            if min(self.seeds) < 0:
+                raise ConfigError(f"seeds: seeds must be nonnegative, got {min(self.seeds)}")
             if self.x0 is None:
                 raise ConfigError("x0: a start point is required for optimizer runs")
             if len(self.x0) != self.dimension:

@@ -83,9 +83,18 @@ def eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(matrix)
 
 
-def _shifted_norm(a: np.ndarray, w: np.ndarray, lam: float) -> float:
-    """||s(lam)|| for s(lam) = -(B + lam I)^-1 g in the eigenbasis."""
-    denom = w + lam
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a 1-D float vector, without its wrapper.
+
+    The same ``dot`` on the same contiguous copy: a strided view summed in
+    place would take BLAS's strided loop and round differently.
+    """
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
+def _shifted_norm(a: np.ndarray, denom: np.ndarray) -> float:
+    """||s(lam)|| for s(lam) = -(B + lam I)^-1 g in the eigenbasis; ``denom = w + lam``."""
     if not denom.all():
         zero = denom == 0.0
         if np.any(a[zero] != 0.0):
@@ -109,14 +118,14 @@ def solve_spectrum(
 
     if w_min > 0.0:
         newton_coef = -a / w
-        newton_norm = float(np.linalg.norm(newton_coef))
+        newton_norm = _norm(newton_coef)
         if newton_norm <= radius:
             return coords(newton_coef), 0.0, newton_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
     lam_floor = max(0.0, -w_min)
     spread = max(1.0, abs(w_min), abs(float(w[-1])))
     lowest = w <= w_min + 1e-10 * spread
-    lowest_mass = float(np.linalg.norm(a[lowest]))
+    lowest_mass = _norm(a[lowest])
 
     if w_min <= 0.0 and lowest_mass <= _HARD_CASE_TOL:
         # Gradient (numerically) orthogonal to the lowest eigenspace: the
@@ -129,7 +138,7 @@ def solve_spectrum(
         coef = np.zeros_like(a)
         rest = ~lowest
         coef[rest] = -a[rest] / (w[rest] + lam_floor)
-        part_norm = float(np.linalg.norm(coef))
+        part_norm = _norm(coef)
         if part_norm <= radius:
             if lam_floor > 0.0:
                 bump = math.sqrt(max(0.0, radius * radius - part_norm * part_norm))
@@ -138,12 +147,14 @@ def solve_spectrum(
             return coords(coef), 0.0, part_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
     # Boundary root of 1/||s(lam)|| = 1/radius on (lam_floor, hi].
-    a_norm = float(np.linalg.norm(a))
+    a_norm = _norm(a)
+    a_sq = a * a
     lo = lam_floor
     hi = lam_floor + a_norm / radius
     lam = 0.5 * (lo + hi)
     for _ in range(_MAX_NEWTON):
-        nrm = _shifted_norm(a, w, lam)
+        denom = w + lam
+        nrm = _shifted_norm(a, denom)
         if nrm == math.inf:
             lo = lam
             lam = 0.5 * (lo + hi)
@@ -155,8 +166,7 @@ def solve_spectrum(
             lo = lam
         else:
             hi = lam
-        denom = w + lam
-        dphi = float(np.sum((a * a) / (denom * denom * denom))) / nrm**3
+        dphi = float(np.add.reduce(a_sq / (denom * denom * denom))) / nrm**3
         step = -phi / dphi if dphi > 0.0 else math.nan
         candidate = lam + step
         if not math.isfinite(candidate) or not lo < candidate < hi:
@@ -164,7 +174,7 @@ def solve_spectrum(
         lam = candidate
 
     s = coords(-a / (w + lam))
-    norm_s = float(np.linalg.norm(s))
+    norm_s = _norm(s)
     if norm_s > 0.0:
         s = s * (radius / norm_s)
     return s, lam, True
@@ -181,7 +191,7 @@ def solve_exact(model: QuadraticModel) -> SubproblemSolution:
     radius = model.radius
     if not model.B.any():
         # Linear model: the minimizer is exactly -radius * g on the boundary.
-        s, lam, on_boundary = -radius * g, float(np.linalg.norm(g)) / radius, True
+        s, lam, on_boundary = -radius * g, _norm(g) / radius, True
     else:
         w, q = eigendecomposition(model.B)
         s, lam, on_boundary = solve_spectrum(w, q.T @ g, radius, lambda coef: q @ coef)

@@ -258,11 +258,13 @@ def propose_tr(cfg, gen, oracles, sampler, x, radii, fx):
     if isinstance(cfg.hessian_policy, ZeroHessian):
         return direction, steps, None, [0] * len(radii)
     curvature, stencil = stencil_models(oracles, cfg.hessian_policy, x, radii, sampler, fx)
-    for step, c, r in zip(steps, curvature, radii):
-        if c.any():
-            order = np.argsort(c, kind="stable")
-            inverse = np.argsort(order)
-            step[:] = solve_spectrum(c[order], direction[order], r, lambda coef: coef[inverse])[0]
+    order = np.argsort(curvature, axis=1, kind="stable")
+    inverses = np.argsort(order, axis=1)
+    for step, w, a, inverse, r in zip(
+        steps, np.take_along_axis(curvature, order, axis=1), direction[order], inverses, radii
+    ):
+        if w.any():
+            step[:] = solve_spectrum(w, a, r, lambda coef: coef[inverse])[0]
     return direction, steps, None, stencil
 
 

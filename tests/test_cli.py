@@ -376,6 +376,40 @@ class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, command, where):
+        # Used to exit 1 with a FileExistsError / NotADirectoryError traceback.
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "file" else blocker / "out"
+        if command == "run":
+            cfg = write_run_config(tmp_path / "cfg.json", tmp_path / "unused", seeds=(0,), max_iters=2)
+        else:
+            cfg = write_audit_config(tmp_path / "cfg.json", tmp_path / "unused")
+        assert main([command, str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "cfg.json", out, seeds=(0, -4))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: seeds: seeds must be nonnegative, got -4\n"
+        assert not out.exists()
+
+    def test_negative_seed_from_offset_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "cfg.json", out, seeds=(3, 1, 7))
+        assert main(["run", str(cfg), "--seed-offset", "-2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed-offset: seed 1 shifted by -2 is -1; seeds must be nonnegative\n"
+        )
+        assert not out.exists()
+        assert main(["run", str(cfg), "--seed-offset", "-1"]) == 0
+        assert (out / "direct_search_l1norm_seed0.csv").exists()
+
 
 ROOT = Path(__file__).resolve().parent.parent
 

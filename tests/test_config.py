@@ -93,6 +93,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seeds"):
             config_from_dict(ds_config_dict(seeds=[1, 1]))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seeds: seeds must be nonnegative, got -3$"):
+            config_from_dict(ds_config_dict(seeds=[0, -3, 2]))
+
     def test_x0_length_checked(self):
         with pytest.raises(ConfigError, match="x0"):
             config_from_dict(ds_config_dict(x0=[1.0]))

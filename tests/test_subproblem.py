@@ -1,6 +1,8 @@
 """Exact trust-region subproblem solutions against independent verifiers."""
 
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from sdfo import (
     solve_exact,
 )
 from sdfo.problems import TestProblem as Problem
-from sdfo.subproblem import _shifted_norm, eigendecomposition
+from sdfo.subproblem import _norm, _shifted_norm, eigendecomposition, solve_spectrum
 from sdfo.trust_region import stencil_models
 
 
@@ -326,11 +328,209 @@ class TestShiftedNorm:
         a, w, lam = terms
         # Tiny denominators overflow to inf on both sides.
         with np.errstate(over="ignore"):
-            assert _shifted_norm(a, w, lam) == loop_shifted_norm(a, w, lam)
+            assert _shifted_norm(a, w + lam) == loop_shifted_norm(a, w, lam)
 
     def test_zero_denominator_branch(self):
-        w = np.array([-1.0, 2.0, 3.0])
-        assert _shifted_norm(np.array([0.5, 1.0, 0.0]), w, 1.0) == math.inf
+        denom = np.array([-1.0, 2.0, 3.0]) + 1.0
+        assert _shifted_norm(np.array([0.5, 1.0, 0.0]), denom) == math.inf
         # A zero numerator over a zero denominator is skipped.
-        assert _shifted_norm(np.array([0.0, 3.0, 4.0]), w, 1.0) == math.sqrt(1.0 + 1.0)
-        assert _shifted_norm(np.array([0.0]), np.array([0.0]), 0.0) == 0.0
+        assert _shifted_norm(np.array([0.0, 3.0, 4.0]), denom) == math.sqrt(1.0 + 1.0)
+        assert _shifted_norm(np.array([0.0]), np.array([0.0])) == 0.0
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+NORM_BASE = np.random.default_rng(1).standard_normal(120)
+NORM_CASES = {
+    "contiguous": NORM_BASE[:37].copy(),
+    "masked_copy": NORM_BASE[NORM_BASE > 0.0],
+    # A strided view whose in-place dot (OpenBLAS's strided loop, x86-64)
+    # rounds differently from the contiguous copy np.linalg.norm sums.
+    "strided_view": NORM_BASE[1::3],
+    "reversed_view": NORM_BASE[::-1],
+    "empty": np.empty(0),
+    "one": np.array([-3.5]),
+    "inf": np.array([1.0, math.inf, -2.0]),
+    "minus_inf": np.array([-math.inf]),
+    "nan": np.array([1.0, math.nan, 2.0]),
+    "inf_and_nan": np.array([math.inf, math.nan]),
+}
+
+
+class TestNorm:
+    @pytest.mark.parametrize("v", NORM_CASES.values(), ids=NORM_CASES.keys())
+    def test_matches_numpy_norm_bit_for_bit(self, v):
+        assert bits(_norm(v)) == bits(float(np.linalg.norm(v)))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=60),
+        st.integers(0, 3),
+        st.integers(1, 4),
+    )
+    def test_views_match_numpy_norm_bit_for_bit(self, values, start, stride):
+        v = np.array(values, dtype=float)[start::stride]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(_norm(v)) == bits(float(np.linalg.norm(v)))
+
+
+# --- the secular solver against its frozen form ----------------------------
+#
+# ``frozen_solve_spectrum`` and ``frozen_shifted_norm`` are ``solve_spectrum``
+# and ``_shifted_norm`` as they stood before the solver's inner loop was
+# trimmed (norms through ``np.linalg.norm``, ``w + lam`` and ``a * a`` formed
+# where used, ``np.sum``).  The solver must keep giving their results bit for
+# bit.
+
+
+def frozen_shifted_norm(a, w, lam):
+    denom = w + lam
+    if not denom.all():
+        zero = denom == 0.0
+        if np.any(a[zero] != 0.0):
+            return math.inf
+        denom = np.where(zero, 1.0, denom)
+    terms = a / denom
+    return math.sqrt((terms * terms).cumsum()[-1])
+
+
+def frozen_solve_spectrum(w, a, radius, coords):
+    w_min = float(w[0])
+
+    if w_min > 0.0:
+        newton_coef = -a / w
+        newton_norm = float(np.linalg.norm(newton_coef))
+        if newton_norm <= radius:
+            return coords(newton_coef), 0.0, newton_norm >= radius * (1.0 - 1e-10)
+
+    lam_floor = max(0.0, -w_min)
+    spread = max(1.0, abs(w_min), abs(float(w[-1])))
+    lowest = w <= w_min + 1e-10 * spread
+    lowest_mass = float(np.linalg.norm(a[lowest]))
+
+    if w_min <= 0.0 and lowest_mass <= 1e-12:
+        coef = np.zeros_like(a)
+        rest = ~lowest
+        coef[rest] = -a[rest] / (w[rest] + lam_floor)
+        part_norm = float(np.linalg.norm(coef))
+        if part_norm <= radius:
+            if lam_floor > 0.0:
+                bump = math.sqrt(max(0.0, radius * radius - part_norm * part_norm))
+                coef[int(np.argmax(lowest))] = bump
+                return coords(coef), lam_floor, True
+            return coords(coef), 0.0, part_norm >= radius * (1.0 - 1e-10)
+
+    a_norm = float(np.linalg.norm(a))
+    lo = lam_floor
+    hi = lam_floor + a_norm / radius
+    lam = 0.5 * (lo + hi)
+    for _ in range(100):
+        nrm = frozen_shifted_norm(a, w, lam)
+        if nrm == math.inf:
+            lo = lam
+            lam = 0.5 * (lo + hi)
+            continue
+        if abs(nrm - radius) <= 1e-10 * radius:
+            break
+        phi = 1.0 / nrm - 1.0 / radius
+        if phi < 0.0:
+            lo = lam
+        else:
+            hi = lam
+        denom = w + lam
+        dphi = float(np.sum((a * a) / (denom * denom * denom))) / nrm**3
+        step = -phi / dphi if dphi > 0.0 else math.nan
+        candidate = lam + step
+        if not math.isfinite(candidate) or not lo < candidate < hi:
+            candidate = 0.5 * (lo + hi)
+        lam = candidate
+
+    s = coords(-a / (w + lam))
+    norm_s = float(np.linalg.norm(s))
+    if norm_s > 0.0:
+        s = s * (radius / norm_s)
+    return s, lam, True
+
+
+def assert_matches_frozen(w, a, radius):
+    def coords(coef):
+        return coef[::-1].copy()
+
+    # Tiny shifts overflow, and a step stuck at a pole is inf / inf: the
+    # same warnings, and the same values, on both sides.
+    with np.errstate(all="ignore"):
+        s, lam, on_boundary = solve_spectrum(w, a, radius, coords)
+        s_ref, lam_ref, on_boundary_ref = frozen_solve_spectrum(w, a, radius, coords)
+    assert s.tobytes() == s_ref.tobytes()
+    assert type(lam) is type(lam_ref) and bits(lam) == bits(lam_ref)
+    assert type(on_boundary) is type(on_boundary_ref) and on_boundary == on_boundary_ref
+
+
+@st.composite
+def spectra(draw):
+    """Ascending eigenvalues ``w``, rotated gradient ``a`` and a radius.
+
+    Values come from a small pool as often as not, so ties and zeros are
+    common.  Beside those spectra as drawn: all-positive ones with the
+    radius past the Newton point (interior); ones with a gradient that
+    vanishes on the lowest eigenvalue, at lambda_min < 0 or = 0 (hard
+    cases); and poles, where the boundary root lies within rounding of
+    lam = -lambda_min, so the Newton bracket closes onto a zero
+    denominator ``w_j + lam``.
+    """
+    n = draw(st.integers(1, 25))
+    pool = st.sampled_from([-5.0, -1.0, -0.25, 0.0, 0.0, 0.5, 1.0, 3.0])
+    w = np.sort(draw(st.lists(pool | st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(pool | st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    radius = draw(st.sampled_from([0.05, 1.0, 20.0]) | st.floats(0.05, 20.0))
+    kind = draw(st.sampled_from(["drawn", "interior", "hard", "pole"]))
+    if kind == "interior":
+        w = w - w[0] + draw(st.sampled_from([0.25, 1.0]) | st.floats(1e-3, 5.0))
+    elif kind == "hard":
+        w = w - w[0] + draw(st.sampled_from([-3.0, -1.0, -0.25, 0.0]))
+        a[w == w[0]] = 0.0
+    elif kind == "pole":
+        w = w - w[0] + 0.5
+        w[0] = -draw(st.sampled_from([0.5, 1.0, 3.0]))
+    if np.linalg.norm(a) < 1e-3:
+        a = np.eye(n)[-1]
+    a /= np.linalg.norm(a)
+    if kind == "interior":
+        radius = float(np.linalg.norm(a / w)) * draw(st.sampled_from([1.0, 2.0]) | st.floats(1.0, 3.0))
+    elif kind == "pole":
+        a[0] = draw(st.sampled_from([0.0, 1e-13, 1e-9]))
+        if n > 1 and draw(st.booleans()):
+            # A second lowest eigenvalue, tied or within the lowest band.
+            w[1] = w[0] * (1.0 - draw(st.sampled_from([0.0, 1e-12])))
+            a[1] = 1e-6
+        radius = draw(st.sampled_from([1e3, 1e7, 1e16]))
+    return w, a, radius
+
+
+class TestSolveSpectrumFrozen:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(spectra())
+    def test_matches_frozen_solver_bit_for_bit(self, spectrum):
+        assert_matches_frozen(*spectrum)
+
+    @pytest.mark.parametrize(
+        "a_lowest,branch", [(1e-13, "inf"), (0.0, "zero_over_zero")]
+    )
+    def test_pole_meets_zero_denominator(self, a_lowest, branch):
+        # The boundary root lies within rounding of lam = 1 = -lambda_min,
+        # so Newton evaluates the shifted norm there: a nonzero term over a
+        # zero denominator gives inf, a zero one is skipped.
+        w = np.array([-1.0, -1.0 + 1e-12, 2.0])
+        a = np.array([a_lowest, 1e-6, 1.0])
+        seen = []
+
+        def spy(a_, denom):
+            if not denom.all():
+                seen.append(bool(np.any(a_[denom == 0.0] != 0.0)))
+            return _shifted_norm(a_, denom)
+
+        with mock.patch("sdfo.subproblem._shifted_norm", spy):
+            assert_matches_frozen(w, a, 1e7)
+        assert seen and set(seen) == {branch == "inf"}
