@@ -66,7 +66,7 @@ def _run_batch(cfg: ExperimentConfig, out_dir: Path, seeds: list[int]) -> list[d
     results = []
     for seed, (_, trace) in zip(seeds, runs):
         trace_path = None
-        if cfg.write_trace and len(trace):
+        if len(trace):
             trace_path = out_dir / f"{cfg.algorithm}_{cfg.problem}_seed{seed}.csv"
             write_trace_csv(
                 trace_path,
@@ -120,19 +120,18 @@ def run_experiment(
     results.sort(key=lambda r: r["seed"])
 
     written = [r["trace"] for r in results if r["trace"] is not None]
-    if cfg.write_summary:
-        summary_path = directory / f"{cfg.algorithm}_{cfg.problem}_summary.csv"
-        diagnostics.write_summary_csv(
-            summary_path,
-            [r["summary"] for r in results if r["summary"] is not None],
-            metadata={
-                "schema_version": SCHEMA_VERSION,
-                "algorithm": cfg.algorithm,
-                "problem": cfg.problem,
-                "seeds": ",".join(str(s) for s in seeds),
-            },
-        )
-        written.append(summary_path)
+    summary_path = directory / f"{cfg.algorithm}_{cfg.problem}_summary.csv"
+    diagnostics.write_summary_csv(
+        summary_path,
+        [r["summary"] for r in results if r["summary"] is not None],
+        metadata={
+            "schema_version": SCHEMA_VERSION,
+            "algorithm": cfg.algorithm,
+            "problem": cfg.problem,
+            "seeds": ",".join(str(s) for s in seeds),
+        },
+    )
+    written.append(summary_path)
     return written
 
 

@@ -101,8 +101,6 @@ class ExperimentConfig:
     algo: DirectSearchConfig | TrustRegionConfig | None = None
     sampler: SamplerSpec = SamplerSpec()
     delta_floor: float = DEFAULT_DELTA_FLOOR
-    write_trace: bool = True
-    write_summary: bool = True
     audit: AuditSettings | None = None
 
     def __post_init__(self) -> None:
@@ -288,7 +286,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dimension = _typed(_require(problem_block, "dimension", "problem."), int, "problem.dimension")
     noise = _noise_from_dict(_object(_require(raw, "noise", ""), "noise"))
     sampler = _build(SamplerSpec, raw.get("sampler", {}), "sampler")
-    output = _object(raw.get("output", {}), "output", ("directory", "write_trace", "write_summary"))
+    output = _object(raw.get("output", {}), "output", ("directory",))
     algo = None
     audit = None
     x0 = None
@@ -311,8 +309,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         algo=algo,
         sampler=sampler,
         delta_floor=_typed(raw.get("delta_floor", DEFAULT_DELTA_FLOOR), float, "delta_floor"),
-        write_trace=_typed(output.get("write_trace", True), bool, "output.write_trace"),
-        write_summary=_typed(output.get("write_summary", True), bool, "output.write_summary"),
         audit=audit,
     )
 
@@ -325,11 +321,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "noise": _noise_to_dict(cfg.noise),
         "sampler": _fields_to_dict(cfg.sampler),
         "delta_floor": cfg.delta_floor,
-        "output": {
-            "directory": cfg.out_dir,
-            "write_trace": cfg.write_trace,
-            "write_summary": cfg.write_summary,
-        },
+        "output": {"directory": cfg.out_dir},
     }
     if cfg.algorithm == "audit":
         out["audit"] = _audit_to_dict(cfg.audit)

@@ -19,13 +19,14 @@ same sequences; forked workers inherit the rows their parent has built.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from itertools import takewhile
 
 import numpy as np
 
-from .stats import inverse_normal_cdf
+from .stats import inverse_normal_cdf, sum_of_squares
 
 _DEGENERATE_NORM = 1e-8
 
@@ -82,7 +83,7 @@ def halton_direction(index: int, bases) -> np.ndarray | None:
     """
     u = halton_point(index, bases)
     z = np.array([inverse_normal_cdf(c) for c in u])
-    norm = float(np.linalg.norm(z))
+    norm = math.sqrt(sum_of_squares(z))
     return z / norm if norm >= _DEGENERATE_NORM else None
 
 
@@ -189,7 +190,7 @@ class DirectionGenerator:
         rng = np.random.default_rng(seq)
         while True:
             z = rng.standard_normal(self.dimension)
-            norm = float(np.linalg.norm(z))
+            norm = math.sqrt(sum_of_squares(z))
             if norm >= _DEGENERATE_NORM:
                 return z / norm
 

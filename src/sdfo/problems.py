@@ -3,12 +3,13 @@
 Each registry objective is written once, row-wise over the last axis: the
 same function takes one point ``(d,)`` to a 0-d value and an ``(N, d)``
 stack to ``N`` values, each bit-identical to the one-point call.  Use
-numpy operations that act per row, such as ``np.vecdot(x, x)``,
+numpy operations that act per row, such as ``stats.sum_of_squares(x)``,
 ``reduce(..., axis=-1)``, ``x[..., i]`` and ``np.where`` in place of
-Python's ``max``.  ``TestProblem.true_values`` evaluates a whole stack in
-one call when ``eval_true`` is an objective of the ``PROBLEMS`` table, and
-point by point otherwise: a custom ``TestProblem``, or a registry problem
-whose ``eval_true`` was replaced, needs no row form.
+Python's ``max``.  ``sum_of_squares`` makes no BLAS call, so the values
+are the same on every CPU.  ``TestProblem.true_values`` evaluates a whole
+stack in one call when ``eval_true`` is an objective of the ``PROBLEMS``
+table, and point by point otherwise: a custom ``TestProblem``, or a
+registry problem whose ``eval_true`` was replaced, needs no row form.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .stats import sum_of_squares
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,7 @@ class TestProblem:
 
 
 def _sphere(x: np.ndarray) -> np.ndarray:
-    # Each row's x @ x: the same BLAS ddot.
-    return np.vecdot(x, x)
+    return sum_of_squares(x)
 
 
 def _rosenbrock(x: np.ndarray) -> np.ndarray:
@@ -74,7 +76,7 @@ def _l1norm(x: np.ndarray) -> np.ndarray:
 def _max_quadratics(x: np.ndarray) -> np.ndarray:
     # Three convex quadratics whose pointwise max has a kink through the
     # origin; the global minimizer is exactly 0 with value 0.
-    sq = np.vecdot(x, x)
+    sq = sum_of_squares(x)
     j = 1 if x.shape[-1] >= 2 else 0
     # Python float arithmetic, which overflows to inf and makes NaN silently.
     with np.errstate(over="ignore", invalid="ignore"):

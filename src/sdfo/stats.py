@@ -1,74 +1,32 @@
-"""Small self-contained statistical helpers (normal quantile, Wilson bound)."""
+"""Small statistical helpers: a sum of squares, the normal quantile, a Wilson bound.
+
+Every sum of squares that reaches a trace, a summary or an audit report
+goes through ``sum_of_squares``, numpy's own pairwise sum, so the outputs
+do not depend on the BLAS kernel or the SIMD target the CPU gets.
+"""
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
-# Rational approximation coefficients for the standard normal quantile
-# (Acklam's method).  Peak absolute error is about 1.15e-9 on (0, 1),
-# which is ample for direction generation and confidence bounds.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
-_P_HIGH = 1.0 - _P_LOW
+import numpy as np
+
+# Quantile function of the standard normal distribution (Wichura's AS241,
+# Appl. Statist. 1988, as the standard library computes it); raises
+# ``StatisticsError``, a ``ValueError``, outside (0, 1).
+inverse_normal_cdf = NormalDist().inv_cdf
 
 
-def inverse_normal_cdf(p: float) -> float:
-    """Quantile function of the standard normal distribution.
+def sum_of_squares(x: np.ndarray) -> np.ndarray:
+    """The sum of squares over the last axis, in numpy's pairwise order.
 
-    Rational approximation (1.15e-9 relative error) polished by one Halley
-    step, so the absolute error stays below 1.15e-9 on all of (0, 1).
+    No BLAS call: each row of an ``(N, d)`` stack, in any memory layout,
+    sums bit for bit as the one-row call does, on any CPU.  The squares are
+    laid out in C order, since numpy sums a reduction axis that is not the
+    innermost one in plain sequence instead.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x = num / den
-    elif p > _P_HIGH:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x = -num / den
-    else:
-        q = p - 0.5
-        r = q * q
-        num = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x = num / den
-    # Halley refinement against the exact CDF (erfc underflows only for
-    # |x| beyond ~38, far outside the representable p range).
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return np.add.reduce(np.multiply(x, x, order="C"), axis=-1)
 
 
 def wilson_upper(successes: int, trials: int, confidence: float = 0.99) -> float:

@@ -7,10 +7,12 @@ system: ``(B + lam I) s = -g`` with ``lam >= max(0, -lambda_min(B))`` and
 (``solve_spectrum``) the boundary equation is one-dimensional (safeguarded
 Newton on the secular equation), and the degenerate case where the
 gradient is orthogonal to the lowest eigenspace is closed with an explicit
-eigenvector correction.  ``solve_exact`` reaches the spectrum through a
-symmetric eigendecomposition (LAPACK ``eigh`` through numpy; a diagonal
-matrix is read off directly).  A sampling-based verifier provides an
-independent check.
+eigenvector correction; so is a boundary root that lies within rounding
+of the pole ``lam = -lambda_min``.  Every norm on the spectrum is summed
+by ``stats.sum_of_squares``, so a step does not depend on the BLAS kernel.
+``solve_exact`` reaches the spectrum through a symmetric eigendecomposition
+(LAPACK ``eigh`` through numpy; a diagonal matrix is read off directly).
+A sampling-based verifier provides an independent check.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .stats import sum_of_squares
 
 _SYMMETRY_TOL = 1e-12
 _UNIT_TOL = 1e-12
@@ -84,13 +88,8 @@ def eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` of a 1-D float vector, without its wrapper.
-
-    The same ``dot`` on the same contiguous copy: a strided view summed in
-    place would take BLAS's strided loop and round differently.
-    """
-    v = v.ravel()
-    return math.sqrt(v.dot(v))
+    """The Euclidean norm of a 1-D float vector, summed by ``sum_of_squares``."""
+    return math.sqrt(sum_of_squares(v))
 
 
 def _shifted_norm(a: np.ndarray, denom: np.ndarray) -> float:
@@ -100,9 +99,31 @@ def _shifted_norm(a: np.ndarray, denom: np.ndarray) -> float:
         if np.any(a[zero] != 0.0):
             return math.inf
         denom = np.where(zero, 1.0, denom)  # the 0/0 terms now add 0.0
-    terms = a / denom
-    # cumsum adds in index order, like a running total.
-    return math.sqrt((terms * terms).cumsum()[-1])
+    return _norm(a / denom)
+
+
+def _pole_step(w: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
+    """Boundary coefficients at ``lam = -w[0]`` when the secular root lies within rounding of it.
+
+    The coefficients off the lowest eigenvalue are the shifted solution
+    there; the lowest eigenspace, along ``-a`` on it, takes the rest of the
+    radius, as in the hard case.  A shifted part already past the radius
+    is scaled back onto the boundary.
+    """
+    pole = w == w[0]
+    coef = np.zeros_like(a)
+    coef[~pole] = -a[~pole] / (w[~pole] - w[0])
+    part_norm = _norm(coef)
+    if part_norm >= radius:
+        return coef * (radius / part_norm)
+    bump = math.sqrt(radius * radius - part_norm * part_norm)
+    lowest = a[pole]
+    lowest_mass = _norm(lowest)
+    if lowest_mass > 0.0:
+        coef[pole] = lowest * (-bump / lowest_mass)
+    else:
+        coef[0] = bump
+    return coef
 
 
 def solve_spectrum(
@@ -123,36 +144,40 @@ def solve_spectrum(
             return coords(newton_coef), 0.0, newton_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
     lam_floor = max(0.0, -w_min)
-    spread = max(1.0, abs(w_min), abs(float(w[-1])))
-    lowest = w <= w_min + 1e-10 * spread
-    lowest_mass = _norm(a[lowest])
-
-    if w_min <= 0.0 and lowest_mass <= _HARD_CASE_TOL:
-        # Gradient (numerically) orthogonal to the lowest eigenspace: the
-        # shifted system at lam = max(0, -lambda_min) may have a short
-        # solution.  For a strictly negative lowest eigenvalue the
-        # multiplier is positive, so complementarity forces the boundary
-        # and a lowest-eigenvector component reaches it; for a singular
-        # positive-semidefinite matrix the short solution is already
-        # optimal with zero multiplier.
-        coef = np.zeros_like(a)
-        rest = ~lowest
-        coef[rest] = -a[rest] / (w[rest] + lam_floor)
-        part_norm = _norm(coef)
-        if part_norm <= radius:
-            if lam_floor > 0.0:
-                bump = math.sqrt(max(0.0, radius * radius - part_norm * part_norm))
-                coef[int(np.argmax(lowest))] = bump
-                return coords(coef), lam_floor, True
-            return coords(coef), 0.0, part_norm >= radius * (1.0 - _BOUNDARY_RTOL)
+    if w_min <= 0.0:
+        spread = max(1.0, abs(w_min), abs(float(w[-1])))
+        lowest = w <= w_min + 1e-10 * spread
+        if _norm(a[lowest]) <= _HARD_CASE_TOL:
+            # Gradient (numerically) orthogonal to the lowest eigenspace: the
+            # shifted system at lam = max(0, -lambda_min) may have a short
+            # solution.  For a strictly negative lowest eigenvalue the
+            # multiplier is positive, so complementarity forces the boundary
+            # and a lowest-eigenvector component reaches it; for a singular
+            # positive-semidefinite matrix the short solution is already
+            # optimal with zero multiplier.
+            coef = np.zeros_like(a)
+            rest = ~lowest
+            coef[rest] = -a[rest] / (w[rest] + lam_floor)
+            part_norm = _norm(coef)
+            if part_norm <= radius:
+                if lam_floor > 0.0:
+                    bump = math.sqrt(max(0.0, radius * radius - part_norm * part_norm))
+                    coef[int(np.argmax(lowest))] = bump
+                    return coords(coef), lam_floor, True
+                return coords(coef), 0.0, part_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
     # Boundary root of 1/||s(lam)|| = 1/radius on (lam_floor, hi].
     a_norm = _norm(a)
     a_sq = a * a
     lo = lam_floor
     hi = lam_floor + a_norm / radius
+    # Once hi reaches this, no float lies between the pole lam = -lambda_min
+    # and a step too short for the boundary.
+    pole_edge = math.nextafter(lam_floor, math.inf) if w_min <= 0.0 else -math.inf
     lam = 0.5 * (lo + hi)
     for _ in range(_MAX_NEWTON):
+        if hi <= pole_edge:
+            return coords(_pole_step(w, a, radius)), lam_floor, True
         denom = w + lam
         nrm = _shifted_norm(a, denom)
         if nrm == math.inf:

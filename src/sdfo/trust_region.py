@@ -40,6 +40,7 @@ import numpy as np
 from .directions import DirectionGenerator
 from .oracle import NoiseModel, SamplePolicy, StochasticOracle, batch_means, sample_policy
 from .problems import TestProblem
+from .stats import sum_of_squares
 from .subproblem import solve_spectrum
 from .trace import IterationRecord
 
@@ -287,8 +288,7 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
     true values.
     """
     direction, step, scales, stencil = propose(cfg, gen, oracles, sampler, x, radii, fx)
-    # sqrt(s.s) is np.linalg.norm's own computation for a 1-D float vector.
-    norms = [math.sqrt(s.dot(s)) for s in step]
+    norms = np.sqrt(sum_of_squares(step)).tolist()
     if scales is None:
         scales = norms
     counts = [int(sampler(s)) for s in scales]

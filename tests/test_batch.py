@@ -174,7 +174,7 @@ def reference_run(cfg, problem, noise, gen, x0, seed, n, sign):
     for k in range(cfg.max_iters):
         direction = gen.next_direction()
         step = sign * delta * direction
-        norm = math.sqrt(step.dot(step))
+        norm = math.sqrt(np.add.reduce(step * step))
         scale = delta if sign > 0 else norm
         pair = estimate_pair(oracle, x, x + step, n, n)
         success = pair.est_current - pair.est_trial >= cfg.theta * scale * scale

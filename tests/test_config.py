@@ -248,6 +248,8 @@ UNREAD_KEYS = [
     (tr_config_dict, ("config", "hessian", "q"), 0.5),
     (ds_config_dict, ("config", "hessian"), {"policy": "zero"}),
     (ds_config_dict, ("output", "directroy"), "elsewhere"),
+    (ds_config_dict, ("output", "write_trace"), False),
+    (ds_config_dict, ("output", "write_summary"), False),
     (ds_config_dict, ("noise", "scale"), 100.0),
     (ds_config_dict, ("problem", "dim"), 3),
     (ds_config_dict, ("audit",), audit_config_dict()["audit"]),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sdfo import get_problem, list_problems
 from sdfo.problems import PROBLEMS
 from sdfo.problems import TestProblem as Problem
+from sdfo.stats import sum_of_squares
 
 
 def test_registry_contents():
@@ -90,7 +91,7 @@ def test_dimension_messages(name, dimension, message):
 # The registry objectives as one-point functions of Python floats: the
 # reference each row-wise objective must match bit for bit.
 def _sphere(x):
-    return float(x @ x)
+    return float(np.add.reduce(x * x))
 
 
 def _rosenbrock(x):
@@ -102,7 +103,7 @@ def _l1norm(x):
 
 
 def _max_quadratics(x):
-    sq = float(x @ x)
+    sq = float(np.add.reduce(x * x))
     j = 1 if x.shape[0] >= 2 else 0
     q1 = 0.5 * sq + float(x[0])
     q2 = 0.5 * sq - float(x[0])
@@ -137,6 +138,47 @@ def _kinds(call):
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
+
+
+VIEWS = {
+    "contiguous": lambda block, rows, d: np.ascontiguousarray(block[:rows, :d]),
+    "every_other_row_and_column": lambda block, rows, d: block[::2, ::2],
+    "odd_rows_and_columns": lambda block, rows, d: block[1::2, 1::2],
+    "reversed": lambda block, rows, d: block[:rows, :d][::-1, ::-1],
+    "fortran": lambda block, rows, d: np.asfortranarray(block[:rows, :d]),
+}
+
+
+@st.composite
+def square_blocks(draw):
+    """A ``(2 N, 2 d)`` float block with inf and NaN entries, and N and d.
+
+    d reaches past 128, where numpy's pairwise sum splits its blocks.
+    """
+    rows, d = draw(st.integers(1, 40)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.standard_normal((2 * rows, 2 * d)) * draw(st.sampled_from([1.0, 1e-160, 1e150]))
+    spots = st.tuples(
+        st.integers(0, 2 * rows - 1),
+        st.integers(0, 2 * d - 1),
+        st.sampled_from([math.inf, -math.inf, math.nan, 1e300]),
+    )
+    for i, j, value in draw(st.lists(spots, max_size=6)):
+        block[i, j] = value
+    return block, rows, d
+
+
+@pytest.mark.parametrize("view", VIEWS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(square_blocks())
+def test_sum_of_squares_of_a_stack_is_each_rows_bit_for_bit(view, block_rows_d):
+    # The batched step norms and the row-wise objectives rest on this.
+    stack = VIEWS[view](*block_rows_d)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = sum_of_squares(stack)
+        expected = [sum_of_squares(row) for row in stack]
+    assert got.shape == (len(stack),)
+    assert np.array_equal(_bits(got), _bits(expected))
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

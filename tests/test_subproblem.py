@@ -14,13 +14,20 @@ from sdfo import (
     QuadraticModel,
     RegressionClipped,
     StochasticOracle,
+    SubproblemSolution,
     brute_force_min,
     kkt_residuals,
     model_value,
     solve_exact,
 )
 from sdfo.problems import TestProblem as Problem
-from sdfo.subproblem import _norm, _shifted_norm, eigendecomposition, solve_spectrum
+from sdfo.subproblem import (
+    _BOUNDARY_RTOL,
+    _pole_step,
+    _shifted_norm,
+    eigendecomposition,
+    solve_spectrum,
+)
 from sdfo.trust_region import stencil_models
 
 
@@ -297,17 +304,21 @@ class TestSolveExactProperties:
 
 
 def loop_shifted_norm(a, w, lam):
-    """||s(lam)|| as a running total over the eigenvalues: the reference."""
-    denom = w + lam
-    total = 0.0
-    for ai, di in zip(a, denom):
+    """||s(lam)|| from its terms taken one eigenvalue at a time: the reference.
+
+    A zero term over a zero denominator counts as 0.0 in its place; the
+    squares are summed in numpy's pairwise order, as every norm is.
+    """
+    terms = []
+    for ai, di in zip(a, w + lam):
         if di == 0.0:
             if ai != 0.0:
                 return math.inf
-            continue
-        term = ai / di
-        total += term * term
-    return math.sqrt(total)
+            terms.append(0.0)
+        else:
+            terms.append(ai / di)
+    terms = np.array(terms)
+    return math.sqrt(np.add.reduce(terms * terms))
 
 
 @st.composite
@@ -342,47 +353,19 @@ def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-NORM_BASE = np.random.default_rng(1).standard_normal(120)
-NORM_CASES = {
-    "contiguous": NORM_BASE[:37].copy(),
-    "masked_copy": NORM_BASE[NORM_BASE > 0.0],
-    # A strided view whose in-place dot (OpenBLAS's strided loop, x86-64)
-    # rounds differently from the contiguous copy np.linalg.norm sums.
-    "strided_view": NORM_BASE[1::3],
-    "reversed_view": NORM_BASE[::-1],
-    "empty": np.empty(0),
-    "one": np.array([-3.5]),
-    "inf": np.array([1.0, math.inf, -2.0]),
-    "minus_inf": np.array([-math.inf]),
-    "nan": np.array([1.0, math.nan, 2.0]),
-    "inf_and_nan": np.array([math.inf, math.nan]),
-}
-
-
-class TestNorm:
-    @pytest.mark.parametrize("v", NORM_CASES.values(), ids=NORM_CASES.keys())
-    def test_matches_numpy_norm_bit_for_bit(self, v):
-        assert bits(_norm(v)) == bits(float(np.linalg.norm(v)))
-
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(
-        st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=60),
-        st.integers(0, 3),
-        st.integers(1, 4),
-    )
-    def test_views_match_numpy_norm_bit_for_bit(self, values, start, stride):
-        v = np.array(values, dtype=float)[start::stride]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert bits(_norm(v)) == bits(float(np.linalg.norm(v)))
-
-
 # --- the secular solver against its frozen form ----------------------------
 #
 # ``frozen_solve_spectrum`` and ``frozen_shifted_norm`` are ``solve_spectrum``
 # and ``_shifted_norm`` as they stood before the solver's inner loop was
-# trimmed (norms through ``np.linalg.norm``, ``w + lam`` and ``a * a`` formed
-# where used, ``np.sum``).  The solver must keep giving their results bit for
-# bit.
+# trimmed (``w + lam`` and ``a * a`` formed where used, ``np.sum``, the
+# eigenvalue spread always formed), with every norm summed in numpy's
+# pairwise order (``frozen_norm``).  The solver must keep giving their
+# results bit for bit, except where the Newton bracket closes onto the pole
+# lam = -lambda_min: the frozen form returns a NaN step there.
+
+
+def frozen_norm(v):
+    return math.sqrt(np.add.reduce(v * v))
 
 
 def frozen_shifted_norm(a, w, lam):
@@ -392,8 +375,7 @@ def frozen_shifted_norm(a, w, lam):
         if np.any(a[zero] != 0.0):
             return math.inf
         denom = np.where(zero, 1.0, denom)
-    terms = a / denom
-    return math.sqrt((terms * terms).cumsum()[-1])
+    return frozen_norm(a / denom)
 
 
 def frozen_solve_spectrum(w, a, radius, coords):
@@ -401,20 +383,20 @@ def frozen_solve_spectrum(w, a, radius, coords):
 
     if w_min > 0.0:
         newton_coef = -a / w
-        newton_norm = float(np.linalg.norm(newton_coef))
+        newton_norm = frozen_norm(newton_coef)
         if newton_norm <= radius:
             return coords(newton_coef), 0.0, newton_norm >= radius * (1.0 - 1e-10)
 
     lam_floor = max(0.0, -w_min)
     spread = max(1.0, abs(w_min), abs(float(w[-1])))
     lowest = w <= w_min + 1e-10 * spread
-    lowest_mass = float(np.linalg.norm(a[lowest]))
+    lowest_mass = frozen_norm(a[lowest])
 
     if w_min <= 0.0 and lowest_mass <= 1e-12:
         coef = np.zeros_like(a)
         rest = ~lowest
         coef[rest] = -a[rest] / (w[rest] + lam_floor)
-        part_norm = float(np.linalg.norm(coef))
+        part_norm = frozen_norm(coef)
         if part_norm <= radius:
             if lam_floor > 0.0:
                 bump = math.sqrt(max(0.0, radius * radius - part_norm * part_norm))
@@ -422,7 +404,7 @@ def frozen_solve_spectrum(w, a, radius, coords):
                 return coords(coef), lam_floor, True
             return coords(coef), 0.0, part_norm >= radius * (1.0 - 1e-10)
 
-    a_norm = float(np.linalg.norm(a))
+    a_norm = frozen_norm(a)
     lo = lam_floor
     hi = lam_floor + a_norm / radius
     lam = 0.5 * (lo + hi)
@@ -448,24 +430,40 @@ def frozen_solve_spectrum(w, a, radius, coords):
         lam = candidate
 
     s = coords(-a / (w + lam))
-    norm_s = float(np.linalg.norm(s))
+    norm_s = frozen_norm(s)
     if norm_s > 0.0:
         s = s * (radius / norm_s)
     return s, lam, True
 
 
 def assert_matches_frozen(w, a, radius):
+    """The frozen solver's result bit for bit, or the pole step where the bracket closes.
+
+    Returns whether the solver took the pole step.
+    """
     def coords(coef):
         return coef[::-1].copy()
 
+    poles = []
+
+    def spy(*args):
+        poles.append(args)
+        return _pole_step(*args)
+
     # Tiny shifts overflow, and a step stuck at a pole is inf / inf: the
     # same warnings, and the same values, on both sides.
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), mock.patch("sdfo.subproblem._pole_step", spy):
         s, lam, on_boundary = solve_spectrum(w, a, radius, coords)
         s_ref, lam_ref, on_boundary_ref = frozen_solve_spectrum(w, a, radius, coords)
+    if poles:
+        assert np.isfinite(s).all()
+        assert abs(np.linalg.norm(s) - radius) <= _BOUNDARY_RTOL * radius
+        assert (lam, on_boundary) == (max(0.0, -float(w[0])), True)
+        return True
     assert s.tobytes() == s_ref.tobytes()
     assert type(lam) is type(lam_ref) and bits(lam) == bits(lam_ref)
     assert type(on_boundary) is type(on_boundary_ref) and on_boundary == on_boundary_ref
+    return False
 
 
 @st.composite
@@ -520,17 +518,54 @@ class TestSolveSpectrumFrozen:
     )
     def test_pole_meets_zero_denominator(self, a_lowest, branch):
         # The boundary root lies within rounding of lam = 1 = -lambda_min,
-        # so Newton evaluates the shifted norm there: a nonzero term over a
-        # zero denominator gives inf, a zero one is skipped.
+        # where a nonzero term over the zero denominator gives inf and a
+        # zero one is skipped.  Newton stops once its bracket closes onto
+        # the pole and takes the pole step, so it never evaluates the
+        # shifted norm at the pole itself.
         w = np.array([-1.0, -1.0 + 1e-12, 2.0])
         a = np.array([a_lowest, 1e-6, 1.0])
+        assert (_shifted_norm(a, w + 1.0) == math.inf) == (branch == "inf")
         seen = []
 
         def spy(a_, denom):
-            if not denom.all():
-                seen.append(bool(np.any(a_[denom == 0.0] != 0.0)))
+            seen.append(bool(denom.all()))
             return _shifted_norm(a_, denom)
 
         with mock.patch("sdfo.subproblem._shifted_norm", spy):
-            assert_matches_frozen(w, a, 1e7)
-        assert seen and set(seen) == {branch == "inf"}
+            assert assert_matches_frozen(w, a, 1e7)
+        assert seen and all(seen)
+
+
+class TestPoleStep:
+    """A boundary root within rounding of the pole lam = -lambda_min gives a certified step."""
+
+    @pytest.mark.parametrize("a_lowest", [1e-13, 0.0])
+    @pytest.mark.parametrize("entry", ["solve_spectrum", "solve_exact"])
+    def test_step_is_finite_certified_and_optimal(self, entry, a_lowest):
+        w = np.array([-1.0, -1.0 + 1e-12, 2.0])
+        g = np.array([a_lowest, 1e-6, 1.0])
+        g /= np.linalg.norm(g)
+        model = QuadraticModel(g=g, B=np.diag(w), radius=1e7)
+        if entry == "solve_exact":
+            sol = solve_exact(model)
+        else:
+            s, lam, on_boundary = solve_spectrum(w, g, model.radius, lambda coef: coef)
+            sol = SubproblemSolution(s, lam, on_boundary, model_value(model, s))
+        assert np.isfinite(sol.s).all()
+        assert sol.on_boundary and sol.multiplier == 1.0
+        assert abs(np.linalg.norm(sol.s) - model.radius) <= _BOUNDARY_RTOL * model.radius
+        assert_certificate(model, sol)
+        _, brute_value = brute_force_min(model, 10**5)
+        assert sol.model_decrease - brute_value <= 1e-6
+
+    def test_shifted_part_past_the_radius_is_scaled_onto_it(self):
+        # With no gradient on the pole, the shifted solution is 1.00002e6
+        # long at lam = 1 and 0.99978e6 one float above: the radius lies
+        # between, so no lowest-eigenvector part is added.
+        w = np.array([-1.0, -1.0 + 1e-12, 2.0])
+        g = np.array([0.0, 1e-6, 1.0])
+        g /= np.linalg.norm(g)
+        s, lam, on_boundary = solve_spectrum(w, g, 1e6, lambda coef: coef)
+        assert np.isfinite(s).all() and s[0] == 0.0
+        assert abs(np.linalg.norm(s) - 1e6) <= _BOUNDARY_RTOL * 1e6
+        assert (lam, on_boundary) == (1.0, True)
