@@ -19,7 +19,6 @@ import argparse
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import diagnostics
@@ -113,6 +112,9 @@ def run_experiment(
     batches = [seeds[len(seeds) * i // workers : len(seeds) * (i + 1) // workers] for i in range(workers)]
     run = functools.partial(_run_batch, cfg, directory)
     if workers > 1:
+        # Imported here: multiprocessing costs every other process its import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for batch in pool.map(run, batches) for r in batch]
     else:

@@ -4,7 +4,12 @@ An oracle returns ``f(x) + xi`` for zero-mean noise ``xi``.  Every
 estimate, single, paired, repeated, a whole stencil or a seed batch, is a
 mean of i.i.d. draws made by one engine, ``_means``, behind the two front
 ends ``sample_means`` (one oracle) and ``batch_means`` (one oracle per
-seed).  ``required_samples`` and
+seed).  The engine reads each oracle's noise stream through the oracle's
+own reader, ``StochasticOracle._take``: a request of fewer than
+``READ_AHEAD`` values is served from a block that one generator call
+reads ahead, and a larger one draws exactly what it still needs.  Since
+``NoiseModel.draw(rng, a + b)`` continues ``draw(rng, a)``, the values do
+not depend on the blocks.  ``required_samples`` and
 ``moment_oracle_samples`` give averaging counts under which the estimate
 error of the decrease ``f(x) - f(y)`` obeys the tail bounds that the
 optimizers assume (finite-variance and finite-moment noise respectively).
@@ -24,6 +29,17 @@ import numpy as np
 from .problems import TestProblem
 
 NOISE_KINDS = ("none", "gaussian", "student_t", "pareto_symmetric")
+
+# Noise values drawn per call: 128 KB of float64, so a batch of
+# estimates costs O(chunk) memory per drawing thread whatever its length.
+# Twice as large is no faster and raises peak memory.
+CHUNK_DRAWS = 2**14
+
+# Values that a request of fewer than this many reads ahead in one
+# generator call, for the requests after it: 8 KB of float64 per oracle.
+READ_AHEAD = CHUNK_DRAWS // 16
+
+_NO_VALUES = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -144,7 +160,10 @@ class NoiseModel:
         if self.kind == "none":
             return np.zeros(n)
         if self.kind == "gaussian":
-            return rng.normal(0.0, math.sqrt(self.declared_variance), n)
+            # normal(0, sigma) computes 0 + sigma * z: the same bits, slower.
+            values = rng.standard_normal(n)
+            values *= math.sqrt(self.declared_variance)
+            return values
         if self.kind == "student_t":
             return self.scale * rng.standard_t(self.df, n)
         # One uniform per variate, so the stream does not depend on how the
@@ -201,18 +220,28 @@ class StochasticOracle:
             np.random.SeedSequence(entropy=self._entropy, spawn_key=self._spawn_key)
         )
         self.draws = 0
+        self._kept = _NO_VALUES
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` values of the noise stream.
+
+        A request the kept values cannot serve draws what it misses, or
+        ``READ_AHEAD`` values when it asks for fewer than that, and keeps
+        what it does not use.  The result is a fresh array or a slice of a
+        block that no later call returns, so the caller may write into it.
+        """
+        kept = self._kept
+        if count > kept.size:
+            fresh = self.noise.draw(self._rng, READ_AHEAD if count < READ_AHEAD else count - kept.size)
+            kept = np.concatenate((kept, fresh)) if kept.size else fresh
+        self._kept = kept[count:] if count < kept.size else _NO_VALUES
+        return kept[:count]
 
     def spawn(self, *key: int) -> "StochasticOracle":
         """A fresh oracle on an independent substream derived from this seed."""
         return StochasticOracle(
             self.problem, self.noise, self._entropy, self._spawn_key + tuple(key)
         )
-
-
-# Noise values drawn per call: 128 KB of float64, so a batch of
-# estimates costs O(chunk) memory per drawing thread whatever its length.
-# Twice as large is no faster and raises peak memory.
-CHUNK_DRAWS = 2**14
 
 
 def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +279,8 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
     them: both go through the same engine, which stacks the small seeds
     and draws the larger ones side by side on the draw threads.
     ``ValueError`` when ``oracles``, ``counts``, ``points`` (or ``first``)
-    disagree on ``S``, or when a count is below 1.
+    disagree on ``S``, when a count is below 1, or when ``first`` comes
+    with no points.
     """
     batch, k, dimension = points.shape
     sizes = (len(oracles), len(counts), batch, batch if first is None else len(first))
@@ -261,10 +291,14 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
         raise ValueError("batched oracles must share one problem")
     if min(counts) < 1:
         raise ValueError(f"sample count must be >= 1, got {min(counts)}")
-    rest = points if first is None else points[:, 1:]
-    truth = problem.true_values(rest.reshape(-1, dimension)).reshape(batch, -1)
-    if first is not None:
-        truth = np.column_stack([first, truth])
+    if first is not None and not k:
+        raise ValueError("first values need a first point in each row")
+    if first is None:
+        truth = problem.true_values(points.reshape(-1, dimension)).reshape(batch, k)
+    else:
+        truth = np.empty((batch, k))
+        truth[:, 0] = first
+        truth[:, 1:] = problem.true_values(points[:, 1:].reshape(-1, dimension)).reshape(batch, k - 1)
     return truth, _means(oracles, truth, counts)
 
 
@@ -272,13 +306,15 @@ def _means(oracles, truth: np.ndarray, counts) -> np.ndarray:
     """``(S, m)`` means: entry ``(s, j)`` averages ``truth[s, j]`` plus each
     of the next ``counts[s]`` draws of ``oracles[s]``, taken in row order.
 
-    Noiseless seeds keep their truths.  Noisy seeds whose ``m * n`` draws
+    Noiseless seeds, and every seed when there are no points, keep their
+    truths.  Noisy seeds whose ``m * n`` draws
     fit one ``CHUNK_DRAWS`` chunk are stacked by count, as many to a chunk
-    as fit, each drawing from its own stream into one reduction.  A larger
+    as fit, each reading its own stream into one reduction.  A larger
     seed is drawn chunk by chunk of whole estimates; two or more of them
     run one task per seed on a pool of one thread per usable CPU, longest
     count first, while this thread draws the stacks.  A seed reads only its
-    own stream, so no value depends on the scheduling, and each estimate is
+    own stream, through its oracle's ``_take``, so no value depends on the
+    scheduling or on the reader's blocks, and each estimate is
     ``np.add.reduce`` over its own contiguous draws.
     """
     m = truth.shape[1]
@@ -287,7 +323,7 @@ def _means(oracles, truth: np.ndarray, counts) -> np.ndarray:
     large: list[tuple[int, int]] = []
     for s, (oracle, n) in enumerate(zip(oracles, counts)):
         oracle.draws += m * n
-        if oracle.noise.kind == "none":
+        if not m or oracle.noise.kind == "none":
             continue
         if m * n > CHUNK_DRAWS:
             large.append((s, n))
@@ -324,9 +360,9 @@ def _seed_means(oracle: StochasticOracle, truth: np.ndarray, n: int, out: np.nda
 
 
 def _chunk_means(oracles, truth: np.ndarray, n: int) -> np.ndarray:
-    """``(rows, m)`` means of each truth plus the next ``n`` draws of its row's oracle, one draw call per row."""
+    """``(rows, m)`` means of each truth plus the next ``n`` draws of its row's oracle, one read per row."""
     rows, m = truth.shape
-    draws = [oracle.noise.draw(oracle._rng, m * n) for oracle in oracles]
+    draws = [oracle._take(m * n) for oracle in oracles]
     values = (draws[0] if rows == 1 else np.concatenate(draws)).reshape(rows, m, n)
     values += truth[:, :, np.newaxis]
     # The sum and the division by n are np.mean's own steps.
@@ -374,7 +410,7 @@ def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:
     to ``np.add.reduce`` over one array of all ``n`` values.
     """
     if n <= CHUNK_DRAWS:
-        values = oracle.noise.draw(oracle._rng, n)
+        values = oracle._take(n)
         values += truth
         return float(np.add.reduce(values))
     half = n // 2

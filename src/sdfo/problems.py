@@ -40,6 +40,7 @@ class TestProblem:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "_row_wise", any(self.eval_true is row[0] for row in PROBLEMS.values()))
 
     def check_point(self, x) -> np.ndarray:
         pt = np.asarray(x, dtype=float)
@@ -55,7 +56,7 @@ class TestProblem:
         One ``eval_true`` call on the C-contiguous stack when ``eval_true``
         is a row-wise ``PROBLEMS`` objective, else one call per row.
         """
-        if any(self.eval_true is row[0] for row in PROBLEMS.values()):
+        if self._row_wise:
             return self.eval_true(np.ascontiguousarray(points))
         return np.array([float(self.eval_true(point)) for point in points])
 

@@ -93,6 +93,15 @@ class TestListProblems:
         assert "l1norm" in out and "sphere" in out
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # Only --jobs > 1 starts worker processes; the pool's import pulls in
+    # multiprocessing, socket, subprocess and logging.
+    script = "import sys, sdfo, sdfo.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert child.stdout == "[]\n"
+
+
 class TestRun:
     def test_batch_file_contract(self, tmp_path):
         out = tmp_path / "out"

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdfo import (
     EstimatePair,
@@ -20,6 +22,7 @@ from sdfo import (
 from sdfo import oracle as oracle_module
 from sdfo.oracle import (
     CHUNK_DRAWS,
+    READ_AHEAD,
     batch_means,
     fixed_sample_policy,
     moment_sample_policy,
@@ -240,8 +243,9 @@ class TestSampleMeans:
         assert np.array_equal(means, np.array(reference))
         assert np.array_equal(truth, [a.problem.eval_true(x) for x in points])
         assert a.draws == b.draws == repeats * k * n
-        # Both streams stop at the same place.
-        assert a._rng.random() == b._rng.random()
+        # Both streams stop at the same place.  a's generator may be past it,
+        # by what its reader read ahead, so a's next value is its reader's.
+        assert a._take(1)[0] == b.noise.draw(b._rng, 1)[0]
 
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
     @pytest.mark.parametrize(
@@ -270,7 +274,22 @@ class TestSampleMeans:
             assert pair.est_trial == reference_estimate(b, y, n_trial)
             assert pair.f_true_current == a.problem.eval_true(x)
         assert a.draws == b.draws
-        assert a._rng.random() == b._rng.random()
+        assert a._take(1)[0] == b.noise.draw(b._rng, 1)[0]
+
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_no_points_give_empty_means_and_leave_the_stream(self, noise, repeats):
+        # The stacking divided CHUNK_DRAWS by k * n = 0 for noisy oracles.
+        a = make_oracle(noise, seed=5, dim=D)
+        b = make_oracle(noise, seed=5, dim=D)
+        truth, means = sample_means(a, np.empty((0, D)), 4, repeats)
+        assert truth.shape == (0,) and means.shape == (repeats, 0)
+        truth, means = batch_means([a, a.spawn(1)], np.empty((2, 0, D)), [4, CHUNK_DRAWS + 1])
+        assert truth.shape == means.shape == (2, 0)
+        with pytest.raises(ValueError, match="first values need a first point"):
+            batch_means([a, a.spawn(1)], np.empty((2, 0, D)), [4, 4], [1.0, 2.0])
+        assert a.draws == 0
+        assert a._take(1)[0] == b.noise.draw(b._rng, 1)[0]
 
     def test_rejects_bad_shapes_and_counts(self):
         oracle = make_oracle(NoiseModel.gaussian(1.0))
@@ -489,6 +508,39 @@ class TestBatchMeans:
             batch_means([sphere, other], np.zeros((2, 2, 2)), [1, 1])
 
 
+# Request sizes on both sides of READ_AHEAD and of a chunk.
+READ_SIZES = st.one_of(
+    st.integers(1, 2 * READ_AHEAD),
+    st.sampled_from(
+        [READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, CHUNK_DRAWS - 1, CHUNK_DRAWS, CHUNK_DRAWS + 1, 2 * CHUNK_DRAWS + 3]
+    ),
+)
+
+
+class TestReader:
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(counts=st.lists(READ_SIZES, min_size=1, max_size=12))
+    def test_reads_continue_one_draw_bit_for_bit(self, noise, counts):
+        oracle = make_oracle(noise, seed=13)
+        reference = make_oracle(noise, seed=13)
+        taken = []
+        for count in counts:
+            values = oracle._take(count)
+            assert values.shape == (count,)
+            taken.append(values.copy())
+            # The caller may write into what it gets.
+            values[:] = np.nan
+            assert oracle._kept.size < READ_AHEAD
+            if count >= READ_AHEAD:
+                # A large request reads no further than it uses.
+                assert oracle._kept.size == 0
+        whole = reference.noise.draw(reference._rng, sum(counts))
+        assert np.concatenate(taken).tobytes() == whole.tobytes()
+        if counts[-1] >= READ_AHEAD:
+            assert oracle._rng.random() == reference._rng.random()
+
+
 class TestMomentOracleSamples:
     def test_finite_variance_case_matches_required_samples_scale(self):
         # h=2 forces r=2; with eps_q = 4 k_f^2 the count is the variance
@@ -588,6 +640,15 @@ class TestNoiseModels:
         draws = noise.draw(np.random.default_rng(99), 10**6)
         se = float(np.std(draws)) / math.sqrt(draws.size)
         assert abs(float(np.mean(draws))) <= 4.0 * se
+
+    @pytest.mark.parametrize("variance", [1e-4, 0.5, 1.0, 3.0, 1e6, 1e300])
+    @pytest.mark.parametrize("n", [1, 7, READ_AHEAD, CHUNK_DRAWS + 3])
+    def test_gaussian_draws_are_numpys_normal_bit_for_bit(self, variance, n):
+        # Standard normals times sigma, where normal(0, sigma) adds 0 to them.
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        draws = NoiseModel.gaussian(variance).draw(a, n)
+        assert draws.tobytes() == b.normal(0.0, math.sqrt(variance), n).tobytes()
+        assert a.random() == b.random()
 
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
     @pytest.mark.parametrize("a,b", [(1, 1), (3, 1000), (1000, 7)])
