@@ -9,8 +9,8 @@ batches, one per worker process; since a seed's trace does not depend on
 the batch it ran in, and every seed writes only its own file, the outputs
 do not depend on ``J``.  Within a batch, the seeds whose estimates pass
 one ``CHUNK_DRAWS`` chunk draw concurrently, one thread per usable CPU
-(``oracle.batch_means``); each reads only its own stream, so the outputs
-do not depend on the thread count either.
+(the estimate engine, ``oracle._means``); each reads only its own stream,
+so the outputs do not depend on the thread count either.
 """
 
 from __future__ import annotations

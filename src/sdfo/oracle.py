@@ -4,12 +4,13 @@ An oracle returns ``f(x) + xi`` for zero-mean noise ``xi``.  Every
 estimate, single, paired, repeated, a whole stencil or a seed batch, is a
 mean of i.i.d. draws made by one engine, ``_means``, behind the two front
 ends ``sample_means`` (one oracle) and ``batch_means`` (one oracle per
-seed).  The engine reads each oracle's noise stream through the oracle's
-own reader, ``StochasticOracle._take``: a request of fewer than
-``READ_AHEAD`` values is served from a block that one generator call
-reads ahead, and a larger one draws exactly what it still needs.  Since
-``NoiseModel.draw(rng, a + b)`` continues ``draw(rng, a)``, the values do
-not depend on the blocks.  ``required_samples`` and
+seed); the run loop calls the engine without their argument checks.
+The engine reads noise through one reader, ``_read``: a batch's oracles
+at one position read one slice of an ``(S, READ_AHEAD)`` block of their
+streams read ahead, so an oracle keeps fewer than ``READ_AHEAD`` values
+(8 KB).  Since ``NoiseModel.draw(rng, a + b)`` continues
+``draw(rng, a)``, the values do not depend on the blocks.
+``required_samples`` and
 ``moment_oracle_samples`` give averaging counts under which the estimate
 error of the decrease ``f(x) - f(y)`` obeys the tail bounds that the
 optimizers assume (finite-variance and finite-moment noise respectively).
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -38,8 +40,6 @@ CHUNK_DRAWS = 2**14
 # Values that a request of fewer than this many reads ahead in one
 # generator call, for the requests after it: 8 KB of float64 per oracle.
 READ_AHEAD = CHUNK_DRAWS // 16
-
-_NO_VALUES = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,25 @@ class NoiseModel:
         return self.scale * (1.0 - 2.0 * upper) * (pareto - shape / (shape - 1.0))
 
 
+class _Block:
+    """Values read ahead for a batch of oracles: row ``i`` continues the
+    stream of the oracle whose ``_place`` is ``places[i]`` from column
+    ``pos``.  A place names the block by its id, so a block refers to no
+    oracle and is freed with the last one that refers to it."""
+
+    __slots__ = ("values", "pos", "places")
+
+    def __init__(self, values: np.ndarray, pos: int) -> None:
+        self.values = values
+        self.pos = pos
+        self.places = [(id(self), row) for row in range(len(values))]
+
+
+# The block of every oracle that keeps no values.
+_SPENT = _Block(np.empty((1, 0)), 0)
+_PLACE = operator.attrgetter("_place")
+
+
 @dataclass(frozen=True)
 class EstimatePair:
     """The two per-iteration estimates used by an acceptance test.
@@ -220,28 +239,33 @@ class StochasticOracle:
             np.random.SeedSequence(entropy=self._entropy, spawn_key=self._spawn_key)
         )
         self.draws = 0
-        self._kept = _NO_VALUES
+        # The values read ahead of the stream position: row ``_place[1]``
+        # of ``_block.values`` from column ``_block.pos`` on (see ``_read``).
+        self._block, self._place = _SPENT, _SPENT.places[0]
 
-    def _take(self, count: int) -> np.ndarray:
-        """The next ``count`` values of the noise stream.
-
-        A request the kept values cannot serve draws what it misses, or
-        ``READ_AHEAD`` values when it asks for fewer than that, and keeps
-        what it does not use.  The result is a fresh array or a slice of a
-        block that no later call returns, so the caller may write into it.
+    def _next(self, width: int) -> np.ndarray:
+        """The next ``width`` values of the stream, for ``_read``: the kept
+        ones, then fresh draws.  ``_read`` then gives the oracle a new place,
+        so no batch reads its old block as one slice again.
         """
-        kept = self._kept
-        if count > kept.size:
-            fresh = self.noise.draw(self._rng, READ_AHEAD if count < READ_AHEAD else count - kept.size)
-            kept = np.concatenate((kept, fresh)) if kept.size else fresh
-        self._kept = kept[count:] if count < kept.size else _NO_VALUES
-        return kept[:count]
+        block = self._block
+        kept = block.values[self._place[1], block.pos :]
+        fresh = self.noise.draw(self._rng, width - kept.size)
+        return np.concatenate((kept, fresh)) if kept.size else fresh
 
     def spawn(self, *key: int) -> "StochasticOracle":
         """A fresh oracle on an independent substream derived from this seed."""
         return StochasticOracle(
             self.problem, self.noise, self._entropy, self._spawn_key + tuple(key)
         )
+
+
+def _check_count(name: str, value) -> int:
+    if type(value) is int and value > 0:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -252,12 +276,12 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     repeat-major, point-minor order, so
     ``oracle.draws`` grows by ``repeats * k * n`` and every mean is
     bit-identical to averaging its own draws.  Noiseless oracles return
-    the true values exactly.  A non-integer or non-positive ``n`` or
-    ``repeats`` raises ``ValueError`` before the stream or ``draws`` moves.
+    the true values exactly.  A non-integer (or bool) or non-positive
+    ``n`` or ``repeats`` raises ``ValueError`` before the stream or
+    ``draws`` moves.
     """
-    for name, value in (("n", n), ("repeats", repeats)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    n = _check_count("n", n)
+    repeats = _check_count("repeats", repeats)
     stack = np.asarray(points, dtype=float)
     if stack.ndim != 2 or stack.shape[1] != oracle.problem.dimension:
         raise ValueError(f"points have shape {stack.shape}, expected (k, {oracle.problem.dimension})")
@@ -278,21 +302,30 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
     and its oracle's stream and ``draws`` advance as that call advances
     them: both go through the same engine, which stacks the small seeds
     and draws the larger ones side by side on the draw threads.
-    ``ValueError`` when ``oracles``, ``counts``, ``points`` (or ``first``)
-    disagree on ``S``, when a count is below 1, or when ``first`` comes
-    with no points.
+    ``ValueError``, before any stream or ``draws`` moves, when
+    ``oracles``, ``counts``, ``points`` (or ``first``) disagree on ``S``,
+    when an oracle comes twice, when a count is not an integer >= 1 (a
+    bool is not), or when ``first`` comes with no points.
     """
     batch, k, dimension = points.shape
     sizes = (len(oracles), len(counts), batch, batch if first is None else len(first))
     if len(set(sizes)) > 1:
         raise ValueError(f"oracles, counts, point rows and first values must agree in number, got {sizes}")
     problem = oracles[0].problem
-    if batch > 1 and any(oracle.problem is not problem for oracle in oracles):
+    if any(oracle.problem is not problem for oracle in oracles):
         raise ValueError("batched oracles must share one problem")
-    if min(counts) < 1:
-        raise ValueError(f"sample count must be >= 1, got {min(counts)}")
+    if len(set(map(id, oracles))) < batch:
+        raise ValueError("each seed of a batch needs an oracle of its own")
+    counts = [_check_count("sample count", n) for n in counts]
     if first is not None and not k:
         raise ValueError("first values need a first point in each row")
+    return _batch_means(list(oracles), points, counts, first)
+
+
+def _batch_means(oracles: list, points: np.ndarray, counts: list, first) -> tuple[np.ndarray, np.ndarray]:
+    """``batch_means`` on arguments known to agree, with ``int`` counts (``stencil_models``' entry)."""
+    batch, k, dimension = points.shape
+    problem = oracles[0].problem
     if first is None:
         truth = problem.true_values(points.reshape(-1, dimension)).reshape(batch, k)
     else:
@@ -302,33 +335,40 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
     return truth, _means(oracles, truth, counts)
 
 
-def _means(oracles, truth: np.ndarray, counts) -> np.ndarray:
+_KIND = operator.attrgetter("noise.kind")
+
+
+def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
     """``(S, m)`` means: entry ``(s, j)`` averages ``truth[s, j]`` plus each
     of the next ``counts[s]`` draws of ``oracles[s]``, taken in row order.
 
     Noiseless seeds, and every seed when there are no points, keep their
-    truths.  Noisy seeds whose ``m * n`` draws
-    fit one ``CHUNK_DRAWS`` chunk are stacked by count, as many to a chunk
-    as fit, each reading its own stream into one reduction.  A larger
-    seed is drawn chunk by chunk of whole estimates; two or more of them
-    run one task per seed on a pool of one thread per usable CPU, longest
-    count first, while this thread draws the stacks.  A seed reads only its
-    own stream, through its oracle's ``_take``, so no value depends on the
-    scheduling or on the reader's blocks, and each estimate is
+    truths.  Noisy seeds whose ``m * n`` draws fit one ``CHUNK_DRAWS``
+    chunk are stacked by count, as many to a chunk as fit, and each stack
+    reads its seeds' streams as one ``(rows, m * n)`` block (``_read``)
+    into one reduction.  A larger seed is drawn chunk by chunk of whole
+    estimates; two or more of them run one task per seed on a pool of one
+    thread per usable CPU, longest count first, while this thread draws
+    the stacks.  A seed reads only its own stream, so no value depends on
+    the scheduling or on the reader's blocks, and each estimate is
     ``np.add.reduce`` over its own contiguous draws.
     """
     m = truth.shape[1]
-    means = truth.copy()
+    for oracle, n in zip(oracles, counts):
+        oracle.draws += m * n
+    n = counts[0]
+    if m and counts.count(n) == len(counts) <= CHUNK_DRAWS // (m * n) and "none" not in map(_KIND, oracles):
+        return _chunk_means(oracles, truth, n)  # one stack of every seed
     stacked: dict[int, list[int]] = {}
     large: list[tuple[int, int]] = []
     for s, (oracle, n) in enumerate(zip(oracles, counts)):
-        oracle.draws += m * n
         if not m or oracle.noise.kind == "none":
             continue
         if m * n > CHUNK_DRAWS:
             large.append((s, n))
         else:
             stacked.setdefault(n, []).append(s)
+    means = truth.copy()
     pending = []
     if len(large) > 1 and _usable_cpus() > 1:
         pool = _draw_pool()
@@ -359,16 +399,49 @@ def _seed_means(oracle: StochasticOracle, truth: np.ndarray, n: int, out: np.nda
         out[j : j + per_chunk] = _chunk_means([oracle], truth[np.newaxis, j : j + per_chunk], n)[0]
 
 
-def _chunk_means(oracles, truth: np.ndarray, n: int) -> np.ndarray:
-    """``(rows, m)`` means of each truth plus the next ``n`` draws of its row's oracle, one read per row."""
+def _chunk_means(oracles: list, truth: np.ndarray, n: int) -> np.ndarray:
+    """``(rows, m)`` means of each truth plus the next ``n`` draws of its row's oracle, read as one block."""
     rows, m = truth.shape
-    draws = [oracle._take(m * n) for oracle in oracles]
-    values = (draws[0] if rows == 1 else np.concatenate(draws)).reshape(rows, m, n)
+    values = _read(oracles, m * n).reshape(rows, m, n)
     values += truth[:, :, np.newaxis]
     # The sum and the division by n are np.mean's own steps.
     sums = np.add.reduce(values, axis=-1)
     sums /= n
     return sums
+
+
+def _read(oracles: list, count: int) -> np.ndarray:
+    """``(S, count)``: row ``s`` holds the next ``count`` values of ``oracles[s]``'s stream.
+
+    Oracles that one block holds at one position, in this order, read one
+    slice of it.  Otherwise (the block is used up, or the oracles'
+    positions have parted: ragged counts, a seed that left the batch, an
+    oracle read alone) each row reads through its own oracle (``_next``):
+    what it kept, then fresh draws, up to ``READ_AHEAD`` values when
+    ``count`` is fewer, else up to ``count``; what the rows leave becomes
+    the batch's new block.  So an oracle keeps fewer than ``READ_AHEAD``
+    values, and a request of at least that many reads no further than it
+    uses.  The result is fresh or a slice of a block that no later call
+    returns, so the caller may write into it.  Threads that read disjoint
+    oracles share no position: only a call that reads every row of a block
+    slices it, and a block whose oracles part is never sliced again.
+    """
+    block = oracles[0]._block
+    pos = block.pos
+    if list(map(_PLACE, oracles)) == block.places and count <= block.values.shape[1] - pos:
+        block.pos = pos + count
+        return block.values[:, pos : pos + count]
+    width = READ_AHEAD if count < READ_AHEAD else count
+    rows = [oracle._next(width) for oracle in oracles]
+    values = rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
+    if count == width:  # nothing left to keep
+        for oracle in oracles:
+            oracle._block, oracle._place = _SPENT, _SPENT.places[0]
+        return values
+    block = _Block(values, count)
+    for oracle, place in zip(oracles, block.places):
+        oracle._block, oracle._place = block, place
+    return values[:, :count]
 
 
 def _usable_cpus() -> int:
@@ -410,7 +483,7 @@ def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:
     to ``np.add.reduce`` over one array of all ``n`` values.
     """
     if n <= CHUNK_DRAWS:
-        values = oracle._take(n)
+        values = _read([oracle], n)[0]
         values += truth
         return float(np.add.reduce(values))
     half = n // 2

@@ -93,12 +93,11 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _shifted_norm(a: np.ndarray, denom: np.ndarray) -> float:
-    """||s(lam)|| for s(lam) = -(B + lam I)^-1 g in the eigenbasis; ``denom = w + lam``."""
-    if not denom.all():
-        zero = denom == 0.0
-        if np.any(a[zero] != 0.0):
-            return math.inf
-        denom = np.where(zero, 1.0, denom)  # the 0/0 terms now add 0.0
+    """||s(lam)|| for s(lam) = -(B + lam I)^-1 g in the eigenbasis; ``denom = w + lam``.
+
+    Newton evaluates it only above the pole, where every denominator is
+    positive; a tiny one overflows the norm to inf.
+    """
     return _norm(a / denom)
 
 

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .directions import DirectionGenerator
-from .oracle import NoiseModel, SamplePolicy, StochasticOracle, batch_means, sample_policy
+from .oracle import NoiseModel, SamplePolicy, StochasticOracle, _batch_means, _check_count, _means, sample_policy
 from .problems import TestProblem
 from .stats import sum_of_squares
 from .subproblem import solve_spectrum
@@ -205,6 +205,15 @@ def validate_theta_tr(cfg) -> ThetaVerdict:
     )
 
 
+def _sample_counts(sampler, scales) -> list[int]:
+    """``sampler(scale)`` for each scale, as ints; ``ValueError`` naming the
+    scale when a count is not an integer >= 1 (a bool or a float is not)."""
+    counts = list(map(sampler, scales))
+    if set(map(type, counts)) != {int} or min(counts) < 1:
+        counts = [_check_count(f"sample count at scale {s!r}", n) for n, s in zip(counts, scales)]
+    return counts
+
+
 def stencil_models(
     oracles, policy: RegressionClipped, x: np.ndarray, radii, sampler, fx=None
 ) -> tuple[np.ndarray, list[int]]:
@@ -214,12 +223,13 @@ def stencil_models(
     at ``x[s]`` and ``x[s] +/- radii[s] e_i`` and clips its central
     differences into ``[-m delta**-q, M delta**-q]``.  ``fx``, when given,
     holds the true values at the ``x[s]``, which are then not evaluated
-    again.  A NaN curvature raises ``ValueError``; an infinite one clips.
-    A zero model matrix needs no stencil; ``propose_tr`` takes it without
-    this call.
+    again.  The oracles are one per seed, as in ``iterate``, and the counts
+    are checked as there.  A NaN curvature raises ``ValueError``; an
+    infinite one clips.  A zero model matrix needs no stencil;
+    ``propose_tr`` takes it without this call.
     """
     batch, n = x.shape
-    counts = [int(sampler(r)) for r in radii]
+    counts = _sample_counts(sampler, radii)
     delta = np.array(radii)
     offsets = delta[:, None, None] * np.eye(n)
     # Rows x, x + delta e_1, x - delta e_1, x + delta e_2, ...
@@ -227,7 +237,7 @@ def stencil_models(
     stencil[:, 0] = x
     np.add(x[:, None, :], offsets, out=stencil[:, 1::2])
     np.subtract(x[:, None, :], offsets, out=stencil[:, 2::2])
-    means = batch_means(oracles, stencil, counts, fx)[1]
+    means = _batch_means(oracles, stencil, counts, fx)[1]
     curvature = (means[:, 1::2] - 2.0 * means[:, :1] + means[:, 2::2]) / (delta * delta)[:, None]
     # Python's float power, as for a single radius.
     hi = [policy.M * r ** (-policy.q) for r in radii]
@@ -274,8 +284,11 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
 
     ``propose`` gives each seed a step and the scale its test works at.
     Both points of a seed get ``sampler(scale)`` samples, drawn from the
-    seed's own oracle, and ``batch_means`` averages them for all seeds at
-    once.  A step is accepted when the estimated decrease reaches
+    seed's own oracle, and the estimate engine (``oracle._means``) averages
+    them for all seeds at once, without ``batch_means``' argument checks:
+    the oracles are one per seed, as ``run_steps`` builds them.  A count
+    that is not an integer >= 1 raises ``ValueError`` naming its scale.  A
+    step is accepted when the estimated decrease reaches
     ``theta * scale**2``; the radius then grows by ``tau_bar`` (never
     beyond ``delta_max``) and otherwise shrinks by ``1 - tau``.  The test
     and the update are a few float operations per seed, done on Python
@@ -291,10 +304,13 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
     norms = np.sqrt(sum_of_squares(step)).tolist()
     if scales is None:
         scales = norms
-    counts = [int(sampler(s)) for s in scales]
+    counts = _sample_counts(sampler, scales)
     trial = x + step
-    points = np.concatenate([x, trial], axis=1).reshape(-1, 2, x.shape[1])
-    truth, means = batch_means(oracles, points, counts, fx)
+    problem = oracles[0].problem
+    truth = np.empty((len(radii), 2))
+    truth[:, 0] = problem.true_values(x) if fx is None else fx
+    truth[:, 1] = problem.true_values(trial)
+    means = _means(oracles, truth, counts)
     theta, grow, shrink = cfg.theta, cfg.tau_bar, 1.0 - cfg.tau
     rows, new_radii, new_fx = [], [], []
     for r, norm, (f, f_trial), (cur, new), s, n, n_sten in zip(

@@ -333,6 +333,31 @@ def test_trace_values_are_python_scalars(policy, sampler):
             assert [row[2] for row in trace] == [1.0, 1.5, 2.0, 2.0] and state.delta == 2.0
 
 
+@pytest.mark.parametrize(
+    "count", [2.9, math.inf, math.nan, True, 0, 25.0], ids=["fraction", "inf", "nan", "bool", "zero", "float"]
+)
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_unusable_sampler_count_names_the_scale(method, count):
+    # Truncated by int(), 2.9 would run with 2 samples and True with 1, and
+    # int(inf) raises OverflowError.
+    _, run, make_cfg, problem, x0 = METHODS[method]
+    gen = DirectionGenerator(problem.dimension, QuasiRandomSphere())
+    with pytest.raises(ValueError, match=r"^sample count at scale \S+ must be an integer >= 1, got ") as error:
+        run(make_cfg(max_iters=3), problem, NOISES["gaussian"], gen, x0, sampler=lambda scale: count)
+    if method != "trust_region_zero":  # the others test their first count at delta0
+        assert str(error.value).startswith("sample count at scale 1.0 ")
+
+
+def test_unusable_count_of_one_seed_stops_the_batch():
+    # The seeds' radii part, and the count goes bad below 0.5 only.
+    propose, _, make_cfg, problem, x0 = METHODS["direct_search"]
+    with pytest.raises(ValueError, match=r"^sample count at scale 0\.4\d* must be an integer >= 1, got 2\.5$"):
+        run_steps(
+            propose, make_cfg(max_iters=200), problem, NoiseModel.gaussian(0.25),
+            DirectionGenerator(2, QuasiRandomSphere()), x0, SEEDS, lambda scale: 3 if scale > 0.5 else 2.5, 0.0,
+        )
+
+
 @pytest.mark.parametrize("seeds", [(), []])
 def test_empty_seed_batch_rejected(seeds):
     propose, _, make_cfg, problem, x0 = METHODS["direct_search"]

@@ -36,6 +36,16 @@ def make_oracle(noise, seed=0, name="sphere", dim=2):
     return StochasticOracle(get_problem(name, dim), noise, seed=seed)
 
 
+def next_value(oracle):
+    """The next value of the oracle's stream, read through its reader."""
+    return oracle_module._read([oracle], 1)[0, 0]
+
+
+def kept(oracle):
+    """How many values the oracle's reader holds past its stream position."""
+    return oracle._block.values.shape[1] - oracle._block.pos
+
+
 class TestSampleEstimate:
     def test_zero_noise_exact_value(self):
         oracle = make_oracle(NoiseModel.none())
@@ -245,7 +255,7 @@ class TestSampleMeans:
         assert a.draws == b.draws == repeats * k * n
         # Both streams stop at the same place.  a's generator may be past it,
         # by what its reader read ahead, so a's next value is its reader's.
-        assert a._take(1)[0] == b.noise.draw(b._rng, 1)[0]
+        assert next_value(a) == b.noise.draw(b._rng, 1)[0]
 
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
     @pytest.mark.parametrize(
@@ -274,7 +284,7 @@ class TestSampleMeans:
             assert pair.est_trial == reference_estimate(b, y, n_trial)
             assert pair.f_true_current == a.problem.eval_true(x)
         assert a.draws == b.draws
-        assert a._take(1)[0] == b.noise.draw(b._rng, 1)[0]
+        assert next_value(a) == b.noise.draw(b._rng, 1)[0]
 
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
     @pytest.mark.parametrize("repeats", [1, 3])
@@ -289,7 +299,7 @@ class TestSampleMeans:
         with pytest.raises(ValueError, match="first values need a first point"):
             batch_means([a, a.spawn(1)], np.empty((2, 0, D)), [4, 4], [1.0, 2.0])
         assert a.draws == 0
-        assert a._take(1)[0] == b.noise.draw(b._rng, 1)[0]
+        assert next_value(a) == b.noise.draw(b._rng, 1)[0]
 
     def test_rejects_bad_shapes_and_counts(self):
         oracle = make_oracle(NoiseModel.gaussian(1.0))
@@ -302,8 +312,8 @@ class TestSampleMeans:
 
     @pytest.mark.parametrize(
         "n,repeats,name",
-        [(0, 1, "n"), (-1, 1, "n"), (2.5, 1, "n"), (4.0, 1, "n"), ("4", 1, "n")]
-        + [(4, 0, "repeats"), (4, -1, "repeats"), (4, 1.5, "repeats"), (4, None, "repeats")],
+        [(0, 1, "n"), (-1, 1, "n"), (2.5, 1, "n"), (4.0, 1, "n"), ("4", 1, "n"), (True, 1, "n")]
+        + [(4, 0, "repeats"), (4, -1, "repeats"), (4, 1.5, "repeats"), (4, None, "repeats"), (4, True, "repeats")],
     )
     def test_bad_counts_leave_the_stream_and_draws_unmoved(self, n, repeats, name):
         oracle = make_oracle(NoiseModel.gaussian(1.0), seed=9)
@@ -399,6 +409,30 @@ class TestBatchMeans:
             alone = make_oracle(noise, seed=s, dim=D)
             assert means[s].tobytes() == sample_means(alone, points[s], n)[1][0].tobytes()
             assert oracles[s]._rng.random() == alone._rng.random()
+
+    def test_shared_block_under_draw_threads(self, monkeypatch):
+        # Eight seeds share one block; then four of them draw past a chunk
+        # on four draw threads while this thread refills the other four
+        # from the same block, with the interpreter switching threads every
+        # microsecond.
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(oracle_module, "_pool", None)
+        noise = NoiseModel.student_t(3.0)
+        problem = get_problem("sphere", D)
+        points = np.stack([np.roll(STACK_POINTS[:2], s, axis=0) for s in range(8)])
+        plan = [[25] * 8, [CHUNK_DRAWS + 1 + 97 * s if s % 2 else 16 for s in range(8)], [16] * 8]
+        oracles = [StochasticOracle(problem, noise, seed=s) for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            means = [batch_means(oracles, points, counts)[1] for counts in plan]
+        finally:
+            sys.setswitchinterval(interval)
+        for s in range(8):
+            alone = make_oracle(noise, seed=s, dim=D)
+            for counts, batch in zip(plan, means):
+                assert batch[s].tobytes() == sample_means(alone, points[s], counts[s])[1][0].tobytes()
+            assert next_value(oracles[s]) == next_value(alone)
 
     def test_one_cpu_draws_in_the_calling_thread(self, monkeypatch):
         def no_pool():
@@ -499,6 +533,36 @@ class TestBatchMeans:
             batch_means(batch, np.ones((rows, 2, 2)), [4] * counts, first)
         assert all(oracle.draws == 0 for oracle in batch)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [[2.5, 2.5], [True, True], [4, 0], [4, -1], [4.0, 4], ["4", 4], [4, None]],
+        ids=["fraction", "bool", "zero", "negative", "float", "str", "none"],
+    )
+    def test_bad_counts_leave_the_streams_and_draws_unmoved(self, counts):
+        problem = get_problem("sphere", 2)
+        oracles = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(2)]
+        with pytest.raises(ValueError, match=r"^sample count must be an integer >= 1, got "):
+            batch_means(oracles, np.zeros((2, 2, 2)), counts)
+        for s, oracle in enumerate(oracles):
+            assert oracle.draws == 0
+            assert oracle._rng.random() == StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s)._rng.random()
+
+    def test_numpy_integer_counts_are_whole_counts(self):
+        problem = get_problem("sphere", D)
+        points = np.stack([STACK_POINTS[:3]] * 2)
+        batch = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in (0, 1)]
+        alone = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in (0, 1)]
+        means = batch_means(batch, points, [np.int64(4), np.int32(CHUNK_DRAWS + 1)])[1]
+        assert means.tobytes() == batch_means(alone, points, [4, CHUNK_DRAWS + 1])[1].tobytes()
+        assert [(type(o.draws), o.draws) for o in batch] == [(int, 12), (int, 3 * (CHUNK_DRAWS + 1))]
+
+    def test_rejects_one_oracle_twice(self):
+        # Two rows of one oracle would both read its stream from one position.
+        oracle = make_oracle(NoiseModel.gaussian(1.0))
+        with pytest.raises(ValueError, match="oracle of its own"):
+            batch_means([oracle, oracle], np.zeros((2, 2, 2)), [4, 4])
+        assert oracle.draws == 0
+
     def test_rejects_bad_counts_and_mixed_problems(self):
         sphere = make_oracle(NoiseModel.gaussian(1.0))
         with pytest.raises(ValueError, match="sample count"):
@@ -517,6 +581,43 @@ READ_SIZES = st.one_of(
 )
 
 
+PLAN_ORACLES = 4
+PLAN_POINTS = np.random.default_rng(12).uniform(-2.0, 2.0, size=(3, 2))
+# Small counts repeat, so the oracles of a batch share blocks; the others
+# straddle READ_AHEAD and a chunk.
+PLAN_COUNTS = st.one_of(
+    st.sampled_from([1, 3, 25]),
+    st.integers(1, READ_AHEAD),
+    st.sampled_from([READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, CHUNK_DRAWS // 2 + 1, CHUNK_DRAWS + 3]),
+)
+
+
+@st.composite
+def read_plans(draw):
+    """Calls on ``PLAN_ORACLES`` oracles: ``(seeds, k, counts, repeats)`` each.
+
+    A call reads the batch as it stands, the batch after a seed left it,
+    another ordered subset, or one oracle alone (``sample_means``, with
+    ``repeats`` >= 1; a ``batch_means`` call has ``repeats`` 0).  Counts
+    are equal across a call's seeds or ragged.
+    """
+    batch = list(range(PLAN_ORACLES))
+    plan = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["batch", "batch", "leave", "subset", "alone"]))
+        if kind == "leave" and len(batch) > 1:
+            batch.remove(draw(st.sampled_from(batch)))
+        seeds = list(batch)
+        if kind == "subset":
+            seeds = list(draw(st.permutations(range(PLAN_ORACLES))))[: draw(st.integers(1, PLAN_ORACLES))]
+        elif kind == "alone":
+            seeds = [draw(st.integers(0, PLAN_ORACLES - 1))]
+        n = draw(PLAN_COUNTS)
+        counts = [n] * len(seeds) if draw(st.booleans()) else [draw(PLAN_COUNTS) for _ in seeds]
+        plan.append((seeds, draw(st.integers(1, 3)), counts, draw(st.integers(1, 2)) if kind == "alone" else 0))
+    return plan
+
+
 class TestReader:
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -526,19 +627,62 @@ class TestReader:
         reference = make_oracle(noise, seed=13)
         taken = []
         for count in counts:
-            values = oracle._take(count)
-            assert values.shape == (count,)
-            taken.append(values.copy())
+            values = oracle_module._read([oracle], count)
+            assert values.shape == (1, count)
+            taken.append(values[0].copy())
             # The caller may write into what it gets.
             values[:] = np.nan
-            assert oracle._kept.size < READ_AHEAD
+            assert kept(oracle) < READ_AHEAD
             if count >= READ_AHEAD:
                 # A large request reads no further than it uses.
-                assert oracle._kept.size == 0
+                assert kept(oracle) == 0
         whole = reference.noise.draw(reference._rng, sum(counts))
         assert np.concatenate(taken).tobytes() == whole.tobytes()
         if counts[-1] >= READ_AHEAD:
             assert oracle._rng.random() == reference._rng.random()
+
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(plan=read_plans())
+    def test_interleaved_batches_continue_one_draw_bit_for_bit(self, noise, plan):
+        problem = get_problem("sphere", 2)
+        oracles = [StochasticOracle(problem, noise, seed=s) for s in range(PLAN_ORACLES)]
+        # Per oracle: the true values, count and means of each of its calls,
+        # and whether its last call read at least READ_AHEAD values a time.
+        calls = [[] for _ in oracles]
+        large = [False] * len(oracles)
+        for seeds, k, counts, repeats in plan:
+            points = PLAN_POINTS[:k]
+            if repeats:
+                (s,), (n,) = seeds, counts
+                truth, means = sample_means(oracles[s], points, n, repeats)
+                calls[s].append((np.tile(truth, repeats), n, means.ravel()))
+            else:
+                stack = np.stack([np.roll(points, s, axis=0) for s in seeds])
+                truth, means = batch_means([oracles[s] for s in seeds], stack, counts)
+                for s, n, t, row in zip(seeds, counts, truth, means):
+                    calls[s].append((t, n, row))
+            for s, n in zip(seeds, counts):
+                large[s] = n >= READ_AHEAD
+            for s, oracle in enumerate(oracles):
+                assert kept(oracle) < READ_AHEAD
+                if large[s] and k and noise.kind != "none":
+                    # A large request reads no further than it uses.
+                    assert kept(oracle) == 0
+        for s, oracle in enumerate(oracles):
+            reference = make_oracle(noise, seed=s)
+            whole = reference.noise.draw(reference._rng, oracle.draws)
+            used = 0
+            for truth, n, means in calls[s]:
+                expected = []
+                for value in truth:
+                    draws = whole[used : used + n]
+                    expected.append(value if noise.kind == "none" else np.add.reduce(value + draws) / n)
+                    used += n
+                assert means.tobytes() == np.array(expected, dtype=float).tobytes()
+            assert used == oracle.draws
+            if large[s] and noise.kind != "none":
+                assert oracle._rng.random() == reference._rng.random()
 
 
 class TestMomentOracleSamples:
