@@ -165,16 +165,27 @@ class NoiseModel:
             values *= math.sqrt(self.declared_variance)
             return values
         if self.kind == "student_t":
-            return self.scale * rng.standard_t(self.df, n)
+            values = rng.standard_t(self.df, n)
+            values *= self.scale
+            return values
         # One uniform per variate, so the stream does not depend on how the
         # draws are split into calls: floor(u) picks the sign, and the
         # uniform 1 - (u mod 1) in (0, 1] gives the Pareto magnitude by
-        # inversion.
+        # inversion.  In place, each step rounds as
+        # scale * (1 - 2 upper) * ((1 + upper - u) ** (-1 / shape) - mean).
         shape = self.tail_index + 0.5
-        u = 2.0 * rng.random(n)
+        u = rng.random(n)
+        u *= 2.0
         upper = np.floor(u)
-        pareto = (1.0 + upper - u) ** (-1.0 / shape)
-        return self.scale * (1.0 - 2.0 * upper) * (pareto - shape / (shape - 1.0))
+        pareto = upper + 1.0
+        pareto -= u
+        np.power(pareto, -1.0 / shape, out=pareto)
+        pareto -= shape / (shape - 1.0)
+        upper *= -2.0
+        upper += 1.0
+        upper *= self.scale
+        pareto *= upper
+        return pareto
 
 
 class _Block:
@@ -304,13 +315,15 @@ def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.nda
     and draws the larger ones side by side on the draw threads.
     ``ValueError``, before any stream or ``draws`` moves, when
     ``oracles``, ``counts``, ``points`` (or ``first``) disagree on ``S``,
-    when an oracle comes twice, when a count is not an integer >= 1 (a
-    bool is not), or when ``first`` comes with no points.
+    when ``S`` is 0, when an oracle comes twice, when a count is not an
+    integer >= 1 (a bool is not), or when ``first`` comes with no points.
     """
     batch, k, dimension = points.shape
     sizes = (len(oracles), len(counts), batch, batch if first is None else len(first))
     if len(set(sizes)) > 1:
         raise ValueError(f"oracles, counts, point rows and first values must agree in number, got {sizes}")
+    if not batch:
+        raise ValueError("a batch needs at least one seed")
     problem = oracles[0].problem
     if any(oracle.problem is not problem for oracle in oracles):
         raise ValueError("batched oracles must share one problem")

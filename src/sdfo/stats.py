@@ -1,7 +1,7 @@
 """Small statistical helpers: a sum of squares, the normal quantile, a Wilson bound.
 
 Every sum of squares that reaches a trace, a summary or an audit report
-goes through ``sum_of_squares``, numpy's own pairwise sum, so the outputs
+goes through ``sum_of_squares``, numpy's own pairwise sum, so those sums
 do not depend on the BLAS kernel or the SIMD target the CPU gets.
 """
 

@@ -5,10 +5,10 @@ The solver characterizes the global minimizer of
 system: ``(B + lam I) s = -g`` with ``lam >= max(0, -lambda_min(B))`` and
 ``lam * (radius - ||s||) = 0``.  On the spectrum of ``B``
 (``solve_spectrum``) the boundary equation is one-dimensional (safeguarded
-Newton on the secular equation), and the degenerate case where the
-gradient is orthogonal to the lowest eigenspace is closed with an explicit
-eigenvector correction; so is a boundary root that lies within rounding
-of the pole ``lam = -lambda_min``.  Every norm on the spectrum is summed
+Newton on the secular equation in the shift from the pole
+``lam = -lambda_min``), and the degenerate case where the gradient is
+orthogonal to the lowest eigenspace is closed with an explicit eigenvector
+correction.  Every norm on the spectrum is summed
 by ``stats.sum_of_squares``, so a step does not depend on the BLAS kernel.
 ``solve_exact`` reaches the spectrum through a symmetric eigendecomposition
 (LAPACK ``eigh`` through numpy; a diagonal matrix is read off directly).
@@ -95,34 +95,10 @@ def _norm(v: np.ndarray) -> float:
 def _shifted_norm(a: np.ndarray, denom: np.ndarray) -> float:
     """||s(lam)|| for s(lam) = -(B + lam I)^-1 g in the eigenbasis; ``denom = w + lam``.
 
-    Newton evaluates it only above the pole, where every denominator is
-    positive; a tiny one overflows the norm to inf.
+    Newton forms ``denom`` as the gaps to the pole plus a positive shift,
+    so every denominator is positive; a tiny one overflows the norm to inf.
     """
     return _norm(a / denom)
-
-
-def _pole_step(w: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
-    """Boundary coefficients at ``lam = -w[0]`` when the secular root lies within rounding of it.
-
-    The coefficients off the lowest eigenvalue are the shifted solution
-    there; the lowest eigenspace, along ``-a`` on it, takes the rest of the
-    radius, as in the hard case.  A shifted part already past the radius
-    is scaled back onto the boundary.
-    """
-    pole = w == w[0]
-    coef = np.zeros_like(a)
-    coef[~pole] = -a[~pole] / (w[~pole] - w[0])
-    part_norm = _norm(coef)
-    if part_norm >= radius:
-        return coef * (radius / part_norm)
-    bump = math.sqrt(radius * radius - part_norm * part_norm)
-    lowest = a[pole]
-    lowest_mass = _norm(lowest)
-    if lowest_mass > 0.0:
-        coef[pole] = lowest * (-bump / lowest_mass)
-    else:
-        coef[0] = bump
-    return coef
 
 
 def solve_spectrum(
@@ -143,20 +119,28 @@ def solve_spectrum(
             return coords(newton_coef), 0.0, newton_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
     lam_floor = max(0.0, -w_min)
+    # The gaps w - lambda_min (w itself when lambda_min > 0): exact near
+    # the lowest eigenvalue (Sterbenz) and zero on it.
+    base = w + lam_floor
     if w_min <= 0.0:
         spread = max(1.0, abs(w_min), abs(float(w[-1])))
         lowest = w <= w_min + 1e-10 * spread
-        if _norm(a[lowest]) <= _HARD_CASE_TOL:
-            # Gradient (numerically) orthogonal to the lowest eigenspace: the
-            # shifted system at lam = max(0, -lambda_min) may have a short
-            # solution.  For a strictly negative lowest eigenvalue the
-            # multiplier is positive, so complementarity forces the boundary
-            # and a lowest-eigenvector component reaches it; for a singular
+        hard = _norm(a[lowest]) <= _HARD_CASE_TOL
+        if not hard:
+            lowest = base == 0.0
+            hard = not a[lowest].any()
+        if hard:
+            # Gradient orthogonal to the lowest eigenspace, within tolerance
+            # or exactly: the shifted system at lam = max(0, -lambda_min) may
+            # have a short solution, and then no boundary root exists.  For
+            # a strictly negative lowest eigenvalue the multiplier is
+            # positive, so complementarity forces the boundary and a
+            # lowest-eigenvector component reaches it; for a singular
             # positive-semidefinite matrix the short solution is already
             # optimal with zero multiplier.
             coef = np.zeros_like(a)
             rest = ~lowest
-            coef[rest] = -a[rest] / (w[rest] + lam_floor)
+            coef[rest] = -a[rest] / base[rest]
             part_norm = _norm(coef)
             if part_norm <= radius:
                 if lam_floor > 0.0:
@@ -165,43 +149,35 @@ def solve_spectrum(
                     return coords(coef), lam_floor, True
                 return coords(coef), 0.0, part_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
-    # Boundary root of 1/||s(lam)|| = 1/radius on (lam_floor, hi].
-    a_norm = _norm(a)
+    # Boundary root of 1/||s|| = 1/radius in the shift mu = lam - lam_floor
+    # on (0, ||a|| / radius]: every denominator base + mu is positive, and a
+    # root at mu = 1e-20 is as exact as one at mu = 1.
     a_sq = a * a
-    lo = lam_floor
-    hi = lam_floor + a_norm / radius
-    # Once hi reaches this, no float lies between the pole lam = -lambda_min
-    # and a step too short for the boundary.
-    pole_edge = math.nextafter(lam_floor, math.inf) if w_min <= 0.0 else -math.inf
-    lam = 0.5 * (lo + hi)
+    lo = 0.0
+    hi = _norm(a) / radius
+    mu = 0.5 * hi
     for _ in range(_MAX_NEWTON):
-        if hi <= pole_edge:
-            return coords(_pole_step(w, a, radius)), lam_floor, True
-        denom = w + lam
+        denom = base + mu
         nrm = _shifted_norm(a, denom)
-        if nrm == math.inf:
-            lo = lam
-            lam = 0.5 * (lo + hi)
-            continue
         if abs(nrm - radius) <= _BOUNDARY_RTOL * radius:
             break
         phi = 1.0 / nrm - 1.0 / radius
         if phi < 0.0:
-            lo = lam
+            lo = mu
         else:
-            hi = lam
+            hi = mu
         dphi = float(np.add.reduce(a_sq / (denom * denom * denom))) / nrm**3
         step = -phi / dphi if dphi > 0.0 else math.nan
-        candidate = lam + step
+        candidate = mu + step
         if not math.isfinite(candidate) or not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
-        lam = candidate
+        mu = candidate
 
-    s = coords(-a / (w + lam))
+    s = coords(-a / (base + mu))
     norm_s = _norm(s)
     if norm_s > 0.0:
         s = s * (radius / norm_s)
-    return s, lam, True
+    return s, lam_floor + mu, True
 
 
 def solve_exact(model: QuadraticModel) -> SubproblemSolution:

@@ -1,8 +1,11 @@
 """Oracle construction, sample averaging and sample-size rules."""
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +536,11 @@ class TestBatchMeans:
             batch_means(batch, np.ones((rows, 2, 2)), [4] * counts, first)
         assert all(oracle.draws == 0 for oracle in batch)
 
+    @pytest.mark.parametrize("first", [None, []], ids=["no-first", "empty-first"])
+    def test_rejects_an_empty_batch(self, first):
+        with pytest.raises(ValueError, match="at least one seed"):
+            batch_means([], np.empty((0, 2, 2)), [], first)
+
     @pytest.mark.parametrize(
         "counts",
         [[2.5, 2.5], [True, True], [4, 0], [4, -1], [4.0, 4], ["4", 4], [4, None]],
@@ -792,6 +800,54 @@ class TestNoiseModels:
         a, b = np.random.default_rng(8), np.random.default_rng(8)
         draws = NoiseModel.gaussian(variance).draw(a, n)
         assert draws.tobytes() == b.normal(0.0, math.sqrt(variance), n).tobytes()
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("r", [1.01, 1.2, 1.5, 2.0])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("n", [1, 7, READ_AHEAD, CHUNK_DRAWS + 3])
+    def test_pareto_draws_are_the_inversion_formula_bit_for_bit(self, r, scale, n):
+        # The in-place draw rounds each step of this one-line formula.
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        draws = NoiseModel.pareto_symmetric(r, scale).draw(a, n)
+        shape = r + 0.5
+        u = 2.0 * b.random(n)
+        upper = np.floor(u)
+        expected = scale * (1.0 - 2.0 * upper) * ((1.0 + upper - u) ** (-1.0 / shape) - shape / (shape - 1.0))
+        assert draws.tobytes() == expected.tobytes()
+        assert a.random() == b.random()
+
+    def test_draws_but_pareto_do_not_depend_on_numpys_simd_dispatch(self):
+        # Pareto draws do: numpy dispatches np.power's float64 loop by CPU.
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        targets = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+        if not targets:
+            pytest.skip("numpy dispatches no SIMD target on this CPU")
+        script = (
+            "import sys, numpy as np\n"
+            "from sdfo.oracle import NoiseModel\n"
+            "for noise in (NoiseModel.none(), NoiseModel.gaussian(0.01), NoiseModel.student_t(3.0, 0.1),"
+            " NoiseModel.student_t(1.5, 0.1)):\n"
+            f"    sys.stdout.buffer.write(noise.draw(np.random.default_rng(5), {CHUNK_DRAWS + 3}).tobytes())\n"
+        )
+        src = str(Path(oracle_module.__file__).parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+        }
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60, check=True)
+        noises = [NoiseModel.none(), NoiseModel.gaussian(0.01), NoiseModel.student_t(3.0, 0.1), NoiseModel.student_t(1.5, 0.1)]
+        here = b"".join(noise.draw(np.random.default_rng(5), CHUNK_DRAWS + 3).tobytes() for noise in noises)
+        assert child.stdout == here
+
+    @pytest.mark.parametrize("df", [1.5, 3.0])
+    @pytest.mark.parametrize("scale", [0.3, 7.0])
+    @pytest.mark.parametrize("n", [1, CHUNK_DRAWS + 3])
+    def test_student_t_draws_are_numpys_scaled_bit_for_bit(self, df, scale, n):
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        draws = NoiseModel.student_t(df, scale).draw(a, n)
+        assert draws.tobytes() == (scale * b.standard_t(df, n)).tobytes()
         assert a.random() == b.random()
 
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)

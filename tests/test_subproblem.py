@@ -2,6 +2,7 @@
 
 import math
 import struct
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,6 @@ from sdfo import (
 from sdfo.problems import TestProblem as Problem
 from sdfo.subproblem import (
     _BOUNDARY_RTOL,
-    _pole_step,
     _shifted_norm,
     eigendecomposition,
     solve_spectrum,
@@ -346,9 +346,12 @@ def bits(x: float) -> bytes:
 # and ``_shifted_norm`` as they stood before the solver's inner loop was
 # trimmed (``w + lam`` and ``a * a`` formed where used, ``np.sum``, the
 # eigenvalue spread always formed), with every norm summed in numpy's
-# pairwise order (``frozen_norm``).  The solver must keep giving their
-# results bit for bit, except where the Newton bracket closes onto the pole
-# lam = -lambda_min: the frozen form returns a NaN step there.
+# pairwise order (``frozen_norm``).  For lambda_min > 0 the solver's shift
+# from the pole is lam itself, so it must keep giving their results bit for
+# bit.  For lambda_min <= 0 it iterates on the shift mu = lam + lambda_min
+# and rounds differently (the frozen form returns a NaN step where the root
+# lies within rounding of the pole): there it must meet criterion 1's
+# certificate and do no worse than ``brute_force_min``.
 
 
 def frozen_norm(v):
@@ -424,33 +427,46 @@ def frozen_solve_spectrum(w, a, radius, coords):
 
 
 def assert_matches_frozen(w, a, radius):
-    """The frozen solver's result bit for bit, or the pole step where the bracket closes.
-
-    Returns whether the solver took the pole step.
-    """
+    """The frozen solver's result bit for bit; the spectrum has lambda_min > 0."""
     def coords(coef):
         return coef[::-1].copy()
 
-    poles = []
-
-    def spy(*args):
-        poles.append(args)
-        return _pole_step(*args)
-
-    # Tiny shifts overflow, and a step stuck at a pole is inf / inf: the
-    # same warnings, and the same values, on both sides.
-    with np.errstate(all="ignore"), mock.patch("sdfo.subproblem._pole_step", spy):
+    # Tiny eigenvalues overflow the shifted norm: the same warnings, and the
+    # same values, on both sides.
+    with np.errstate(all="ignore"):
         s, lam, on_boundary = solve_spectrum(w, a, radius, coords)
         s_ref, lam_ref, on_boundary_ref = frozen_solve_spectrum(w, a, radius, coords)
-    if poles:
-        assert np.isfinite(s).all()
-        assert abs(np.linalg.norm(s) - radius) <= _BOUNDARY_RTOL * radius
-        assert (lam, on_boundary) == (max(0.0, -float(w[0])), True)
-        return True
     assert s.tobytes() == s_ref.tobytes()
     assert type(lam) is type(lam_ref) and bits(lam) == bits(lam_ref)
     assert type(on_boundary) is type(on_boundary_ref) and on_boundary == on_boundary_ref
-    return False
+
+
+def assert_certified(w, a, radius):
+    """Criterion 1's certificate and ``brute_force_min`` dominance for the step on ``(w, a)``.
+
+    The spectra reach radius 1e16, where a product such as ``w_j s_j`` is
+    only known to about 1e-16 ||s|| max(|w|, lam): stationarity and
+    complementarity get that rounding, 100 times over, beside criterion
+    1's tolerances, and the dominance margin scales with the value.  The
+    model is a plain namespace, since the drawn ``a`` need not have unit
+    norm; ``kkt_residuals`` and ``brute_force_min`` read only ``g``, ``B``
+    and ``radius``.
+    """
+    model = SimpleNamespace(g=a, B=np.diag(w), radius=radius)
+    s, lam, on_boundary = solve_spectrum(w, a, radius, lambda coef: coef)
+    sol = SubproblemSolution(s, lam, on_boundary, model_value(model, s))
+    res = kkt_residuals(model, sol)
+    norm_s = float(np.linalg.norm(s))
+    rounding = 1e-14 * norm_s * max(float(np.abs(w).max()), lam)
+    assert np.isfinite(s).all() and lam >= 0.0
+    assert norm_s <= radius * (1.0 + 1e-10)
+    assert res["psd_margin"] >= -1e-8
+    assert res["complementarity"] <= 1e-8 + rounding
+    assert res["stationarity"] <= 1e-6 * (1.0 + lam) + rounding
+    if on_boundary:
+        assert abs(norm_s - radius) <= 1e-8 * radius
+    _, brute_value = brute_force_min(model, 10**3)
+    assert sol.model_decrease <= brute_value + 1e-6 * max(1.0, abs(brute_value))
 
 
 @st.composite
@@ -461,9 +477,8 @@ def spectra(draw):
     common.  Beside those spectra as drawn: all-positive ones with the
     radius past the Newton point (interior); ones with a gradient that
     vanishes on the lowest eigenvalue, at lambda_min < 0 or = 0 (hard
-    cases); and poles, where the boundary root lies within rounding of
-    lam = -lambda_min, so the Newton bracket closes onto a zero
-    denominator ``w_j + lam``.
+    cases); and poles, where the boundary root, if there is one, lies
+    within rounding of lam = -lambda_min.
     """
     n = draw(st.integers(1, 25))
     pool = st.sampled_from([-5.0, -1.0, -0.25, 0.0, 0.0, 0.5, 1.0, 3.0])
@@ -498,29 +513,41 @@ class TestSolveSpectrumFrozen:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(spectra())
     def test_matches_frozen_solver_bit_for_bit(self, spectrum):
-        assert_matches_frozen(*spectrum)
+        # Bit for bit where lambda_min > 0; certified and dominant elsewhere.
+        w, a, radius = spectrum
+        if w[0] > 0.0:
+            assert_matches_frozen(w, a, radius)
+        else:
+            assert_certified(w, a, radius)
 
     @pytest.mark.parametrize(
-        "a_lowest,radius", [(1e-13, 1e7), (0.0, 1e7), (0.0, 1e6)], ids=["pole", "pole_zero", "past_radius"]
+        "a_lowest,radius,root",
+        [(1e-13, 1e7, True), (0.0, 1e7, False), (0.0, 1e6, True)],
+        ids=["pole", "pole_zero", "past_radius"],
     )
-    def test_newton_sees_only_positive_denominators(self, a_lowest, radius):
-        # The boundary root lies within rounding of lam = 1 = -lambda_min.
-        # Newton stops once its bracket closes onto the pole and takes the
-        # pole step, so it never evaluates the shifted norm at the pole
-        # itself, nor below it.  At radius 1e6 the shifted part alone is
-        # past the radius and the pole step scales it back.
+    def test_newton_sees_only_positive_denominators(self, a_lowest, radius, root):
+        # The boundary root, if any, lies within rounding of lam = 1 =
+        # -lambda_min.  Newton runs on the shift mu = lam - 1 with the
+        # denominators base + mu, where base = w + 1 is exact and zero on
+        # the lowest eigenvalue, so each is positive, the lowest being mu
+        # itself, within (0, ||a|| / radius].  With no gradient on the pole
+        # and the shifted solution (1.00002e6 long at mu -> 0) inside radius
+        # 1e7 there is no root: the hard case returns before Newton.
         w = np.array([-1.0, -1.0 + 1e-12, 2.0])
         a = np.array([a_lowest, 1e-6, 1.0])
         a /= np.linalg.norm(a)
         seen = []
 
         def spy(a_, denom):
-            seen.append(bool((denom > 0.0).all()))
+            seen.append(bool((denom > 0.0).all()) and denom[0] <= 1.0 / radius)
             return _shifted_norm(a_, denom)
 
         with mock.patch("sdfo.subproblem._shifted_norm", spy):
-            assert assert_matches_frozen(w, a, radius)
-        assert seen and all(seen)
+            s, lam, on_boundary = solve_spectrum(w, a, radius, lambda coef: coef)
+        assert all(seen) and bool(seen) == root
+        assert (lam, on_boundary) == (1.0, True)
+        assert np.isfinite(s).all()
+        assert abs(np.linalg.norm(s) - radius) <= _BOUNDARY_RTOL * radius
 
 
 class TestPoleStep:
@@ -529,15 +556,7 @@ class TestPoleStep:
     @pytest.mark.parametrize("a_lowest", [1e-13, 0.0])
     @pytest.mark.parametrize("entry", ["solve_spectrum", "solve_exact"])
     def test_step_is_finite_certified_and_optimal(self, entry, a_lowest):
-        w = np.array([-1.0, -1.0 + 1e-12, 2.0])
-        g = np.array([a_lowest, 1e-6, 1.0])
-        g /= np.linalg.norm(g)
-        model = QuadraticModel(g=g, B=np.diag(w), radius=1e7)
-        if entry == "solve_exact":
-            sol = solve_exact(model)
-        else:
-            s, lam, on_boundary = solve_spectrum(w, g, model.radius, lambda coef: coef)
-            sol = SubproblemSolution(s, lam, on_boundary, model_value(model, s))
+        sol, model = self.solve(entry, a_lowest, 1e7)
         assert np.isfinite(sol.s).all()
         assert sol.on_boundary and sol.multiplier == 1.0
         assert abs(np.linalg.norm(sol.s) - model.radius) <= _BOUNDARY_RTOL * model.radius
@@ -545,14 +564,25 @@ class TestPoleStep:
         _, brute_value = brute_force_min(model, 10**5)
         assert sol.model_decrease - brute_value <= 1e-6
 
-    def test_shifted_part_past_the_radius_is_scaled_onto_it(self):
+    @pytest.mark.parametrize("entry", ["solve_spectrum", "solve_exact"])
+    def test_root_next_to_the_pole_meets_criterion_1(self, entry):
         # With no gradient on the pole, the shifted solution is 1.00002e6
-        # long at lam = 1 and 0.99978e6 one float above: the radius lies
-        # between, so no lowest-eigenvector part is added.
+        # long at lam = 1 and 0.99978e6 one float above: the root lies
+        # between, at a shift near 2e-17 from the pole.  Criterion 1's
+        # tolerance there is 1e-6 * (1 + lam) = 2e-6.
+        sol, model = self.solve(entry, 0.0, 1e6)
+        assert sol.on_boundary and sol.multiplier == 1.0
+        assert_certificate(model, sol)
+        _, brute_value = brute_force_min(model, 10**5)
+        assert sol.model_decrease - brute_value <= 1e-6
+
+    @staticmethod
+    def solve(entry, a_lowest, radius):
         w = np.array([-1.0, -1.0 + 1e-12, 2.0])
-        g = np.array([0.0, 1e-6, 1.0])
+        g = np.array([a_lowest, 1e-6, 1.0])
         g /= np.linalg.norm(g)
-        s, lam, on_boundary = solve_spectrum(w, g, 1e6, lambda coef: coef)
-        assert np.isfinite(s).all() and s[0] == 0.0
-        assert abs(np.linalg.norm(s) - 1e6) <= _BOUNDARY_RTOL * 1e6
-        assert (lam, on_boundary) == (1.0, True)
+        model = QuadraticModel(g=g, B=np.diag(w), radius=radius)
+        if entry == "solve_exact":
+            return solve_exact(model), model
+        s, lam, on_boundary = solve_spectrum(w, g, radius, lambda coef: coef)
+        return SubproblemSolution(s, lam, on_boundary, model_value(model, s)), model
