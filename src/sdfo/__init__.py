@@ -31,7 +31,6 @@ from .oracle import (
     NoiseModel,
     StochasticOracle,
     estimate_pair,
-    estimate_pairs,
     fixed_sample_policy,
     moment_oracle_samples,
     moment_sample_policy,
@@ -54,10 +53,7 @@ from .tail_audit import (
     MomentCell,
     TailAuditSpec,
     audit_a1,
-    audit_a2,
     audit_conditions,
-    audit_generalized,
-    audit_variance_condition,
     sampler_estimator,
 )
 from .trace import IterationRecord, read_trace_csv, write_trace_csv
@@ -99,14 +95,10 @@ __all__ = [
     "ZeroHessian",
     "alignment_profile",
     "audit_a1",
-    "audit_a2",
     "audit_conditions",
-    "audit_generalized",
-    "audit_variance_condition",
     "brute_force_min",
     "ds_run",
     "estimate_pair",
-    "estimate_pairs",
     "fixed_sample_policy",
     "get_problem",
     "halton_point",

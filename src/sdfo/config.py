@@ -82,6 +82,10 @@ class AuditSettings:
                 raise ConfigError(f"audit.conditions: unknown condition {cond!r}")
         if not self.conditions:
             raise ConfigError("audit.conditions: at least one condition is required")
+        if len(set(self.conditions)) < len(self.conditions):
+            raise ConfigError(
+                f"audit.conditions: each condition may be listed once, got {list(self.conditions)}"
+            )
         if not 0.0 < self.k_f < math.inf:
             raise ConfigError(f"audit.k_f: must be positive and finite, got {self.k_f}")
         if not all(math.isfinite(v) for v in self.x + self.direction):

@@ -2,9 +2,10 @@
 
 An oracle returns ``f(x) + xi`` for zero-mean noise ``xi``.  Every
 estimate, single, paired, repeated, a whole stencil or a seed batch, is a
-mean of i.i.d. draws made by one engine, ``_means``, behind the two front
-ends ``sample_means`` (one oracle) and ``batch_means`` (one oracle per
-seed); the run loop calls the engine without their argument checks.
+mean of i.i.d. draws made by one engine, ``_means``.  ``sample_means``
+is its one checked front, for one oracle (``estimate_pair`` and the
+audits' estimate sets go through it); the run loop calls the engine
+directly, with one oracle per seed.
 The engine reads noise through one reader, ``_read``: a batch's oracles
 at one position read one slice of an ``(S, READ_AHEAD)`` block of their
 streams read ahead, so an oracle keeps fewer than ``READ_AHEAD`` values
@@ -301,62 +302,16 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     return truth, _means([oracle], row, [n]).reshape(repeats, truth.size)
 
 
-def batch_means(oracles, points: np.ndarray, counts, first=None) -> tuple[np.ndarray, np.ndarray]:
-    """``(S, k)`` true values and means of ``counts[s]`` samples at each point ``points[s]``.
-
-    ``points`` has shape ``(S, k, d)``; seed ``s`` draws from
-    ``oracles[s]``, and the oracles share one problem.  ``first``, when
-    given, holds each seed's true value at its first point, and f is
-    evaluated at the other points only, all seeds' in one
-    ``problem.true_values`` call.  Seed ``s`` gets exactly what
-    ``sample_means(oracles[s], points[s], counts[s])`` gives, bit for bit,
-    and its oracle's stream and ``draws`` advance as that call advances
-    them: both go through the same engine, which stacks the small seeds
-    and draws the larger ones side by side on the draw threads.
-    ``ValueError``, before any stream or ``draws`` moves, when
-    ``oracles``, ``counts``, ``points`` (or ``first``) disagree on ``S``,
-    when ``S`` is 0, when an oracle comes twice, when a count is not an
-    integer >= 1 (a bool is not), or when ``first`` comes with no points.
-    """
-    batch, k, dimension = points.shape
-    sizes = (len(oracles), len(counts), batch, batch if first is None else len(first))
-    if len(set(sizes)) > 1:
-        raise ValueError(f"oracles, counts, point rows and first values must agree in number, got {sizes}")
-    if not batch:
-        raise ValueError("a batch needs at least one seed")
-    problem = oracles[0].problem
-    if any(oracle.problem is not problem for oracle in oracles):
-        raise ValueError("batched oracles must share one problem")
-    if len(set(map(id, oracles))) < batch:
-        raise ValueError("each seed of a batch needs an oracle of its own")
-    counts = [_check_count("sample count", n) for n in counts]
-    if first is not None and not k:
-        raise ValueError("first values need a first point in each row")
-    return _batch_means(list(oracles), points, counts, first)
-
-
-def _batch_means(oracles: list, points: np.ndarray, counts: list, first) -> tuple[np.ndarray, np.ndarray]:
-    """``batch_means`` on arguments known to agree, with ``int`` counts (``stencil_models``' entry)."""
-    batch, k, dimension = points.shape
-    problem = oracles[0].problem
-    if first is None:
-        truth = problem.true_values(points.reshape(-1, dimension)).reshape(batch, k)
-    else:
-        truth = np.empty((batch, k))
-        truth[:, 0] = first
-        truth[:, 1:] = problem.true_values(points[:, 1:].reshape(-1, dimension)).reshape(batch, k - 1)
-    return truth, _means(oracles, truth, counts)
-
-
-_KIND = operator.attrgetter("noise.kind")
-
-
 def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
     """``(S, m)`` means: entry ``(s, j)`` averages ``truth[s, j]`` plus each
     of the next ``counts[s]`` draws of ``oracles[s]``, taken in row order.
 
-    Noiseless seeds, and every seed when there are no points, keep their
-    truths.  Noisy seeds whose ``m * n`` draws fit one ``CHUNK_DRAWS``
+    Every estimate comes from here: ``sample_means``' (one row), and the
+    run loop's acceptance pairs (``iterate``) and stencils
+    (``stencil_models``), one row per seed.  Nothing is checked: the
+    oracles are distinct and share one noise model, and the counts are
+    ``int`` >= 1.  Noiseless oracles, and any batch with no points, keep
+    their truths.  Seeds whose ``m * n`` draws fit one ``CHUNK_DRAWS``
     chunk are stacked by count, as many to a chunk as fit, and each stack
     reads its seeds' streams as one ``(rows, m * n)`` block (``_read``)
     into one reduction.  A larger seed is drawn chunk by chunk of whole
@@ -369,14 +324,14 @@ def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
     m = truth.shape[1]
     for oracle, n in zip(oracles, counts):
         oracle.draws += m * n
+    if not m or oracles[0].noise.kind == "none":
+        return truth.copy()
     n = counts[0]
-    if m and counts.count(n) == len(counts) <= CHUNK_DRAWS // (m * n) and "none" not in map(_KIND, oracles):
+    if counts.count(n) == len(counts) <= CHUNK_DRAWS // (m * n):
         return _chunk_means(oracles, truth, n)  # one stack of every seed
     stacked: dict[int, list[int]] = {}
     large: list[tuple[int, int]] = []
-    for s, (oracle, n) in enumerate(zip(oracles, counts)):
-        if not m or oracle.noise.kind == "none":
-            continue
+    for s, n in enumerate(counts):
         if m * n > CHUNK_DRAWS:
             large.append((s, n))
         else:
@@ -526,16 +481,6 @@ def estimate_pair(
     return EstimatePair(float(est_current), float(est_trial), n_current, n_trial, float(truth[0]))
 
 
-def estimate_pairs(oracle: StochasticOracle, x_current, x_trial, n: int, trials: int) -> np.ndarray:
-    """``trials`` consecutive ``estimate_pair(oracle, x_current, x_trial, n, n)`` means.
-
-    Returns a ``(trials, 2)`` array of (current, trial) estimates, each
-    bit-identical to the pair-by-pair loop's, with the oracle stream and
-    ``oracle.draws`` left where that loop leaves them.
-    """
-    return sample_means(oracle, (x_current, x_trial), n, trials)[1]
-
-
 def required_samples(variance: float, k_f: float, delta: float) -> int:
     """Averaging count that keeps the estimator variance below k_f^2 delta^4.
 
@@ -613,9 +558,7 @@ SAMPLER_FIELDS = {"auto": (), "fixed": ("n",), "variance": ("k_f",), "moment": (
 
 
 def fixed_sample_policy(n: int) -> SamplePolicy:
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _check_count("n", n)
     return lambda delta: n
 
 

@@ -32,20 +32,25 @@ needs no independence between them.  So a correct oracle still fails a
 variance cell that sits exactly at its bound (moment <= bound + 3 standard
 errors) with probability about 5e-4 at 1000 trials, as with a fresh set
 per cell.  An estimator builds a whole set in one call;
-``sampler_estimator`` does it with ``oracle.estimate_pairs``, so the
-memory of a set stays at one draw chunk.
+``sampler_estimator`` does it with one ``oracle.sample_means`` call of
+``trials`` repeats, so the memory of a set stays at one draw chunk.
+
+``audit_conditions`` is the one entry; ``sdfo audit`` calls it once for
+all its conditions.  ``audit_a1``, its first-moment case, stays for the
+reference figures in ``benchmarks/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .oracle import NoiseModel, SamplePolicy, StochasticOracle, estimate_pairs
+from .oracle import NoiseModel, SamplePolicy, StochasticOracle, sample_means
 from .stats import wilson_upper
 from .trace import format_float, metadata_lines, rows_writer
 
@@ -58,7 +63,7 @@ def sampler_estimator(sampler: SamplePolicy) -> Estimator:
 
     def estimator(oracle, x_current, x_trial, delta, trials):
         n = sampler(delta)
-        return estimate_pairs(oracle, x_current, x_trial, n, trials), n
+        return sample_means(oracle, (x_current, x_trial), n, trials)[1], n
 
     return estimator
 
@@ -105,6 +110,9 @@ class TailAuditSpec:
             raise ValueError("confidence must lie strictly in (0, 1)")
         if not 2.0 <= self.h < math.inf:
             raise ValueError(f"h must be finite and >= 2, got {self.h}")
+        # A float or bool seed would key the estimate sets as int(seed).
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +172,7 @@ def _alpha_grid(spec: TailAuditSpec, noise: NoiseModel) -> tuple[float, ...]:
     The noise must declare a finite r-th moment with ``r >= 2/(h-1)``.
     """
     if spec.alpha_grid is None:
-        raise ValueError("audit_generalized requires an alpha grid in the spec")
+        raise ValueError("the a2h audit requires an alpha grid in the spec")
     r_h = tail_order(spec.h)
     if noise.kind != "none" and noise.declared_variance is None:
         # A declared variance bounds every moment order up to 2 >= r(h).
@@ -340,35 +348,6 @@ def audit_conditions(
 def audit_a1(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
     """First-moment tail audit: P(|err| >= (eps_f/p) delta^2) <= p per cell."""
     return audit_conditions(("a1",), oracle, estimator, x, g, spec)[0]
-
-
-def audit_a2(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
-    """Second-moment tail audit: P(|err| >= sqrt(eps_q/p) delta^2) <= p per cell."""
-    return audit_conditions(("a2",), oracle, estimator, x, g, spec)[0]
-
-
-def audit_generalized(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
-    """Generalized tail audit with threshold alpha * delta^h over alpha >= eps_q."""
-    return audit_conditions(("a2h",), oracle, estimator, x, g, spec)[0]
-
-
-def audit_variance_condition(
-    oracle: StochasticOracle,
-    estimator: Estimator,
-    x,
-    g,
-    k_f: float,
-    delta_grid=(1.0, 0.5, 0.25),
-    trials: int = 100_000,
-    seed: int = 0,
-) -> AuditReport:
-    """Second-moment audit of each estimate's error against k_f^2 delta^4.
-
-    A cell passes when the empirical second moment does not exceed the
-    bound by more than three standard errors of the moment estimator.
-    """
-    spec = TailAuditSpec(delta_grid=tuple(delta_grid), trials=trials, seed=seed)
-    return audit_conditions(("variance",), oracle, estimator, x, g, spec, k_f)[0]
 
 
 def write_report_csv(path, report: AuditReport, metadata: Mapping[str, object] | None = None) -> None:

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .directions import DirectionGenerator
-from .oracle import NoiseModel, SamplePolicy, StochasticOracle, _batch_means, _check_count, _means, sample_policy
+from .oracle import NoiseModel, SamplePolicy, StochasticOracle, _check_count, _means, sample_policy
 from .problems import TestProblem
 from .stats import sum_of_squares
 from .subproblem import solve_spectrum
@@ -232,12 +232,16 @@ def stencil_models(
     counts = _sample_counts(sampler, radii)
     delta = np.array(radii)
     offsets = delta[:, None, None] * np.eye(n)
-    # Rows x, x + delta e_1, x - delta e_1, x + delta e_2, ...
-    stencil = np.empty((batch, 2 * n + 1, n))
-    stencil[:, 0] = x
-    np.add(x[:, None, :], offsets, out=stencil[:, 1::2])
-    np.subtract(x[:, None, :], offsets, out=stencil[:, 2::2])
-    means = _batch_means(oracles, stencil, counts, fx)[1]
+    # Rows x + delta e_1, x - delta e_1, x + delta e_2, ...; the estimates
+    # put x in front of them.
+    around = np.empty((batch, 2 * n, n))
+    np.add(x[:, None, :], offsets, out=around[:, 0::2])
+    np.subtract(x[:, None, :], offsets, out=around[:, 1::2])
+    problem = oracles[0].problem
+    truth = np.empty((batch, 2 * n + 1))
+    truth[:, 0] = problem.true_values(x) if fx is None else fx
+    truth[:, 1:] = problem.true_values(around.reshape(-1, n)).reshape(batch, 2 * n)
+    means = _means(oracles, truth, counts)
     curvature = (means[:, 1::2] - 2.0 * means[:, :1] + means[:, 2::2]) / (delta * delta)[:, None]
     # Python's float power, as for a single radius.
     hi = [policy.M * r ** (-policy.q) for r in radii]
@@ -285,20 +289,19 @@ def iterate(propose: Proposal, cfg, gen, oracles, sampler, x: np.ndarray, radii:
     ``propose`` gives each seed a step and the scale its test works at.
     Both points of a seed get ``sampler(scale)`` samples, drawn from the
     seed's own oracle, and the estimate engine (``oracle._means``) averages
-    them for all seeds at once, without ``batch_means``' argument checks:
-    the oracles are one per seed, as ``run_steps`` builds them.  A count
-    that is not an integer >= 1 raises ``ValueError`` naming its scale.  A
-    step is accepted when the estimated decrease reaches
-    ``theta * scale**2``; the radius then grows by ``tau_bar`` (never
-    beyond ``delta_max``) and otherwise shrinks by ``1 - tau``.  The test
-    and the update are a few float operations per seed, done on Python
-    floats: for batches of up to about 20 seeds that is cheaper than numpy
-    calls on ``(S,)`` arrays, and a non-finite estimate compares false
-    without a warning.  ``fx`` holds the true values at the iterates (None
-    when unknown), so f is evaluated at the trial points only.  Returns
-    each seed's trace row for iteration ``k`` (its ``TRACE_COLUMNS``
-    values), the direction, the steps, and the new iterates, radii and
-    true values.
+    them for all seeds at once, unchecked: the oracles are one per seed, as
+    ``run_steps`` builds them.  A count that is not an integer >= 1 raises
+    ``ValueError`` naming its scale.  A step is accepted when the estimated
+    decrease reaches ``theta * scale**2``; the radius then grows by
+    ``tau_bar`` (never beyond ``delta_max``) and otherwise shrinks by
+    ``1 - tau``.  The test and the update are a few float operations per seed,
+    done on Python floats: for batches of up to about 20 seeds that is
+    cheaper than numpy calls on ``(S,)`` arrays, and a non-finite estimate
+    compares false without a warning.  ``fx`` holds the true values at the
+    iterates (None when unknown), so f is evaluated at the trial points
+    only.  Returns each seed's trace row for iteration ``k`` (its
+    ``TRACE_COLUMNS`` values), the direction, the steps, and the new
+    iterates, radii and true values.
     """
     direction, step, scales, stencil = propose(cfg, gen, oracles, sampler, x, radii, fx)
     norms = np.sqrt(sum_of_squares(step)).tolist()

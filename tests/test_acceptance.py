@@ -23,10 +23,7 @@ from sdfo import (
     TailAuditSpec,
     TrustRegionConfig,
     alignment_profile,
-    audit_a1,
-    audit_a2,
-    audit_generalized,
-    audit_variance_condition,
+    audit_conditions,
     brute_force_min,
     ds_run,
     fixed_sample_policy,
@@ -138,8 +135,9 @@ def test_criterion_2_tail_bound_audit():
         trials=10**5,
         seed=0,
     )
-    rep_a1 = audit_a1(oracle, estimator, AUDIT_X, AUDIT_G, spec)
-    rep_a2 = audit_a2(oracle, estimator, AUDIT_X, AUDIT_G, spec)
+    # One estimate set per delta serves both: each report is the one it
+    # would be alone.
+    rep_a1, rep_a2 = audit_conditions(("a1", "a2"), oracle, estimator, AUDIT_X, AUDIT_G, spec)
     elapsed = time.monotonic() - start
     ok = rep_a1.passed and rep_a2.passed and elapsed < 300.0
     worst = max(c.wilson_upper / c.bound for c in rep_a1.cells + rep_a2.cells)
@@ -153,10 +151,8 @@ def test_criterion_2_tail_bound_audit():
 def test_criterion_3_variance_condition_audit():
     oracle = StochasticOracle(get_problem("sphere", 2), NoiseModel.gaussian(1.0), seed=2024)
     estimator = sampler_estimator(variance_sample_policy(1.0, K_F))
-    rep = audit_variance_condition(
-        oracle, estimator, AUDIT_X, AUDIT_G, K_F,
-        delta_grid=(1.0, 0.5, 0.25), trials=10**5, seed=0,
-    )
+    spec = TailAuditSpec(delta_grid=(1.0, 0.5, 0.25), trials=10**5, seed=0)
+    (rep,) = audit_conditions(("variance",), oracle, estimator, AUDIT_X, AUDIT_G, spec, K_F)
     worst = max(c.empirical_moment - (c.bound + 3.0 * c.slack) for c in rep.cells)
     report(
         "criterion 3 variance-condition audit",
@@ -350,7 +346,7 @@ def test_criterion_8_heavy_tail_audit():
         eps_f=1.0, eps_q=eps_q, delta_grid=(1.0,), trials=10**5,
         h=h, alpha_grid=(1.0, 2.0, 4.0, 8.0, 16.0), seed=0,
     )
-    rep = audit_generalized(oracle, estimator, AUDIT_X, AUDIT_G, spec)
+    (rep,) = audit_conditions(("a2h",), oracle, estimator, AUDIT_X, AUDIT_G, spec)
     expected_n = moment_oracle_samples(bound, r, 1.0, h, eps_q)
     counts_ok = all(c.samples_per_estimate == expected_n for c in rep.cells)
     report(

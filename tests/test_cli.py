@@ -408,6 +408,28 @@ class TestErrors:
         assert capsys.readouterr().err == "error: seeds: seeds must be nonnegative, got -4\n"
         assert not out.exists()
 
+    def test_negative_audit_seed_exits_2_naming_the_field(self, tmp_path, capsys):
+        # numpy's own message named no field: "expected non-negative integer".
+        out = tmp_path / "out"
+        cfg_path = write_audit_config(tmp_path / "a.json", out)
+        raw = json.loads(cfg_path.read_text())
+        raw["audit"]["seed"] = -1
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["audit", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: audit: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_condition_listed_twice_exits_2(self, tmp_path, capsys):
+        # Used to exit 0, writing audit_a1_sphere.csv twice and the report
+        # twice into the summary.
+        out = tmp_path / "out"
+        cfg_path = write_audit_config(tmp_path / "a.json", out, conditions=("a1", "a2", "a1"))
+        assert main(["audit", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: audit.conditions: each condition may be listed once, got ['a1', 'a2', 'a1']\n"
+        )
+        assert not out.exists()
+
     def test_negative_seed_from_offset_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_run_config(tmp_path / "cfg.json", out, seeds=(3, 1, 7))

@@ -17,7 +17,6 @@ from sdfo import (
     NoiseModel,
     StochasticOracle,
     estimate_pair,
-    estimate_pairs,
     get_problem,
     moment_oracle_samples,
     required_samples,
@@ -26,7 +25,6 @@ from sdfo import oracle as oracle_module
 from sdfo.oracle import (
     CHUNK_DRAWS,
     READ_AHEAD,
-    batch_means,
     fixed_sample_policy,
     moment_sample_policy,
     sample_means,
@@ -47,6 +45,15 @@ def next_value(oracle):
 def kept(oracle):
     """How many values the oracle's reader holds past its stream position."""
     return oracle._block.values.shape[1] - oracle._block.pos
+
+
+def engine_means(oracles, points, counts):
+    """``(S, k)`` true values at ``points`` ``(S, k, d)`` and the estimate
+    engine's means of ``counts[s]`` samples at each point of row ``s``, as
+    the run loop calls the engine: one oracle per seed, one problem."""
+    batch, k, dimension = points.shape
+    truth = oracles[0].problem.true_values(points.reshape(-1, dimension)).reshape(batch, k)
+    return truth, oracle_module._means(list(oracles), truth, list(counts))
 
 
 class TestSampleEstimate:
@@ -211,7 +218,7 @@ class TestEstimatePairs:
         a = make_oracle(noise, seed=5)
         b = make_oracle(noise, seed=5)
         x, y = (0.5, -0.25), (1.2, 0.3)
-        batch = estimate_pairs(a, x, y, n, trials)
+        batch = sample_means(a, (x, y), n, trials)[1]
         pairs = [estimate_pair(b, x, y, n, n) for _ in range(trials)]
         loop = np.array([(p.est_current, p.est_trial) for p in pairs])
         assert np.array_equal(batch, loop)
@@ -221,7 +228,7 @@ class TestEstimatePairs:
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
-            estimate_pairs(make_oracle(NoiseModel.gaussian(1.0)), (0.0, 0.0), (1.0, 0.0), 0, 10)
+            sample_means(make_oracle(NoiseModel.gaussian(1.0)), ((0.0, 0.0), (1.0, 0.0)), 0, 10)
 
 
 def reference_estimate(oracle, x, n):
@@ -297,10 +304,8 @@ class TestSampleMeans:
         b = make_oracle(noise, seed=5, dim=D)
         truth, means = sample_means(a, np.empty((0, D)), 4, repeats)
         assert truth.shape == (0,) and means.shape == (repeats, 0)
-        truth, means = batch_means([a, a.spawn(1)], np.empty((2, 0, D)), [4, CHUNK_DRAWS + 1])
+        truth, means = engine_means([a, a.spawn(1)], np.empty((2, 0, D)), [4, CHUNK_DRAWS + 1])
         assert truth.shape == means.shape == (2, 0)
-        with pytest.raises(ValueError, match="first values need a first point"):
-            batch_means([a, a.spawn(1)], np.empty((2, 0, D)), [4, 4], [1.0, 2.0])
         assert a.draws == 0
         assert next_value(a) == b.noise.draw(b._rng, 1)[0]
 
@@ -354,7 +359,7 @@ class TestSampleMeans:
 
 
 class TestBatchMeans:
-    """One stacked estimate for a seed batch equals each seed's own ``sample_means``."""
+    """The engine's means for a seed batch equal each seed's own ``sample_means``."""
 
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
     @pytest.mark.parametrize("k", [2, 2 * D + 1])
@@ -383,7 +388,7 @@ class TestBatchMeans:
         batch = [StochasticOracle(problem, noise, seed=s) for s in seeds]
         alone = [make_oracle(noise, seed=s, dim=D) for s in seeds]
         points = np.stack([np.roll(STACK_POINTS[:k], s, axis=0) for s in seeds])
-        truth, means = batch_means(batch, points, counts)
+        truth, means = engine_means(batch, points, counts)
         assert truth.shape == means.shape == (len(counts), k)
         for s, n in enumerate(counts):
             own_truth, own_means = sample_means(alone[s], points[s], n)
@@ -405,7 +410,7 @@ class TestBatchMeans:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            means = batch_means(oracles, points, counts)[1]
+            means = engine_means(oracles, points, counts)[1]
         finally:
             sys.setswitchinterval(interval)
         for s, n in enumerate(counts):
@@ -428,7 +433,7 @@ class TestBatchMeans:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            means = [batch_means(oracles, points, counts)[1] for counts in plan]
+            means = [engine_means(oracles, points, counts)[1] for counts in plan]
         finally:
             sys.setswitchinterval(interval)
         for s in range(8):
@@ -447,30 +452,9 @@ class TestBatchMeans:
         noise = NoiseModel.gaussian(1.0)
         problem = get_problem("sphere", D)
         points = np.stack([STACK_POINTS[:2]] * 2)
-        means = batch_means([StochasticOracle(problem, noise, seed=s) for s in (0, 1)], points, counts)[1]
+        means = engine_means([StochasticOracle(problem, noise, seed=s) for s in (0, 1)], points, counts)[1]
         for s, n in enumerate(counts):
             assert means[s].tobytes() == sample_means(make_oracle(noise, seed=s, dim=D), points[s], n)[1][0].tobytes()
-
-    def test_known_first_values_are_not_evaluated_again(self):
-        from sdfo.problems import TestProblem as Problem
-
-        calls = []
-
-        def counted(x):
-            calls.append(1)
-            return float(x @ x)
-
-        problem = Problem(dimension=D, eval_true=counted, name="counted_sphere")
-        points = np.stack([np.roll(STACK_POINTS[:3], s, axis=0) for s in range(2)])
-        first = [float(p @ p) for p in points[:, 0]]
-        oracles = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(2)]
-        truth, means = batch_means(oracles, points, [4, 4], first)
-        assert len(calls) == 2 * 2
-        alone = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(2)]
-        for s in range(2):
-            own_truth, own_means = sample_means(alone[s], points[s], 4)
-            assert truth[s].tobytes() == own_truth.tobytes()
-            assert means[s].tobytes() == own_means[0].tobytes()
 
     def test_stacked_draws_stay_within_one_chunk(self):
         # 40 seeds of 2 x 8192 draws: 5.2 MB as one stack.
@@ -479,105 +463,11 @@ class TestBatchMeans:
         points = np.zeros((40, 2, 2))
         tracemalloc.start()
         try:
-            batch_means(oracles, points, [CHUNK_DRAWS // 2] * 40)
+            engine_means(oracles, points, [CHUNK_DRAWS // 2] * 40)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * CHUNK_DRAWS
-
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_mixed_noise_kinds_in_one_batch(self, cpus, monkeypatch):
-        # Noiseless rows between stacked rows (n = 16, seeds 0, 2 and 4
-        # share one stack), and three seeds past a chunk: two with n past
-        # a chunk, one whose n fits a chunk while its k * n does not.
-        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(oracle_module, "_pool", None)
-        noises = [
-            NoiseModel.gaussian(1.0),
-            NoiseModel.none(),
-            NoiseModel.student_t(3.0),
-            NoiseModel.pareto_symmetric(1.5),
-            NoiseModel.pareto_symmetric(1.9),
-            NoiseModel.none(),
-            NoiseModel.student_t(1.5),
-            NoiseModel.gaussian(4.0),
-        ]
-        counts = [16, 16, 16, CHUNK_DRAWS + 5, 16, 3, 2 * CHUNK_DRAWS + 9, CHUNK_DRAWS // 2 + 1]
-        k = 2 * D + 1
-        problem = get_problem("sphere", D)
-        batch = [StochasticOracle(problem, noise, seed=s) for s, noise in enumerate(noises)]
-        alone = [StochasticOracle(problem, noise, seed=s) for s, noise in enumerate(noises)]
-        points = np.stack([np.roll(STACK_POINTS[:k], s, axis=0) for s in range(len(noises))])
-        truth, means = batch_means(batch, points, counts)
-        for s, n in enumerate(counts):
-            own_truth, own_means = sample_means(alone[s], points[s], n)
-            assert truth[s].tobytes() == own_truth.tobytes()
-            assert means[s].tobytes() == own_means[0].tobytes()
-            assert batch[s].draws == alone[s].draws == k * n
-            assert batch[s]._rng.random() == alone[s]._rng.random()
-        assert np.array_equal(means[[1, 5]], truth[[1, 5]])
-
-    @pytest.mark.parametrize(
-        "oracles,rows,counts,first",
-        [
-            (2, 3, 2, None),
-            (3, 3, 2, None),
-            (2, 3, 3, None),
-            (3, 2, 3, None),
-            (3, 3, 3, [1.0, 2.0]),
-            (3, 3, 3, [1.0, 2.0, 3.0, 4.0]),
-        ],
-    )
-    def test_rejects_disagreeing_batch_sizes(self, oracles, rows, counts, first):
-        # A short count list must not leave the last rows without means.
-        problem = get_problem("sphere", 2)
-        batch = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(oracles)]
-        with pytest.raises(ValueError, match="must agree"):
-            batch_means(batch, np.ones((rows, 2, 2)), [4] * counts, first)
-        assert all(oracle.draws == 0 for oracle in batch)
-
-    @pytest.mark.parametrize("first", [None, []], ids=["no-first", "empty-first"])
-    def test_rejects_an_empty_batch(self, first):
-        with pytest.raises(ValueError, match="at least one seed"):
-            batch_means([], np.empty((0, 2, 2)), [], first)
-
-    @pytest.mark.parametrize(
-        "counts",
-        [[2.5, 2.5], [True, True], [4, 0], [4, -1], [4.0, 4], ["4", 4], [4, None]],
-        ids=["fraction", "bool", "zero", "negative", "float", "str", "none"],
-    )
-    def test_bad_counts_leave_the_streams_and_draws_unmoved(self, counts):
-        problem = get_problem("sphere", 2)
-        oracles = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(2)]
-        with pytest.raises(ValueError, match=r"^sample count must be an integer >= 1, got "):
-            batch_means(oracles, np.zeros((2, 2, 2)), counts)
-        for s, oracle in enumerate(oracles):
-            assert oracle.draws == 0
-            assert oracle._rng.random() == StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s)._rng.random()
-
-    def test_numpy_integer_counts_are_whole_counts(self):
-        problem = get_problem("sphere", D)
-        points = np.stack([STACK_POINTS[:3]] * 2)
-        batch = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in (0, 1)]
-        alone = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in (0, 1)]
-        means = batch_means(batch, points, [np.int64(4), np.int32(CHUNK_DRAWS + 1)])[1]
-        assert means.tobytes() == batch_means(alone, points, [4, CHUNK_DRAWS + 1])[1].tobytes()
-        assert [(type(o.draws), o.draws) for o in batch] == [(int, 12), (int, 3 * (CHUNK_DRAWS + 1))]
-
-    def test_rejects_one_oracle_twice(self):
-        # Two rows of one oracle would both read its stream from one position.
-        oracle = make_oracle(NoiseModel.gaussian(1.0))
-        with pytest.raises(ValueError, match="oracle of its own"):
-            batch_means([oracle, oracle], np.zeros((2, 2, 2)), [4, 4])
-        assert oracle.draws == 0
-
-    def test_rejects_bad_counts_and_mixed_problems(self):
-        sphere = make_oracle(NoiseModel.gaussian(1.0))
-        with pytest.raises(ValueError, match="sample count"):
-            batch_means([sphere], np.zeros((1, 2, 2)), [0])
-        other = make_oracle(NoiseModel.gaussian(1.0), name="l1norm")
-        with pytest.raises(ValueError, match="share one problem"):
-            batch_means([sphere, other], np.zeros((2, 2, 2)), [1, 1])
 
 
 # Request sizes on both sides of READ_AHEAD and of a chunk.
@@ -606,7 +496,7 @@ def read_plans(draw):
 
     A call reads the batch as it stands, the batch after a seed left it,
     another ordered subset, or one oracle alone (``sample_means``, with
-    ``repeats`` >= 1; a ``batch_means`` call has ``repeats`` 0).  Counts
+    ``repeats`` >= 1; a batch call into the engine has ``repeats`` 0).  Counts
     are equal across a call's seeds or ragged.
     """
     batch = list(range(PLAN_ORACLES))
@@ -667,7 +557,7 @@ class TestReader:
                 calls[s].append((np.tile(truth, repeats), n, means.ravel()))
             else:
                 stack = np.stack([np.roll(points, s, axis=0) for s in seeds])
-                truth, means = batch_means([oracles[s] for s in seeds], stack, counts)
+                truth, means = engine_means([oracles[s] for s in seeds], stack, counts)
                 for s, n, t, row in zip(seeds, counts, truth, means):
                     calls[s].append((t, n, row))
             for s, n in zip(seeds, counts):
@@ -957,7 +847,9 @@ class TestPolicyConstantsCheckedAtBuild:
         with pytest.raises(ValueError):
             fixed_sample_policy(0)
 
-    @pytest.mark.parametrize("n", [None, 2.5, 3.0, "3", 0, -1])
+    # A bool is not a count, as for sample_means and the run loop: True
+    # would give a 1-sample policy.
+    @pytest.mark.parametrize("n", [None, 2.5, 3.0, "3", 0, -1, True, False, np.bool_(True)])
     def test_fixed_count_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
             fixed_sample_policy(n)
@@ -966,6 +858,7 @@ class TestPolicyConstantsCheckedAtBuild:
 
     def test_fixed_count_is_a_python_int(self):
         assert type(fixed_sample_policy(np.int64(3))(0.5)) is int
+        assert type(fixed_sample_policy(np.uint8(3))(0.5)) is int
 
     @pytest.mark.parametrize("k_f", [None, 0.0, -1.0, math.inf, math.nan, "1"])
     @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
-"""The public names the benchmark calls, and unused imports in the package."""
+"""The public names the benchmark and the README call, and unused imports in the package."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -45,17 +46,34 @@ def resolve(chain: str):
     return obj
 
 
-@pytest.mark.parametrize("script", BENCHMARK_SCRIPTS)
-def test_benchmark_names_resolve(script):
-    chains = sdfo_chains(ast.parse((ROOT / "benchmarks" / script).read_text(encoding="utf-8")))
-    assert chains
+def unresolved(chains) -> list[str]:
+    """The dotted ``sdfo`` names among ``chains`` that name nothing."""
     missing = []
     for chain in sorted(chains):
         try:
             resolve(chain)
         except (AttributeError, ImportError):
             missing.append(chain)
-    assert missing == []
+    return missing
+
+
+@pytest.mark.parametrize("script", BENCHMARK_SCRIPTS)
+def test_benchmark_names_resolve(script):
+    chains = sdfo_chains(ast.parse((ROOT / "benchmarks" / script).read_text(encoding="utf-8")))
+    assert chains
+    assert unresolved(chains) == []
+
+
+# A backticked ``module.name`` (or ``sdfo.module.name``) in the README,
+# where ``module`` is one of the package's modules.
+README_NAME = re.compile(rf"`(?:sdfo\.)?({'|'.join(p.stem for p in MODULES)})\.(\w+)")
+
+
+def test_readme_names_resolve():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = {f"sdfo.{module}.{name}" for module, name in README_NAME.findall(text)}
+    assert len(names) >= 10
+    assert unresolved(names) == []
 
 
 def test_all_is_bound_and_unique():

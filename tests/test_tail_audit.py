@@ -12,9 +12,6 @@ from sdfo import (
     StochasticOracle,
     TailAuditSpec,
     audit_a1,
-    audit_a2,
-    audit_generalized,
-    audit_variance_condition,
     estimate_pair,
     fixed_sample_policy,
     get_problem,
@@ -46,10 +43,32 @@ def small_spec(**kw):
     return TailAuditSpec(**base)
 
 
+def audit(name, oracle, est, spec, k_f=1.0, x=X, g=G):
+    """The report of ``audit_conditions`` on the one condition ``name``."""
+    return audit_conditions((name,), oracle, est, x, g, spec, k_f)[0]
+
+
+def variance_spec(delta_grid=(1.0, 0.5, 0.25), trials=100_000, seed=0):
+    """A spec that sets only what the variance condition reads."""
+    return TailAuditSpec(delta_grid=delta_grid, trials=trials, seed=seed)
+
+
 class TestSpecValidation:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             small_spec(trials=999)
+
+    # 1.5 and True used to audit as seed 1; -1 failed in numpy with a
+    # message that named no field.
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"):
+            small_spec(seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        est = sampler_estimator(fixed_sample_policy(2))
+        a, b = (audit("a1", gaussian_oracle(), est, small_spec(trials=1000, seed=seed)) for seed in (3, np.int64(3)))
+        assert a == b
 
     def test_grids_nonempty_and_valid(self):
         with pytest.raises(ValueError):
@@ -133,7 +152,7 @@ class TestHarnessSoundness:
     def test_monotone_in_threshold(self):
         oracle = gaussian_oracle(seed=3)
         est = sampler_estimator(variance_sample_policy(1.0, 1.0))
-        report = audit_a2(oracle, est, X, G, small_spec())
+        report = audit("a2", oracle, est, small_spec())
         by_delta = {}
         for cell in report.cells:
             by_delta.setdefault(cell.delta, []).append(cell)
@@ -169,9 +188,8 @@ class TestBatchPath:
             assert batch[3:] == loop[3:] == (n, 2 * n * trials)
         spec = small_spec(p_grid=(0.5,), delta_grid=(0.5,), trials=trials)
         assert audit_a1(oracle, est, X, G, spec) == audit_a1(oracle, per_trial, X, G, spec)
-        assert audit_variance_condition(
-            oracle, est, X, G, 1.0, delta_grid=(0.5,), trials=trials
-        ) == audit_variance_condition(oracle, per_trial, X, G, 1.0, delta_grid=(0.5,), trials=trials)
+        spec = variance_spec(delta_grid=(0.5,), trials=trials)
+        assert audit("variance", oracle, est, spec) == audit("variance", oracle, per_trial, spec)
 
     def test_estimator_shape_checked(self):
         def short(oracle, x, y, delta, trials):
@@ -201,33 +219,32 @@ class TestBatchPath:
         assert peak < 4 * 2**20
 
 
+# Each condition's spec for the audits of bad inputs.
 AUDITS = {
-    "a1": lambda oracle, est, x, g: audit_a1(oracle, est, x, g, small_spec(trials=1000)),
-    "a2": lambda oracle, est, x, g: audit_a2(oracle, est, x, g, small_spec(trials=1000)),
-    "a2h": lambda oracle, est, x, g: audit_generalized(
-        oracle, est, x, g, small_spec(trials=1000, alpha_grid=(4.0,))
-    ),
-    "variance": lambda oracle, est, x, g: audit_variance_condition(oracle, est, x, g, 1.0, trials=1000),
+    "a1": small_spec(trials=1000),
+    "a2": small_spec(trials=1000),
+    "a2h": small_spec(trials=1000, alpha_grid=(4.0,)),
+    "variance": variance_spec(trials=1000),
 }
 
 
 class TestNonFiniteInputs:
     # A non-finite error compares false against every threshold, so such
     # a point used to pass every cell with frequency zero.
-    @pytest.mark.parametrize("audit", AUDITS, ids=list(AUDITS))
+    @pytest.mark.parametrize("name", AUDITS, ids=list(AUDITS))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_point_rejected(self, audit, bad):
+    def test_point_rejected(self, name, bad):
         oracle = gaussian_oracle()
         with pytest.raises(ValueError, match="audit point must be finite"):
-            AUDITS[audit](oracle, sampler_estimator(fixed_sample_policy(1)), (bad, 0.5), G)
+            audit(name, oracle, sampler_estimator(fixed_sample_policy(1)), AUDITS[name], x=(bad, 0.5))
         assert oracle.draws == 0
 
-    @pytest.mark.parametrize("audit", AUDITS, ids=list(AUDITS))
+    @pytest.mark.parametrize("name", AUDITS, ids=list(AUDITS))
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_direction_rejected(self, audit, bad):
+    def test_direction_rejected(self, name, bad):
         oracle = gaussian_oracle()
         with pytest.raises(ValueError, match="finite unit vector"):
-            AUDITS[audit](oracle, sampler_estimator(fixed_sample_policy(1)), X, (bad, 0.0))
+            audit(name, oracle, sampler_estimator(fixed_sample_policy(1)), AUDITS[name], g=(bad, 0.0))
 
 
 class TestAuditCondition:
@@ -236,26 +253,19 @@ class TestAuditCondition:
         oracle = gaussian_oracle()
         est = sampler_estimator(fixed_sample_policy(1))
         with pytest.raises(ValueError, match="k_f must be positive and finite"):
-            audit_variance_condition(oracle, est, X, G, bad, trials=1000)
+            audit("variance", oracle, est, variance_spec(trials=1000), bad)
         with pytest.raises(ValueError, match="k_f must be positive and finite"):
             audit_conditions(("variance",), oracle, est, X, G, small_spec(), k_f=bad)
         assert oracle.draws == 0
 
     @pytest.mark.parametrize("name", ["a1", "a2", "a2h", "variance"])
     def test_public_audits_are_table_rows(self, name):
+        # audit_a1 is the one public wrapper left; every condition is a row.
         spec = small_spec(trials=1000, alpha_grid=(2.0, 4.0, 8.0), h=3.0)
         est = sampler_estimator(fixed_sample_policy(3))
-        public = {
-            "a1": lambda o: audit_a1(o, est, X, G, spec),
-            "a2": lambda o: audit_a2(o, est, X, G, spec),
-            "a2h": lambda o: audit_generalized(o, est, X, G, spec),
-            "variance": lambda o: audit_variance_condition(
-                o, est, X, G, 0.5, delta_grid=spec.delta_grid, trials=spec.trials, seed=spec.seed
-            ),
-        }
-        expected = public[name](gaussian_oracle(seed=5))
         (report,) = audit_conditions((name,), gaussian_oracle(seed=5), est, X, G, spec, k_f=0.5)
-        assert report == expected
+        if name == "a1":
+            assert report == audit_a1(gaussian_oracle(seed=5), est, X, G, spec)
         assert report.condition == name
         grid = {"a1": 3, "a2": 3, "a2h": 2, "variance": 2}[name]  # alpha 2 < eps_q drops
         assert len(report.cells) == grid * len(spec.delta_grid)
@@ -316,13 +326,13 @@ class TestVacuousCells:
     def test_overflowing_generalized_threshold_rejected(self):
         spec = small_spec(delta_grid=(2.0,), h=2000.0, alpha_grid=(4.0,), trials=1000)
         with pytest.raises(ValueError, match="threshold at delta=2.0, alpha=4.0 is not finite"):
-            audit_generalized(gaussian_oracle(), sampler_estimator(fixed_sample_policy(1)), X, G, spec)
+            audit("a2h", gaussian_oracle(), sampler_estimator(fixed_sample_policy(1)), spec)
 
     @pytest.mark.parametrize("k_f,delta", [(1.0, 1e100), (1e200, 1.0)], ids=["delta", "k_f"])
     def test_overflowing_variance_bound_rejected(self, k_f, delta):
         est = sampler_estimator(fixed_sample_policy(1))
         with pytest.raises(ValueError, match=re.escape(f"variance bound k_f^2 delta^4 at delta={delta} is not finite")):
-            audit_variance_condition(gaussian_oracle(), est, X, G, k_f, delta_grid=(delta,), trials=1000)
+            audit("variance", gaussian_oracle(), est, variance_spec(delta_grid=(delta,), trials=1000), k_f)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # f(x + delta g) overflows
     @pytest.mark.parametrize("name", ["a1", "variance"])
@@ -351,7 +361,7 @@ class TestGaussianAudits:
         k_f = 1.0
         oracle = gaussian_oracle(seed=5)
         est = sampler_estimator(variance_sample_policy(1.0, k_f))
-        report = audit_a2(oracle, est, X, G, small_spec(eps_q=4 * k_f**2))
+        report = audit("a2", oracle, est, small_spec(eps_q=4 * k_f**2))
         assert report.passed
 
     def test_closed_form_cross_check(self):
@@ -393,7 +403,7 @@ class TestGaussianAudits:
         oracle = StochasticOracle(get_problem("sphere", 2), noise, seed=8)
         k_f = 1.0
         est = sampler_estimator(variance_sample_policy(noise.declared_variance, k_f))
-        report = audit_a2(oracle, est, X, G, small_spec(eps_q=4 * k_f**2))
+        report = audit("a2", oracle, est, small_spec(eps_q=4 * k_f**2))
         assert report.passed
 
     def test_reproducible_bit_for_bit(self):
@@ -409,23 +419,21 @@ class TestVarianceAudit:
     def test_zero_noise_moment_is_zero(self):
         oracle = StochasticOracle(get_problem("sphere", 2), NoiseModel.none())
         est = sampler_estimator(lambda d: 1)
-        report = audit_variance_condition(oracle, est, X, G, 1.0, trials=2000)
+        report = audit("variance", oracle, est, variance_spec(trials=2000))
         assert report.passed
         assert all(cell.empirical_moment == 0.0 for cell in report.cells)
 
     def test_required_samples_meets_bound(self):
         oracle = gaussian_oracle(seed=10)
         est = sampler_estimator(variance_sample_policy(1.0, 1.0))
-        report = audit_variance_condition(oracle, est, X, G, 1.0, trials=20000, seed=1)
+        report = audit("variance", oracle, est, variance_spec(trials=20000, seed=1))
         assert report.passed
 
     def test_half_samples_fail(self):
         # Half the required count doubles V/n past the bound at delta=0.5.
         oracle = gaussian_oracle(seed=11)
         est = sampler_estimator(lambda d: max(1, required_samples(1.0, 1.0, d) // 2))
-        report = audit_variance_condition(
-            oracle, est, X, G, 1.0, delta_grid=(0.5,), trials=20000, seed=2
-        )
+        report = audit("variance", oracle, est, variance_spec(delta_grid=(0.5,), trials=20000, seed=2))
         assert not report.passed
 
 
@@ -440,8 +448,8 @@ class TestGeneralizedAudit:
         est = sampler_estimator(variance_sample_policy(1.0, 1.0))
         spec_a2 = small_spec(eps_q=eps_q, p_grid=p_grid, delta_grid=(0.5,))
         spec_gen = small_spec(eps_q=eps_q, delta_grid=(0.5,), h=2.0, alpha_grid=alphas)
-        rep_a2 = audit_a2(oracle, est, X, G, spec_a2)
-        rep_gen = audit_generalized(oracle, est, X, G, spec_gen)
+        rep_a2 = audit("a2", oracle, est, spec_a2)
+        rep_gen = audit("a2h", oracle, est, spec_gen)
         for ca, cg in zip(rep_a2.cells, rep_gen.cells):
             assert cg.threshold == pytest.approx(ca.threshold, rel=1e-12)
             assert cg.bound == pytest.approx(ca.p, rel=1e-12)
@@ -453,12 +461,10 @@ class TestGeneralizedAudit:
         r, bound = oracle.noise.declared_moment
         est = sampler_estimator(lambda d: 50)
         spec = small_spec(eps_q=2.0, h=3.0, alpha_grid=(0.5, 1.0, 2.0, 4.0), delta_grid=(1.0,))
-        report = audit_generalized(oracle, est, X, G, spec)
+        report = audit("a2h", oracle, est, spec)
         assert all(cell.alpha >= 2.0 for cell in report.cells)
         with pytest.raises(ValueError):
-            audit_generalized(
-                oracle, est, X, G, small_spec(eps_q=8.0, h=3.0, alpha_grid=(0.5,), delta_grid=(1.0,))
-            )
+            audit("a2h", oracle, est, small_spec(eps_q=8.0, h=3.0, alpha_grid=(0.5,), delta_grid=(1.0,)))
 
     def test_moment_order_consistency_enforced(self):
         # h=5 needs r >= 0.5 (fine), but h=2 needs r >= 2 which the
@@ -468,15 +474,13 @@ class TestGeneralizedAudit:
         )
         est = sampler_estimator(lambda d: 10)
         with pytest.raises(ValueError):
-            audit_generalized(
-                oracle, est, X, G, small_spec(h=2.0, alpha_grid=(4.0,), delta_grid=(1.0,))
-            )
+            audit("a2h", oracle, est, small_spec(h=2.0, alpha_grid=(4.0,), delta_grid=(1.0,)))
 
     def test_requires_alpha_grid(self):
         oracle = gaussian_oracle()
         est = sampler_estimator(lambda d: 1)
         with pytest.raises(ValueError):
-            audit_generalized(oracle, est, X, G, small_spec(h=3.0))
+            audit("a2h", oracle, est, small_spec(h=3.0))
 
 
 class TestReportOutput:

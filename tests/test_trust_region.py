@@ -23,6 +23,7 @@ from sdfo import (
     validate_theta_tr,
 )
 from sdfo.direct_search import DirectSearchConfig
+from sdfo.oracle import CHUNK_DRAWS
 from sdfo.problems import PROBLEMS
 from sdfo.problems import TestProblem as Problem
 from sdfo.subproblem import QuadraticModel, solve_exact
@@ -212,6 +213,57 @@ class TestBuildModel:
             assert used == ref_used == (2 * d + 1) * n
         assert a.draws == b.draws
         assert a._rng.random() == b._rng.random()
+
+    def test_known_centre_values_are_not_evaluated_again(self):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return float(x @ x)
+
+        d = 3
+        problem = Problem(dimension=d, eval_true=counted, name="counted_sphere")
+        policy = RegressionClipped(q=0.5, m=10.0, M=10.0)
+        x = np.random.default_rng(7).uniform(-1.5, 1.5, (2, d))
+        radii = [0.3, 0.05]
+        oracles = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(2)]
+        curvature, used = stencil_models(oracles, policy, x, radii, fixed_sample_policy(4), [float(p @ p) for p in x])
+        assert len(calls) == 2 * 2 * d
+        for s in range(2):
+            alone = StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s)
+            ref = reference_stencil_model(x[s], radii[s], DirectionGenerator(d, QuasiRandomSphere()), alone, policy,
+                                          fixed_sample_policy(4))[1]
+            assert curvature[s].tobytes() == ref.tobytes()
+        assert used == [(2 * d + 1) * 4] * 2
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[2.5, 2.5], [True, True], [4, 0], [4, -1], [4.0, 4], ["4", 4], [4, None]],
+        ids=["fraction", "bool", "zero", "negative", "float", "str", "none"],
+    )
+    def test_bad_counts_leave_the_streams_and_draws_unmoved(self, counts):
+        problem = get_problem("sphere", 2)
+        policy = RegressionClipped(q=0.5, m=10.0, M=10.0)
+        oracles = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(2)]
+        sampler = {0.5: counts[0], 0.25: counts[1]}.get
+        with pytest.raises(ValueError, match=r"^sample count at scale 0\.\d+ must be an integer >= 1, got "):
+            stencil_models(oracles, policy, np.zeros((2, 2)), [0.5, 0.25], sampler)
+        for s, oracle in enumerate(oracles):
+            assert oracle.draws == 0
+            assert oracle._rng.random() == StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s)._rng.random()
+
+    def test_numpy_integer_counts_are_whole_counts(self):
+        problem = get_problem("sphere", 3)
+        policy = RegressionClipped(q=0.5, m=10.0, M=10.0)
+        x = np.random.default_rng(8).uniform(-1.5, 1.5, (2, 3))
+        batch = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in (0, 1)]
+        alone = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in (0, 1)]
+        numpy_counts = {0.5: np.int64(4), 0.25: np.int32(CHUNK_DRAWS + 1)}.get
+        python_counts = {0.5: 4, 0.25: CHUNK_DRAWS + 1}.get
+        curvature, used = stencil_models(batch, policy, x, [0.5, 0.25], numpy_counts)
+        assert curvature.tobytes() == stencil_models(alone, policy, x, [0.5, 0.25], python_counts)[0].tobytes()
+        assert [(type(n), n) for n in used] == [(int, 7 * 4), (int, 7 * (CHUNK_DRAWS + 1))]
+        assert [(type(o.draws), o.draws) for o in batch] == [(int, 7 * 4), (int, 7 * (CHUNK_DRAWS + 1))]
 
     def test_clipping_enforces_eigen_bounds(self):
         a = np.array([50.0, -50.0])
