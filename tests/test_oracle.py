@@ -456,6 +456,29 @@ class TestBatchMeans:
         for s, n in enumerate(counts):
             assert means[s].tobytes() == sample_means(make_oracle(noise, seed=s, dim=D), points[s], n)[1][0].tobytes()
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_noiseless_batch_keeps_its_truths_and_reads_no_stream(self, cpus, monkeypatch):
+        # Stacked seeds, and three seeds past a chunk that a noisy batch
+        # would send to the draw pool: none of them draws.
+        def no_pool():
+            raise AssertionError("a noiseless batch must not start the draw pool")
+
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(oracle_module, "_draw_pool", no_pool)
+        counts = [16, CHUNK_DRAWS + 5, 16, 2 * CHUNK_DRAWS + 9, CHUNK_DRAWS // 2 + 1]
+        k = 2 * D + 1
+        problem = get_problem("sphere", D)
+        oracles = [StochasticOracle(problem, NoiseModel.none(), seed=s) for s in range(len(counts))]
+        points = np.stack([np.roll(STACK_POINTS[:k], s, axis=0) for s in range(len(counts))])
+        truth, means = engine_means(oracles, points, counts)
+        assert means is not truth
+        assert means.tobytes() == truth.tobytes()
+        for s, n in enumerate(counts):
+            fresh = StochasticOracle(problem, NoiseModel.none(), seed=s)
+            assert oracles[s].draws == k * n
+            assert kept(oracles[s]) == 0
+            assert oracles[s]._rng.random() == fresh._rng.random()
+
     def test_stacked_draws_stay_within_one_chunk(self):
         # 40 seeds of 2 x 8192 draws: 5.2 MB as one stack.
         problem = get_problem("sphere", 2)
