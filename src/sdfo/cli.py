@@ -7,10 +7,12 @@ the summary straight from its rows, plain tuples without vectors.
 ``--jobs J`` splits the seed list into ``min(J, seeds)`` contiguous
 batches, one per worker process; since a seed's trace does not depend on
 the batch it ran in, and every seed writes only its own file, the outputs
-do not depend on ``J``.  Within a batch, the seeds whose estimates pass
-one ``CHUNK_DRAWS`` chunk draw concurrently, one thread per usable CPU
-(the estimate engine, ``oracle._means``); each reads only its own stream,
-so the outputs do not depend on the thread count either.
+do not depend on ``J``.  Within a batch, when two or more seeds' estimates
+pass one ``CHUNK_DRAWS`` chunk, the estimate engine (``oracle._means``)
+draws the seeds on ``min(seeds, usable CPUs)`` threads, the calling one
+and others that each call starts and joins, so no thread is alive when a
+worker forks; each seed reads only its own stream, so the outputs do not
+depend on the thread count either.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .stats import inverse_normal_cdf, sum_of_squares
+from .stats import check_integer, inverse_normal_cdf, sum_of_squares
 
 _DEGENERATE_NORM = 1e-8
 
@@ -125,8 +125,9 @@ class FixedCycle:
             arr = np.asarray(v, dtype=float)
             if arr.ndim != 1:
                 raise ValueError("cycle entries must be vectors")
-            if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
-                raise ValueError(f"cycle entry {arr} is not a unit vector")
+            # Not "> 1e-12": a NaN or infinite entry fails this test.
+            if not abs(np.linalg.norm(arr) - 1.0) <= 1e-12:
+                raise ValueError(f"cycle entry {arr} is not a finite unit vector")
             vecs.append(arr.copy())
         if not vecs:
             raise ValueError("cycle must contain at least one vector")
@@ -147,11 +148,8 @@ class DirectionGenerator:
     """
 
     def __init__(self, dimension: int, scheme, cursor: int = 0) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if cursor < 0:
-            raise ValueError("cursor must be nonnegative")
-        self.dimension = dimension
+        self.dimension = dimension = check_integer("dimension", dimension)
+        cursor = check_integer("cursor", cursor, 0)
         self.scheme = scheme
         self.cursor = 0
         if isinstance(scheme, QuasiRandomSphere):

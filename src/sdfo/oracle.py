@@ -6,6 +6,11 @@ mean of i.i.d. draws made by one engine, ``_means``.  ``sample_means``
 is its one checked front, for one oracle (``estimate_pair`` and the
 audits' estimate sets go through it); the run loop calls the engine
 directly, with one oracle per seed.
+The engine stacks a batch whose seeds share one count into chunk-sized
+reductions when one seed's estimates fit a chunk, and draws any other
+batch seed by seed; when two or more seeds pass a chunk, threads that the
+call starts and joins draw beside the calling thread.  No thread outlives
+an estimate call, so a forked process inherits none.
 The engine reads noise through one reader, ``_read``: a batch's oracles
 at one position read one slice of an ``(S, READ_AHEAD)`` block of their
 streams read ahead, so an oracle keeps fewer than ``READ_AHEAD`` values
@@ -24,12 +29,14 @@ import math
 import numbers
 import operator
 import os
+import queue
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .problems import TestProblem
+from .stats import check_integer
 
 NOISE_KINDS = ("none", "gaussian", "student_t", "pareto_symmetric")
 
@@ -272,14 +279,6 @@ class StochasticOracle:
         )
 
 
-def _check_count(name: str, value) -> int:
-    if type(value) is int and value > 0:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """True values ``(k,)`` and ``(repeats, k)`` means of ``n`` samples at ``k`` points.
 
@@ -292,8 +291,8 @@ def sample_means(oracle: StochasticOracle, points, n: int, repeats: int = 1) -> 
     ``n`` or ``repeats`` raises ``ValueError`` before the stream or
     ``draws`` moves.
     """
-    n = _check_count("n", n)
-    repeats = _check_count("repeats", repeats)
+    n = check_integer("n", n)
+    repeats = check_integer("repeats", repeats)
     stack = np.asarray(points, dtype=float)
     if stack.ndim != 2 or stack.shape[1] != oracle.problem.dimension:
         raise ValueError(f"points have shape {stack.shape}, expected (k, {oracle.problem.dimension})")
@@ -311,15 +310,18 @@ def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
     (``stencil_models``), one row per seed.  Nothing is checked: the
     oracles are distinct and share one noise model, and the counts are
     ``int`` >= 1.  Noiseless oracles, and any batch with no points, keep
-    their truths.  Seeds whose ``m * n`` draws fit one ``CHUNK_DRAWS``
-    chunk are stacked by count, as many to a chunk as fit, and each stack
-    reads its seeds' streams as one ``(rows, m * n)`` block (``_read``)
-    into one reduction.  A larger seed is drawn chunk by chunk of whole
-    estimates; two or more of them run one task per seed on a pool of one
-    thread per usable CPU, longest count first, while this thread draws
-    the stacks.  A seed reads only its own stream, so no value depends on
-    the scheduling or on the reader's blocks, and each estimate is
-    ``np.add.reduce`` over its own contiguous draws.
+    their truths.  There are two paths.  When every seed has the same
+    count ``n`` and one seed's ``m * n`` draws fit a ``CHUNK_DRAWS`` chunk,
+    the seeds are stacked, as many to a chunk as fit, and each stack reads
+    its seeds' streams as one ``(rows, m * n)`` block (``_read``) into one
+    reduction.  Every other batch goes seed by seed through ``_seed_means``,
+    longest count first, from one queue.  When two or more seeds pass a
+    chunk, ``min(S, usable CPUs)`` threads take seeds from it: this one and
+    the others that ``_draw_threads`` starts for this call and joins before
+    it returns.  Otherwise this thread takes them all.  A seed reads only
+    its own stream, so no value depends on the path, the threads or the
+    reader's blocks, and each estimate is ``np.add.reduce`` over its own
+    contiguous draws.
     """
     m = truth.shape[1]
     for oracle, n in zip(oracles, counts):
@@ -327,32 +329,33 @@ def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
     if not m or oracles[0].noise.kind == "none":
         return truth.copy()
     n = counts[0]
-    if counts.count(n) == len(counts) <= CHUNK_DRAWS // (m * n):
+    per_chunk = CHUNK_DRAWS // (m * n)
+    equal = counts.count(n) == len(counts)
+    if equal and len(counts) <= per_chunk:
         return _chunk_means(oracles, truth, n)  # one stack of every seed
-    stacked: dict[int, list[int]] = {}
-    large: list[tuple[int, int]] = []
-    for s, n in enumerate(counts):
-        if m * n > CHUNK_DRAWS:
-            large.append((s, n))
-        else:
-            stacked.setdefault(n, []).append(s)
-    means = truth.copy()
-    pending = []
-    if len(large) > 1 and _usable_cpus() > 1:
-        pool = _draw_pool()
-        for s, n in sorted(large, key=lambda seed: -seed[1]):
-            pending.append(pool.submit(_seed_means, oracles[s], truth[s], n, means[s]))
-    else:
-        for s, n in large:
-            _seed_means(oracles[s], truth[s], n, means[s])
-    for n, seeds in stacked.items():
-        per_chunk = CHUNK_DRAWS // (m * n)
-        for i in range(0, len(seeds), per_chunk):
-            block = seeds[i : i + per_chunk]
-            rows = slice(block[0], block[-1] + 1) if block[-1] - block[0] == len(block) - 1 else block
-            means[rows] = _chunk_means([oracles[s] for s in block], truth[rows], n)
-    for future in pending:
-        future.result()
+    means = np.empty_like(truth)
+    if equal and per_chunk:
+        for i in range(0, len(counts), per_chunk):
+            means[i : i + per_chunk] = _chunk_means(oracles[i : i + per_chunk], truth[i : i + per_chunk], n)
+        return means
+
+    threads = min(len(counts), _usable_cpus()) if sum(m * n > CHUNK_DRAWS for n in counts) > 1 else 1
+    todo = queue.SimpleQueue()
+    for s in sorted(range(len(counts)), key=counts.__getitem__, reverse=True) + [None] * threads:
+        todo.put(s)
+
+    def drain() -> None:
+        for s in iter(todo.get, None):
+            _seed_means(oracles[s], truth[s], counts[s], means[s])
+
+    if threads == 1:
+        drain()
+        return means
+    with _draw_threads(threads - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
     return means
 
 
@@ -419,28 +422,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The threads that draw ``_means``' past-a-chunk seeds, started on first
-# use.  A forked child (a ``sdfo run --jobs J`` worker) inherits the pool
-# object but none of its threads, so it drops the pool and starts its own.
-_pool = None
+def _draw_threads(count: int):
+    """A pool of ``count`` threads that draw one ``_means`` call's seeds
+    beside the calling thread; the caller's ``with`` block joins them."""
+    from concurrent.futures.thread import ThreadPoolExecutor
 
-
-def _draw_pool():
-    global _pool
-    if _pool is None:
-        from concurrent.futures.thread import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="sdfo-draws")
-    return _pool
-
-
-def _drop_pool() -> None:
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+    return ThreadPoolExecutor(count, thread_name_prefix="sdfo-draws")
 
 
 def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:
@@ -558,7 +545,7 @@ SAMPLER_FIELDS = {"auto": (), "fixed": ("n",), "variance": ("k_f",), "moment": (
 
 
 def fixed_sample_policy(n: int) -> SamplePolicy:
-    n = _check_count("n", n)
+    n = check_integer("n", n)
     return lambda delta: n
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stats import sum_of_squares
+from .stats import check_integer, sum_of_squares
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class TestProblem:
     stationary_points: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", check_integer("dimension", self.dimension))
         object.__setattr__(self, "_row_wise", any(self.eval_true is row[0] for row in PROBLEMS.values()))
 
     def check_point(self, x) -> np.ndarray:
@@ -116,6 +115,7 @@ def get_problem(name: str, dimension: int) -> TestProblem:
     except KeyError:
         known = ", ".join(list_problems())
         raise ValueError(f"unknown problem {name!r}; registry contains: {known}") from None
+    dimension = check_integer("dimension", dimension)
     problem = TestProblem(
         dimension=dimension,
         eval_true=objective,

@@ -1,4 +1,5 @@
-"""Small statistical helpers: a sum of squares, the normal quantile, a Wilson bound.
+"""Small helpers: a sum of squares, the normal quantile, a Wilson bound,
+and the integer check that every count, size and seed argument goes through.
 
 Every sum of squares that reaches a trace, a summary or an audit report
 goes through ``sum_of_squares``, numpy's own pairwise sum, so those sums
@@ -8,6 +9,7 @@ do not depend on the BLAS kernel or the SIMD target the CPU gets.
 from __future__ import annotations
 
 import math
+import numbers
 from statistics import NormalDist
 
 import numpy as np
@@ -16,6 +18,16 @@ import numpy as np
 # Appl. Statist. 1988, as the standard library computes it); raises
 # ``StatisticsError``, a ``ValueError``, outside (0, 1).
 inverse_normal_cdf = NormalDist().inv_cdf
+
+
+def check_integer(name: str, value, least: int = 1) -> int:
+    """``value`` as a Python ``int``; a ``ValueError`` naming ``name`` unless
+    it is an integer (a numpy one is, a bool or a float is not) >= ``least``."""
+    if type(value) is int and value >= least:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def sum_of_squares(x: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ reference figures in ``benchmarks/reference.py``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping
@@ -51,7 +50,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .oracle import NoiseModel, SamplePolicy, StochasticOracle, sample_means
-from .stats import wilson_upper
+from .stats import check_integer, wilson_upper
 from .trace import format_float, metadata_lines, rows_writer
 
 # Estimator: (oracle, x_current, x_trial, delta, trials) -> ((trials, 2) estimates, samples per estimate)
@@ -104,15 +103,13 @@ class TailAuditSpec:
             )
         if self.alpha_grid is not None and not all(map(math.isfinite, self.alpha_grid)):
             raise ValueError(f"alpha_grid entries must be finite, got {self.alpha_grid}")
-        if self.trials < 1000:
-            raise ValueError("trials must be at least 1000")
+        object.__setattr__(self, "trials", check_integer("trials", self.trials, 1000))
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly in (0, 1)")
         if not 2.0 <= self.h < math.inf:
             raise ValueError(f"h must be finite and >= 2, got {self.h}")
         # A float or bool seed would key the estimate sets as int(seed).
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)

@@ -31,16 +31,15 @@ accepted.  ``f(x0)`` must be finite.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .directions import DirectionGenerator
-from .oracle import NoiseModel, SamplePolicy, StochasticOracle, _check_count, _means, sample_policy
+from .oracle import NoiseModel, SamplePolicy, StochasticOracle, _means, sample_policy
 from .problems import TestProblem
-from .stats import sum_of_squares
+from .stats import check_integer, sum_of_squares
 from .subproblem import solve_spectrum
 from .trace import IterationRecord
 
@@ -135,10 +134,7 @@ def check_step_config(cfg) -> None:
         raise ValueError(f"tau must lie in (0, 1), got {cfg.tau}")
     if not 1.0 <= cfg.tau_bar <= 1.0 + cfg.tau:
         raise ValueError(f"tau_bar must lie in [1, 1 + tau], got {cfg.tau_bar}")
-    if isinstance(cfg.max_iters, bool) or not isinstance(cfg.max_iters, numbers.Integral):
-        raise ValueError(f"max_iters must be an integer, got {cfg.max_iters!r}")
-    if cfg.max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    object.__setattr__(cfg, "max_iters", check_integer("max_iters", cfg.max_iters, 0))
     if not isinstance(cfg.hessian_policy, (ZeroHessian, RegressionClipped)):
         raise ValueError(f"unknown hessian policy: {cfg.hessian_policy!r}")
     try:
@@ -163,7 +159,6 @@ def check_step_config(cfg) -> None:
     for name in ("delta0", "delta_max", "theta"):
         if type(getattr(cfg, name)) is not float:
             object.__setattr__(cfg, name, float(getattr(cfg, name)))
-    object.__setattr__(cfg, "max_iters", int(cfg.max_iters))
 
 
 def curvature_floor(cfg) -> float:
@@ -210,7 +205,7 @@ def _sample_counts(sampler, scales) -> list[int]:
     scale when a count is not an integer >= 1 (a bool or a float is not)."""
     counts = list(map(sampler, scales))
     if set(map(type, counts)) != {int} or min(counts) < 1:
-        counts = [_check_count(f"sample count at scale {s!r}", n) for n, s in zip(counts, scales)]
+        counts = [check_integer(f"sample count at scale {s!r}", n) for n, s in zip(counts, scales)]
     return counts
 
 

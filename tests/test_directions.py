@@ -89,6 +89,31 @@ class TestDirectionGenerator:
         with pytest.raises(ValueError):
             FixedCycle([(1.0, 1.0)])
 
+    # A NaN entry used to pass the unit-norm check, and a run with it wrote
+    # NaN steps and estimates on every row.
+    @pytest.mark.parametrize(
+        "vector", [(np.nan, 0.0), (np.inf, 0.0), (1.0, -np.inf), (np.nan, np.inf)], ids=["nan", "inf", "-inf", "nan-inf"]
+    )
+    def test_fixed_cycle_rejects_non_finite(self, vector):
+        with pytest.raises(ValueError, match="is not a finite unit vector"):
+            FixedCycle([(1.0, 0.0), vector])
+
+    @pytest.mark.parametrize(
+        "dimension,cursor,name",
+        [(2.0, 0, "dimension"), (True, 0, "dimension"), (0, 0, "dimension"), ("2", 0, "dimension")]
+        + [(2, 1.5, "cursor"), (2, True, "cursor"), (2, -1, "cursor"), (2, 2.0, "cursor")],
+    )
+    def test_generator_inputs_must_be_integers(self, dimension, cursor, name):
+        least = 0 if name == "cursor" else 1
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got "):
+            DirectionGenerator(dimension, QuasiRandomSphere(), cursor=cursor)
+
+    def test_numpy_integer_generator_inputs(self):
+        gen = DirectionGenerator(np.int64(3), QuasiRandomSphere(), cursor=np.int32(4))
+        assert type(gen.dimension) is int and gen.cursor == 4
+        replay = DirectionGenerator(3, QuasiRandomSphere(), cursor=4)
+        assert np.array_equal(gen.next_direction(), replay.next_direction())
+
     @pytest.mark.parametrize(
         "scheme",
         [QuasiRandomSphere(), UniformRandomSphere(seed=4)],

@@ -80,12 +80,21 @@ def test_table_rows_build_problems():
 
 @pytest.mark.parametrize(("name", "dimension", "message"), [
     ("rosenbrock", 1, "rosenbrock requires dimension >= 2"),
-    ("sphere", 0, "dimension must be >= 1, got 0"),
-    ("rosenbrock", 0, "dimension must be >= 1, got 0"),
+    ("sphere", 0, "dimension must be an integer >= 1, got 0"),
+    ("rosenbrock", 0, "dimension must be an integer >= 1, got 0"),
+    # True used to give a problem of dimension True, and 2.0 a TypeError.
+    ("sphere", True, "dimension must be an integer >= 1, got True"),
+    ("sphere", 2.0, "dimension must be an integer >= 1, got 2.0"),
+    ("sphere", "2", "dimension must be an integer >= 1, got '2'"),
 ])
 def test_dimension_messages(name, dimension, message):
     with pytest.raises(ValueError, match=message):
         get_problem(name, dimension)
+
+
+def test_numpy_integer_dimension_is_an_int():
+    problem = get_problem("rosenbrock", np.int64(3))
+    assert type(problem.dimension) is int and problem == get_problem("rosenbrock", 3)
 
 
 # The registry objectives as one-point functions of Python floats: the

@@ -58,6 +58,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(trials=999)
 
+    # 1000.0 and 1e9 used to pass here and fail in sample_means with a
+    # message that named its ``repeats``.
+    @pytest.mark.parametrize("trials", [1000.0, 1e9, True, "1000"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1000, got {re.escape(repr(trials))}$"):
+            small_spec(trials=trials)
+
+    def test_numpy_integer_trials_are_the_same_trials(self):
+        spec = small_spec(trials=np.int64(1000))
+        assert type(spec.trials) is int and spec == small_spec(trials=1000)
+
     # 1.5 and True used to audit as seed 1; -1 failed in numpy with a
     # message that named no field.
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
