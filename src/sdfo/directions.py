@@ -7,20 +7,16 @@ at function estimates, so the measurability requirement of the optimizers
 holds by construction.
 
 For the same reason the k-th quasi-random direction is a function of the
-dimension and the Halton index alone, so one module-level table memoizes
-it for every generator and every run in the process.  Memoizing is exact:
-each row is computed by the same scalar code as an uncached direction, and
-callers get a copy.  The table holds at most ``TABLE_ROWS`` rows (about
-10 MB at d = 50, 5 MB at d = 2); once full, further directions are
-computed without being stored.  Rows are read-only and inserts take a
-lock, so concurrent threads keep the table within its bound and read the
-same sequences; forked workers inherit the rows their parent has built.
+dimension and the Halton index alone.  Each generator computes its own,
+``BLOCK_INDICES`` Halton indices at a time and bit for bit as the scalar
+``halton_direction`` does, keeps only its current block and hands out
+copies; generators share no state.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-import threading
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -30,14 +26,9 @@ from .stats import check_integer, inverse_normal_cdf, sum_of_squares
 
 _DEGENERATE_NORM = 1e-8
 
-# Bound on the rows of the direction table.
-TABLE_ROWS = 2**14
-
-# (dimension, Halton index) -> read-only unit direction, or None where the
-# Halton point maps too near the origin and the sequence skips it.
-_table: dict[tuple[int, int], np.ndarray | None] = {}
-_table_lock = threading.Lock()
-_MISSING = object()
+# Halton indices per block of quasi-random directions: the 150 directions
+# of a 150-iteration run at d = 20 take three blocks, 42 rows past them.
+BLOCK_INDICES = 64
 
 
 def first_primes(count: int) -> tuple[int, ...]:
@@ -87,21 +78,24 @@ def halton_direction(index: int, bases) -> np.ndarray | None:
     return z / norm if norm >= _DEGENERATE_NORM else None
 
 
-def _quasi_random_row(index: int, bases: tuple[int, ...]) -> np.ndarray | None:
-    """``halton_direction(index, bases)`` through the shared table, read-only.
-
-    ``bases`` are the first d primes, so ``(d, index)`` is the row's key.
-    """
-    key = (len(bases), index)
-    row = _table.get(key, _MISSING)
-    if row is _MISSING:
-        row = halton_direction(index, bases)
-        if row is not None:
-            row.flags.writeable = False
-        with _table_lock:
-            if len(_table) < TABLE_ROWS:
-                row = _table.setdefault(key, row)
-    return row
+def _halton_directions(start: int, bases: tuple[int, ...]) -> np.ndarray:
+    """The rows ``halton_direction(i, bases)`` for the ``BLOCK_INDICES``
+    indices ``i`` from ``start`` on, skipping those that are None."""
+    index = np.arange(start, start + BLOCK_INDICES)[:, np.newaxis]
+    divisors = np.array(bases)
+    u = np.zeros((BLOCK_INDICES, len(bases)))
+    factor = 1.0 / divisors
+    # radical_inverse's digit loop, all bases at once, as long as base 2
+    # has digits left; a point whose digits have run out adds 0.0, which
+    # leaves it as it is.
+    for _ in range((start + BLOCK_INDICES - 1).bit_length()):
+        index, digit = np.divmod(index, divisors)
+        u += digit * factor
+        factor /= divisors
+    z = np.fromiter(map(inverse_normal_cdf, u.ravel().tolist()), float, u.size).reshape(u.shape)
+    norm = np.sqrt(sum_of_squares(z))
+    keep = norm >= _DEGENERATE_NORM
+    return z[keep] / norm[keep, np.newaxis]
 
 
 @dataclass(frozen=True)
@@ -114,6 +108,9 @@ class UniformRandomSphere:
     """Seeded i.i.d. uniform directions; the k-th draw depends only on (seed, k)."""
 
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
 
 
 class FixedCycle:
@@ -154,8 +151,9 @@ class DirectionGenerator:
         self.cursor = 0
         if isinstance(scheme, QuasiRandomSphere):
             self._bases = first_primes(dimension)
-            # Index 0 maps to the origin; the sequence starts at 1.
-            self._halton_index = 0
+            # The current block, its next row to emit and the Halton index
+            # the next block starts at; index 0 maps to the origin.
+            self._block, self._row, self._halton_index = np.empty((0, dimension)), 0, 1
         elif isinstance(scheme, FixedCycle):
             for v in scheme.vectors:
                 if v.shape != (dimension,):
@@ -166,11 +164,8 @@ class DirectionGenerator:
             self.next_direction()
 
     def clone(self) -> "DirectionGenerator":
-        fresh = DirectionGenerator(self.dimension, self.scheme)
-        fresh.cursor = self.cursor
-        if isinstance(self.scheme, QuasiRandomSphere):
-            fresh._halton_index = self._halton_index
-        return fresh
+        # Blocks are never written to, so the twins can share one.
+        return copy.copy(self)
 
     def next_direction(self) -> np.ndarray:
         if isinstance(self.scheme, FixedCycle):
@@ -193,8 +188,8 @@ class DirectionGenerator:
                 return z / norm
 
     def _quasi_random_direction(self) -> np.ndarray:
-        while True:
-            self._halton_index += 1
-            row = _quasi_random_row(self._halton_index, self._bases)
-            if row is not None:
-                return row.copy()
+        while self._row == len(self._block):
+            self._block = _halton_directions(self._halton_index, self._bases)
+            self._row, self._halton_index = 0, self._halton_index + BLOCK_INDICES
+        self._row += 1
+        return self._block[self._row - 1].copy()

@@ -252,8 +252,8 @@ class StochasticOracle:
     ) -> None:
         self.problem = problem
         self.noise = noise
-        self._entropy = int(seed)
-        self._spawn_key = tuple(int(k) for k in _spawn_key)
+        self._entropy = check_integer("seed", seed, 0)
+        self._spawn_key = tuple(check_integer("spawn key", k, 0) for k in _spawn_key)
         self._rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self._entropy, spawn_key=self._spawn_key)
         )

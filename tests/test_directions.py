@@ -140,6 +140,21 @@ class TestDirectionGenerator:
         for _ in range(20):
             assert np.array_equal(gen.next_direction(), twin.next_direction())
 
+    # A float seed used to be accepted, and the first direction then raised
+    # a TypeError from SeedSequence.
+    @pytest.mark.parametrize("seed", [1.5, True, "1", -1], ids=["float", "bool", "str", "negative"])
+    def test_uniform_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            UniformRandomSphere(seed=seed)
+
+    def test_numpy_integer_uniform_seed(self):
+        scheme = UniformRandomSphere(seed=np.int64(1))
+        assert type(scheme.seed) is int and scheme == UniformRandomSphere(seed=1)
+        assert np.array_equal(
+            DirectionGenerator(3, scheme).next_direction(),
+            DirectionGenerator(3, UniformRandomSphere(seed=1)).next_direction(),
+        )
+
     def test_uniform_scheme_reproducible_from_seed_and_cursor(self):
         a = DirectionGenerator(3, UniformRandomSphere(seed=11))
         drawn = [a.next_direction() for _ in range(6)]
@@ -176,7 +191,7 @@ class TestDensity:
 
 
 def uncached_sequence(dim, count):
-    """The first ``count`` quasi-random directions, computed without the table."""
+    """The first ``count`` quasi-random directions, by the scalar reference."""
     bases = first_primes(dim)
     out, index = [], 0
     while len(out) < count:
@@ -187,70 +202,60 @@ def uncached_sequence(dim, count):
     return np.array(out)
 
 
-@pytest.fixture
-def small_table(monkeypatch):
-    """An empty direction table bounded at 40 rows for the test's duration."""
-    table = {}
-    monkeypatch.setattr(directions, "_table", table)
-    monkeypatch.setattr(directions, "TABLE_ROWS", 40)
-    return table
+class TestDirectionBlocks:
+    # 200 directions reach into a fourth block at every dimension here.
+    COUNT = 3 * directions.BLOCK_INDICES + 8
 
-
-class TestDirectionTable:
     @pytest.mark.parametrize("dim", [1, 2, 3, 20, 31])
-    def test_rows_equal_uncached_before_and_past_the_bound(self, small_table, dim):
+    def test_directions_equal_uncached_across_blocks(self, dim):
         gen = DirectionGenerator(dim, QuasiRandomSphere())
-        drawn = np.array([gen.next_direction() for _ in range(100)])
-        assert np.array_equal(drawn, uncached_sequence(dim, 100))
-        # 100 draws reach past the 40 stored rows.
-        assert len(small_table) == 40
-        for (d, index), row in small_table.items():
-            expected = halton_direction(index, first_primes(d))
-            assert (row is None and expected is None) or np.array_equal(row, expected)
-        # A second generator reads the stored rows and computes the rest.
-        again = DirectionGenerator(dim, QuasiRandomSphere())
-        assert np.array_equal([again.next_direction() for _ in range(100)], drawn)
+        drawn = np.array([gen.next_direction() for _ in range(self.COUNT)])
+        assert drawn.tobytes() == uncached_sequence(dim, self.COUNT).tobytes()
 
-    def test_one_dimensional_origin_is_stored_as_skipped(self, small_table):
-        DirectionGenerator(1, QuasiRandomSphere()).next_direction()
+    def test_one_dimensional_origin_is_skipped(self):
         # Halton index 1 is the point 0.5, whose quantile is the origin.
-        assert small_table[(1, 1)] is None
-        assert np.array_equal(small_table[(1, 2)], [-1.0])
+        assert halton_direction(1, (2,)) is None
+        assert np.array_equal(DirectionGenerator(1, QuasiRandomSphere()).next_direction(), [-1.0])
 
-    def test_mutating_a_direction_leaves_the_table_alone(self, small_table):
+    def test_mutating_a_direction_leaves_later_ones_and_clones_alone(self):
         gen = DirectionGenerator(3, QuasiRandomSphere())
+        expected = uncached_sequence(3, 4)
         first = gen.next_direction()
-        expected = first.copy()
+        # Taken mid-block, the twin reads the generator's block.
+        twin = gen.clone()
         first[:] = 7.0
-        assert np.array_equal(DirectionGenerator(3, QuasiRandomSphere()).next_direction(), expected)
-        with pytest.raises(ValueError):
-            small_table[(3, 1)][0] = 7.0
+        for row in expected[1:]:
+            drawn = gen.next_direction()
+            assert np.array_equal(drawn, row)
+            drawn[:] = 7.0
+        assert np.array_equal([twin.next_direction() for _ in range(3)], expected[1:])
 
-    def test_table_never_exceeds_its_bound(self, small_table):
-        for dim in (2, 3, 5):
-            gen = DirectionGenerator(dim, QuasiRandomSphere())
-            for _ in range(30):
-                gen.next_direction()
-                assert len(small_table) <= directions.TABLE_ROWS
-        assert len(small_table) == directions.TABLE_ROWS
+    @pytest.mark.parametrize("k", [0, 1, directions.BLOCK_INDICES // 2, directions.BLOCK_INDICES, 100])
+    def test_clone_and_cursor_mid_block_continue_a_fresh_generator(self, k):
+        fresh = DirectionGenerator(5, QuasiRandomSphere())
+        for _ in range(k):
+            fresh.next_direction()
+        continuation = [fresh.next_direction() for _ in range(self.COUNT)]
+        gen = DirectionGenerator(5, QuasiRandomSphere(), cursor=k)
+        twin = gen.clone()
+        for generator in (gen, twin):
+            assert generator.cursor == k
+            assert np.array_equal([generator.next_direction() for _ in range(self.COUNT)], continuation)
 
-    def test_threads_draw_identical_sequences(self, monkeypatch):
-        monkeypatch.setattr(directions, "_table", {})
+    def test_threads_draw_identical_sequences(self):
         count, results = 300, [None, None]
         start = threading.Barrier(2)
 
         def draw(slot):
             gen = DirectionGenerator(4, QuasiRandomSphere())
-            start.wait()
+            start.wait(timeout=60)
             results[slot] = np.array([gen.next_direction() for _ in range(count)])
 
         threads = [threading.Thread(target=draw, args=(slot,)) for slot in (0, 1)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], uncached_sequence(4, count))
-
-    def test_shared_table_respects_its_bound(self):
-        assert len(directions._table) <= directions.TABLE_ROWS

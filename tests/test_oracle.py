@@ -833,6 +833,23 @@ class TestSpawn:
         assert va1 == sample_means(b1, (x,), 10)[1][0, 0]
         assert va1 != sample_means(a2, (x,), 10)[1][0, 0]
 
+    # A float or bool seed used to be truncated by int() and ran seed 1's stream.
+    @pytest.mark.parametrize("seed", [1.5, True, "1", -1], ids=["float", "bool", "str", "negative"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            make_oracle(NoiseModel.gaussian(1.0), seed=seed)
+
+    @pytest.mark.parametrize("key", [1.5, True, "1", -1], ids=["float", "bool", "str", "negative"])
+    def test_spawn_key_must_be_an_integer(self, key):
+        with pytest.raises(ValueError, match=r"^spawn key must be an integer >= 0, got "):
+            make_oracle(NoiseModel.gaussian(1.0), seed=3).spawn(key)
+
+    def test_numpy_integer_seed_and_key_run_their_streams(self):
+        a = make_oracle(NoiseModel.gaussian(1.0), seed=np.int64(1))
+        assert a._rng.random() == make_oracle(NoiseModel.gaussian(1.0), seed=1)._rng.random()
+        b = make_oracle(NoiseModel.gaussian(1.0), seed=3).spawn(np.int32(2))
+        assert b._rng.random() == make_oracle(NoiseModel.gaussian(1.0), seed=3).spawn(2)._rng.random()
+
 
 DELTAS = (2.0, 1.0, 0.5, 0.1, 0.01)
 
