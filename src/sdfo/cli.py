@@ -2,17 +2,19 @@
 
 Runs are deterministic given the config file, so repeated invocations
 produce byte-identical outputs.  ``run`` moves its seeds through
-``trust_region.run_steps`` in lockstep, and writes each seed's trace and
-the summary straight from its rows, plain tuples without vectors.
+``trust_region.run_steps``, in lockstep until they go apart, and writes
+each seed's trace and the summary straight from its rows, plain tuples
+without vectors.
 ``--jobs J`` splits the seed list into ``min(J, seeds)`` contiguous
 batches, one per worker process; since a seed's trace does not depend on
 the batch it ran in, and every seed writes only its own file, the outputs
-do not depend on ``J``.  Within a batch, when two or more seeds' estimates
-pass one ``CHUNK_DRAWS`` chunk, the estimate engine (``oracle._means``)
-draws the seeds on ``min(seeds, usable CPUs)`` threads, the calling one
-and others that each call starts and joins, so no thread is alive when a
-worker forks; each seed reads only its own stream, so the outputs do not
-depend on the thread count either.
+do not depend on ``J``.  Within a batch, once two or more seeds' estimates
+pass one ``CHUNK_DRAWS`` chunk in an iteration, the batch goes apart and
+its seeds run on ``min(seeds, usable CPUs)`` threads, the calling one and
+others that ``run_steps`` starts and joins, so no thread is alive when a
+worker forks, and draw memory stays O(``CHUNK_DRAWS`` x threads); each
+seed reads only its own stream, so the outputs do not depend on the
+thread count either.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _print_theta_warnings(cfg: ExperimentConfig) -> None:
 
 
 def _run_batch(cfg: ExperimentConfig, out_dir: Path, seeds: list[int]) -> list[dict]:
-    """Run a batch of seeds in lockstep; executed in-process or in a worker process."""
+    """Run a batch of seeds (``run_steps``); executed in-process or in a worker process."""
     problem = get_problem(cfg.problem, cfg.dimension)
     gen = DirectionGenerator(cfg.dimension, QuasiRandomSphere())
     sampler = cfg.sampler.build(cfg.noise, default_k_f(cfg.algo))
@@ -96,7 +98,7 @@ def run_experiment(
 ) -> list[Path]:
     """Run the configured seed batch; returns the paths written.
 
-    ``jobs`` workers each run one contiguous slice of the seeds in lockstep.
+    ``jobs`` workers each run one contiguous slice of the seeds as one batch.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

@@ -8,9 +8,10 @@ audits' estimate sets go through it); the run loop calls the engine
 directly, with one oracle per seed.
 The engine stacks a batch whose seeds share one count into chunk-sized
 reductions when one seed's estimates fit a chunk, and draws any other
-batch seed by seed; when two or more seeds pass a chunk, threads that the
-call starts and joins draw beside the calling thread.  No thread outlives
-an estimate call, so a forked process inherits none.
+batch seed by seed, in the calling thread: it starts no thread.  Seeds
+draw concurrently only in the run loop, once a batch has gone apart
+(``trust_region.run_steps``); each drawing thread holds O(``CHUNK_DRAWS``)
+values, and a thread reads only its own seed's oracle.
 The engine reads noise through one reader, ``_read``: a batch's oracles
 at one position read one slice of an ``(S, READ_AHEAD)`` block of their
 streams read ahead, so an oracle keeps fewer than ``READ_AHEAD`` values
@@ -29,7 +30,6 @@ import math
 import numbers
 import operator
 import os
-import queue
 from dataclasses import dataclass
 from typing import Callable
 
@@ -315,13 +315,10 @@ def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
     the seeds are stacked, as many to a chunk as fit, and each stack reads
     its seeds' streams as one ``(rows, m * n)`` block (``_read``) into one
     reduction.  Every other batch goes seed by seed through ``_seed_means``,
-    longest count first, from one queue.  When two or more seeds pass a
-    chunk, ``min(S, usable CPUs)`` threads take seeds from it: this one and
-    the others that ``_draw_threads`` starts for this call and joins before
-    it returns.  Otherwise this thread takes them all.  A seed reads only
-    its own stream, so no value depends on the path, the threads or the
-    reader's blocks, and each estimate is ``np.add.reduce`` over its own
-    contiguous draws.
+    in seed order.  Either way the calling thread draws everything, in
+    O(``CHUNK_DRAWS``) memory.  A seed reads only its own stream, so no
+    value depends on the path or the reader's blocks, and each estimate is
+    ``np.add.reduce`` over its own contiguous draws.
     """
     m = truth.shape[1]
     for oracle, n in zip(oracles, counts):
@@ -339,23 +336,8 @@ def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
             means[i : i + per_chunk] = _chunk_means(oracles[i : i + per_chunk], truth[i : i + per_chunk], n)
         return means
 
-    threads = min(len(counts), _usable_cpus()) if sum(m * n > CHUNK_DRAWS for n in counts) > 1 else 1
-    todo = queue.SimpleQueue()
-    for s in sorted(range(len(counts)), key=counts.__getitem__, reverse=True) + [None] * threads:
-        todo.put(s)
-
-    def drain() -> None:
-        for s in iter(todo.get, None):
-            _seed_means(oracles[s], truth[s], counts[s], means[s])
-
-    if threads == 1:
-        drain()
-        return means
-    with _draw_threads(threads - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(threads - 1)]
-        drain()
-        for helper in helpers:
-            helper.result()
+    for oracle, row, n, out in zip(oracles, truth, counts, means):
+        _seed_means(oracle, row, n, out)
     return means
 
 
@@ -416,18 +398,11 @@ def _read(oracles: list, count: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
+    """CPUs this process may run on: the cap on the run loop's drawing threads."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _draw_threads(count: int):
-    """A pool of ``count`` threads that draw one ``_means`` call's seeds
-    beside the calling thread; the caller's ``with`` block joins them."""
-    from concurrent.futures.thread import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(count, thread_name_prefix="sdfo-draws")
 
 
 def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:

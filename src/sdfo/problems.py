@@ -26,9 +26,13 @@ from .stats import check_integer, sum_of_squares
 class TestProblem:
     """A deterministic objective used as the ground truth behind a noisy oracle.
 
-    ``eval_true`` must be deterministic.  ``optimum_value`` and
-    ``stationary_points`` are populated for benchmark problems where they
-    are known; diagnostics that need them raise otherwise.
+    ``eval_true`` must be deterministic, and safe to call from several
+    threads at once: once a run batch goes apart (``trust_region.run_steps``)
+    its seeds evaluate f on up to one thread per usable CPU.  The
+    ``PROBLEMS`` objectives are numpy code that keeps no state.
+    ``optimum_value`` and ``stationary_points`` are populated for benchmark
+    problems where they are known; diagnostics that need them raise
+    otherwise.
     """
 
     dimension: int

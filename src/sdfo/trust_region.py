@@ -20,6 +20,13 @@ so a seed's trace does not depend on the batch it ran in; a library run
 (``tr_run``, ``ds_run``) is a batch of one.  A seed leaves the batch when
 it stops, and its final state names why (``STOP_REASONS``).
 
+A batch whose estimates grow past the estimate engine's chunk goes apart:
+once two or more seeds have drawn more than ``CHUNK_DRAWS`` values in one
+iteration, each seed runs on by itself, on a clone of the generator, and
+up to one thread per usable CPU takes one seed-iteration at a time.  This
+is the one place where seeds draw concurrently; each thread holds
+O(``CHUNK_DRAWS``) drawn values, and none outlives the ``run_steps`` call.
+
 Non-finite values act as an extreme barrier (Audet & Dennis, SIAM J.
 Optim. 2006).  When f is ``+inf`` or NaN at a trial point, the trial
 estimate is ``+inf`` or NaN, the acceptance comparison is false, so the
@@ -30,14 +37,17 @@ accepted.  ``f(x0)`` must be finite.
 
 from __future__ import annotations
 
+import heapq
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .directions import DirectionGenerator
-from .oracle import NoiseModel, SamplePolicy, StochasticOracle, _means, sample_policy
+from . import oracle
+from .oracle import CHUNK_DRAWS, NoiseModel, SamplePolicy, StochasticOracle, _means, sample_policy
 from .problems import TestProblem
 from .stats import check_integer, sum_of_squares
 from .subproblem import solve_spectrum
@@ -340,7 +350,7 @@ def run_steps(
     delta_floor: float,
     vectors: bool = True,
 ) -> list[tuple[TrustRegionState, list[tuple]]]:
-    """Run one seed per oracle stream from ``x0``, all seeds in lockstep.
+    """Run one seed per oracle stream from ``x0``, in lockstep until the batch goes apart.
 
     Returns each seed's final state and trace rows, in seed order.  A
     seed stops after ``max_iters`` iterations, when its radius falls below
@@ -353,6 +363,13 @@ def run_steps(
     the direction and the step; without, it is the plain tuple of its
     ``TRACE_COLUMNS`` values, which is cheaper to build and writes and
     summarizes the same.
+
+    After the first lockstep iteration in which two or more seeds drew more
+    than ``CHUNK_DRAWS`` values (a row's ``samples_current +
+    samples_trial``), the remaining seeds run apart (``_run_apart``) on
+    threads that this call starts and joins; ``gen`` then ends where a
+    lockstep batch would leave it.  Any error of a seed-iteration stops the
+    batch and is raised here.
     """
     if not delta_floor >= 0.0:
         raise ValueError(f"delta_floor must be nonnegative, got {delta_floor}")
@@ -384,12 +401,11 @@ def run_steps(
         if smallest < delta_floor or not cfg.theta * smallest * smallest > 0.0:
             kept = []
             for i, r in enumerate(radii):
-                if r < delta_floor:
-                    ends[live[i]] = (x[i].copy(), r, k, "delta_floor")
-                elif not cfg.theta * r * r > 0.0:
-                    ends[live[i]] = (x[i].copy(), r, k, "threshold_underflow")
-                else:
+                reason = _stop_reason(cfg, delta_floor, k, r)
+                if reason is None:
                     kept.append(i)
+                else:
+                    ends[live[i]] = (x[i].copy(), r, k, reason)
             live, x, radii = [live[i] for i in kept], x[kept], [radii[i] for i in kept]
             oracles, fx = [oracles[i] for i in kept], [fx[i] for i in kept]
             if not live:
@@ -404,10 +420,15 @@ def run_steps(
             for i, row in zip(live, new_rows):
                 rows[i].append(row)
         x, radii = new_x, new_radii
+        if sum(row[7] + row[8] > CHUNK_DRAWS for row in new_rows) > 1:
+            apart = [[k + 1, *seed] for seed in zip(live, oracles, x[:, np.newaxis], radii, fx)]
+            _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, apart, rows, ends)
+            live = []
+            break
     else:
         k = cfg.max_iters
-    for i, r in enumerate(radii):
-        ends[live[i]] = (x[i].copy(), r, k, "max_iters")
+    for i, x_i, r in zip(live, x, radii):
+        ends[i] = (x_i.copy(), r, k, "max_iters")
     runs = []
     for (x_end, delta, iterations, reason), trace in zip(ends, rows):
         # The squared radii (row[2]) summed as ``diagnostics.summarize`` sums
@@ -415,6 +436,96 @@ def run_steps(
         cum = sum([row[2] * row[2] for row in trace], 0.0)
         runs.append((TrustRegionState(x_end, delta, iterations, cum, reason), trace))
     return runs
+
+
+def _stop_reason(cfg, delta_floor: float, k: int, r: float) -> str | None:
+    """Why a seed at iteration ``k`` with radius ``r`` stops (``STOP_REASONS``), or None."""
+    if k >= cfg.max_iters:
+        return "max_iters"
+    if r < delta_floor:
+        return "delta_floor"
+    if not cfg.theta * r * r > 0.0:
+        return "threshold_underflow"
+    return None
+
+
+def _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, seeds, rows, ends) -> None:
+    """Run each seed of a batch that went apart to its stop, by itself.
+
+    ``seeds`` holds ``[k, index, oracle, x (1, d), delta, f(x)]`` per live
+    seed, all at one iteration ``k``.  A seed-iteration is a one-seed
+    ``iterate`` on the seed's own oracle and its own clone of ``gen``, so
+    no seed waits for another seed's estimates, and its row goes to
+    ``rows[index]`` as the lockstep loop would put it; a stopped seed's
+    ``(x, delta, k, reason)`` goes to ``ends[index]``.  ``min(seeds, usable
+    CPUs)`` threads, this one and helpers named ``sdfo-draws-*`` that this
+    call starts and joins, take one seed-iteration at a time, the lowest
+    iteration first, so a custom objective or sampler is called
+    concurrently.  The first error that a seed-iteration raises stops every
+    thread from taking another; it is raised once all are joined.
+    """
+    gens = [gen.clone() for _ in seeds]
+    ready = [(seed[0], j) for j, seed in enumerate(seeds)]
+    turn = threading.Condition()
+    running, errors = 0, []
+
+    def advance(j: int) -> bool:
+        """Seed ``j``'s next iteration; False once the seed has stopped."""
+        k, i, own, x, r, f = seeds[j]
+        reason = _stop_reason(cfg, delta_floor, k, r)
+        if reason is not None:
+            ends[i] = (x[0].copy(), r, k, reason)
+            return False
+        (row,), direction, (step,), new_x, (r,), (f,) = iterate(
+            propose, cfg, gens[j], [own], sampler, x, [r], [f], k
+        )
+        rows[i].append(IterationRecord(*row, x[0], direction, step) if vectors else row)
+        seeds[j] = [k + 1, i, own, new_x, r, f]
+        return True
+
+    def work() -> None:
+        nonlocal running
+        j = going = None
+        while True:
+            with turn:
+                if j is not None:  # hand back the seed-iteration just run
+                    running -= 1
+                    if going:
+                        heapq.heappush(ready, (seeds[j][0], j))
+                    turn.notify_all()
+                while not ready and running and not errors:
+                    turn.wait()
+                if errors or not ready:
+                    return
+                j = heapq.heappop(ready)[1]
+                running += 1
+            try:
+                going = advance(j)
+            except BaseException as error:
+                going = False
+                errors.append(error)
+
+    helpers = [
+        threading.Thread(target=work, name=f"sdfo-draws-{h}")
+        for h in range(1, min(len(seeds), oracle._usable_cpus()))
+    ]
+    started = []
+    try:
+        for helper in helpers:
+            helper.start()
+            started.append(helper)
+        work()
+    except BaseException as error:  # no thread to start, or an interrupt
+        with turn:
+            errors.append(error)
+            turn.notify_all()
+    for helper in started:
+        helper.join()
+    if errors:
+        raise errors[0]
+    # A lockstep batch advances the generator once per iteration of its
+    # longest run.
+    vars(gen).update(vars(max(gens, key=lambda g: g.cursor)))
 
 
 def tr_run(

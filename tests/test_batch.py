@@ -1,7 +1,10 @@
-"""Lockstep seed batches: one-seed equality bit for bit, stop reasons, non-finite values."""
+"""Seed batches, in lockstep and apart: one-seed equality bit for bit, stop reasons, non-finite values."""
 
 import math
+import re
 import struct
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +26,8 @@ from sdfo import (
     tr_run,
     write_trace_csv,
 )
+from sdfo import oracle as oracle_module
+from sdfo import trust_region
 from sdfo.direct_search import propose_ds
 from sdfo.oracle import CHUNK_DRAWS, StochasticOracle
 from sdfo.problems import TestProblem as Problem
@@ -75,15 +80,18 @@ def assert_same_run(batch_run, single_run):
         assert bits(getattr(state_b, name)) == bits(getattr(state_s, name)), name
     assert len(trace_b) == len(trace_s)
     for rec_b, rec_s in zip(trace_b, trace_s):
+        if type(rec_b) is tuple:  # a row without vectors: its TRACE_COLUMNS values
+            assert tuple(map(bits, rec_b)) == tuple(bits(getattr(rec_s, name)) for name in TRACE_COLUMNS)
+            continue
         for name in TRACE_COLUMNS + ("x", "direction", "step"):
             assert bits(getattr(rec_b, name)) == bits(getattr(rec_s, name)), (rec_b.k, name)
 
 
-def batch_and_singles(method, seeds, noise=NOISES["gaussian"], sampler=None, delta_floor=0.0, **cfg):
-    """A lockstep batch over ``seeds`` and one one-seed run per seed, with records,
-    checked to agree bit for bit."""
-    propose, run, make_cfg, problem, x0 = METHODS[method]
-    config = make_cfg(**cfg)
+def batch_and_singles(method, seeds, noise=NOISES["gaussian"], sampler=None, delta_floor=0.0, x0=None, **cfg):
+    """A batch over ``seeds`` and one one-seed run per seed, with records,
+    checked to agree bit for bit; ``x0`` defaults to the method's."""
+    propose, run, make_cfg, problem, start = METHODS[method]
+    config, x0 = make_cfg(**cfg), start if x0 is None else x0
 
     def gen():
         return DirectionGenerator(problem.dimension, QuasiRandomSphere())
@@ -366,3 +374,164 @@ def test_empty_seed_batch_rejected(seeds):
             propose, make_cfg(max_iters=1), problem, NoiseModel.none(),
             DirectionGenerator(2, QuasiRandomSphere()), x0, seeds, None, 0.0,
         )
+
+
+# --- batches that go apart -------------------------------------------------
+
+
+def live_draw_threads():
+    return [thread.name for thread in threading.enumerate() if thread.name.startswith("sdfo-draws")]
+
+
+def record_apart(monkeypatch):
+    """Route ``run_steps``' switch through a recorder: the returned list gets,
+    for each batch that goes apart, the iteration it goes apart at and the
+    set of read-ahead blocks its seeds' oracles then hold."""
+    calls = []
+    run_apart = trust_region._run_apart
+
+    def recorded(*args):
+        seeds = args[6]
+        calls.append((seeds[0][0], {seed[2]._block for seed in seeds}))
+        return run_apart(*args)
+
+    monkeypatch.setattr(trust_region, "_run_apart", recorded)
+    return calls
+
+
+def mid_run_sampler(scale):
+    """25 samples per estimate stack; 9000 pass a chunk, so a batch goes
+    apart once two seeds' scales have fallen to 0.6."""
+    return 25 if scale > 0.6 else 9000
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_batch_that_goes_apart_equals_one_seed_runs(method, monkeypatch):
+    propose, run, make_cfg, problem, x0 = METHODS[method]
+    cfg, noise = make_cfg(max_iters=40), NOISES["gaussian"]
+
+    def gen():
+        return DirectionGenerator(problem.dimension, QuasiRandomSphere())
+
+    singles = [
+        run(cfg, problem, noise, gen(), x0, seed=seed, sampler=mid_run_sampler, delta_floor=0.0)
+        for seed in SEEDS
+    ]
+    apart = record_apart(monkeypatch)
+    # One thread, and more threads than a small machine has CPUs: no value
+    # may depend on how many there are, and none outlives the call.
+    for cpus in (1, 3):
+        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
+        for vectors in (True, False):
+            batch_gen = gen()
+            batch = run_steps(
+                propose, cfg, problem, noise, batch_gen, x0, SEEDS, mid_run_sampler, 0.0, vectors=vectors
+            )
+            assert live_draw_threads() == []
+            for batch_run, single_run in zip(batch, singles):
+                assert_same_run(batch_run, single_run)
+            # The generator ends where a lockstep batch leaves it.
+            assert batch_gen.cursor == max(state.k for state, _ in batch)
+    assert len(apart) == 4 and 0 < apart[0][0] < 40
+    assert len({k for k, _ in apart}) == 1
+
+
+@pytest.mark.parametrize(
+    ("reason", "k", "floor", "cfg"),
+    [
+        ("max_iters", 4, 0.0, {"max_iters": 4}),
+        ("delta_floor", 3, 0.2, {"max_iters": 50, "tau": 0.5, "tau_bar": 1.0}),
+        ("threshold_underflow", 537, 0.0, {"max_iters": 3000, "tau": 0.5, "tau_bar": 1.0}),
+    ],
+    ids=["max_iters", "delta_floor", "threshold_underflow"],
+)
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_seeds_stop_after_the_batch_went_apart(method, reason, k, floor, cfg, monkeypatch):
+    # From the minimizer without noise every step fails and shrinks delta
+    # by 1 - tau.  9000 samples per estimate, which noiseless oracles count
+    # but do not draw, make the batch go apart after its first iteration.
+    problem = METHODS[method][3]
+    start = (0.0,) * problem.dimension if problem.name == "l1norm" else (1.0,) * problem.dimension
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 3)
+    apart = record_apart(monkeypatch)
+    batch, _ = batch_and_singles(method, SEEDS, NoiseModel.none(), lambda scale: 9000, floor, start, **cfg)
+    assert [state.stop_reason for state, _ in batch] == [reason] * len(SEEDS)
+    assert [state.k for state, _ in batch] == [k] * len(SEEDS)
+    assert [at for at, _ in apart] == [1]
+
+
+def test_one_cpu_runs_apart_in_the_calling_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError("one usable CPU must not start a thread")
+
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
+    apart = record_apart(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", refuse)
+        batch_and_singles("direct_search", SEEDS, sampler=mid_run_sampler, max_iters=30)
+    assert len(apart) == 1
+
+
+def test_shared_block_read_apart_under_frequent_switches(monkeypatch):
+    # The stencil at delta0 = 1 takes 9000 samples per point, so the batch
+    # goes apart after its first iteration; the acceptance pairs, at step
+    # norms below 1, take 25, which leaves the read-ahead of the seeds'
+    # streams in one block.  Eight seeds then read it on four threads, with
+    # the interpreter switching threads every microsecond.
+    propose, run, make_cfg, problem, x0 = METHODS["regression_clipped"]
+    cfg, noise, seeds = make_cfg(max_iters=20), NoiseModel.student_t(3.0, 0.1), range(8)
+
+    def sampler(scale):
+        return 9000 if scale == 1.0 else 25
+
+    def gen():
+        return DirectionGenerator(problem.dimension, QuasiRandomSphere())
+
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
+    apart = record_apart(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batch = run_steps(propose, cfg, problem, noise, gen(), x0, seeds, sampler, 0.0)
+    finally:
+        sys.setswitchinterval(interval)
+    ((k, blocks),) = apart
+    assert k == 1 and len(blocks) == 1 and blocks.pop() is not oracle_module._SPENT
+    for seed, batch_run in zip(seeds, batch):
+        single_run = run(cfg, problem, noise, gen(), x0, seed=seed, sampler=sampler, delta_floor=0.0)
+        assert_same_run(batch_run, single_run)
+
+
+def test_error_stops_a_batch_that_went_apart(monkeypatch):
+    # 9000 samples per estimate at delta0 = 1 make the batch go apart after
+    # its first iteration; the count goes bad once a seed's radius falls
+    # to 0.5.  The first error is raised once every thread is joined; the
+    # run goes on a thread of its own, so that a batch left waiting fails
+    # the test instead of hanging it.
+    propose, _, make_cfg, problem, x0 = METHODS["direct_search"]
+    names, errors = set(), []
+
+    def sampler(scale):
+        names.add(threading.current_thread().name)
+        return 9000 if scale > 0.5 else 2.5
+
+    def call():
+        try:
+            run_steps(
+                propose, make_cfg(max_iters=200), problem, NOISES["gaussian"],
+                DirectionGenerator(2, QuasiRandomSphere()), x0, SEEDS, sampler, 0.0,
+            )
+        except ValueError as error:
+            errors.append(error)
+
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 3)
+    apart = record_apart(monkeypatch)
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive(), "the batch went on waiting after a seed-iteration raised"
+    (error,) = errors
+    assert re.fullmatch(r"sample count at scale 0\.4\d* must be an integer >= 1, got 2\.5", str(error))
+    assert [k for k, _ in apart] == [1]
+    assert any(name.startswith("sdfo-draws") for name in names)
+    assert live_draw_threads() == []

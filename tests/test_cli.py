@@ -131,9 +131,10 @@ class TestRun:
 
     def test_jobs_after_the_draw_pool_started(self, tmp_path):
         # A forked --jobs worker inherits no draw thread: the child's first
-        # run (one batch of five seeds past a chunk) draws on threads that
-        # each estimate call joins, so none is alive at the fork, and the
-        # workers must neither hang nor change the outputs.
+        # run (one batch of five seeds past a chunk, which goes apart after
+        # its first iteration) draws on threads that run_steps joins, so
+        # none is alive at the fork, and the workers must neither hang nor
+        # change the outputs.
         cfg_path = write_run_config(tmp_path / "cfg.json", tmp_path, seeds=(0, 1, 2, 3, 4), max_iters=2)
         cfg = json.loads(cfg_path.read_text())
         cfg["sampler"]["n"] = CHUNK_DRAWS + 5

@@ -57,29 +57,13 @@ def engine_means(oracles, points, counts):
     return truth, oracle_module._means(list(oracles), truth, list(counts))
 
 
-def draw_thread_counts(monkeypatch):
-    """Route the engine's draw threads through a recorder: the returned
-    list gets the thread count of each call that starts them."""
-    counts = []
-    draw_threads = oracle_module._draw_threads
+def no_threads(monkeypatch):
+    """Make any thread start fail: the estimate engine draws in the calling thread."""
 
-    def recorded(count):
-        counts.append(count)
-        return draw_threads(count)
+    def refuse(thread):
+        raise AssertionError("the estimate engine must not start a thread")
 
-    monkeypatch.setattr(oracle_module, "_draw_threads", recorded)
-    return counts
-
-
-def no_draw_threads(monkeypatch, why):
-    def refuse(count):
-        raise AssertionError(why)
-
-    monkeypatch.setattr(oracle_module, "_draw_threads", refuse)
-
-
-def live_draw_threads():
-    return [thread.name for thread in threading.enumerate() if thread.name.startswith("sdfo-draws")]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 class TestSampleEstimate:
@@ -397,17 +381,14 @@ class TestBatchMeans:
             lambda k: [CHUNK_DRAWS // (2 * k)] * 5,
             lambda k: [1, 16, 16, CHUNK_DRAWS + 5, 256],
             lambda k: [CHUNK_DRAWS + 3] * 2,
-            # Four seeds past a chunk, with unequal counts, on the draw
-            # pool; the last one's n fits a chunk while its k * n does not.
+            # Four seeds past a chunk, with unequal counts; the last one's
+            # n fits a chunk while its k * n does not.
             lambda k: [CHUNK_DRAWS + 5, 1, 3 * CHUNK_DRAWS + 7, 16, 2 * CHUNK_DRAWS, CHUNK_DRAWS // 2 + 1],
         ],
         ids=["equal", "stack-past-a-chunk", "ragged", "past-a-chunk", "pool"],
     )
     def test_matches_each_seed_bit_for_bit(self, noise, k, counts, monkeypatch):
-        # More draw threads than a small machine has CPUs: no value may
-        # depend on how many there are.
-        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 3)
-        started = draw_thread_counts(monkeypatch)
+        no_threads(monkeypatch)
         counts = counts(k)
         seeds = range(len(counts))
         problem = get_problem("sphere", D)
@@ -416,12 +397,6 @@ class TestBatchMeans:
         points = np.stack([np.roll(STACK_POINTS[:k], s, axis=0) for s in seeds])
         truth, means = engine_means(batch, points, counts)
         assert truth.shape == means.shape == (len(counts), k)
-        # Two or more seeds past a chunk draw on min(S, 3) threads, this one
-        # and the others the call starts (a noiseless batch draws nothing);
-        # none outlives the call.
-        threaded = noise.kind != "none" and sum(k * n > CHUNK_DRAWS for n in counts) > 1
-        assert started == ([min(len(counts), 3) - 1] if threaded else [])
-        assert live_draw_threads() == []
         for s, n in enumerate(counts):
             own_truth, own_means = sample_means(alone[s], points[s], n)
             assert truth[s].tobytes() == own_truth.tobytes()
@@ -429,70 +404,10 @@ class TestBatchMeans:
             assert batch[s].draws == alone[s].draws == k * n
             assert batch[s]._rng.random() == alone[s]._rng.random()
 
-    def test_draw_threads_under_frequent_switches(self, monkeypatch):
-        # Eight seeds past a chunk on four threads (this one and three
-        # started), with the interpreter switching threads every microsecond.
-        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
-        started = draw_thread_counts(monkeypatch)
-        counts = [CHUNK_DRAWS + 1 + 97 * s for s in range(8)]
-        noise = NoiseModel.student_t(3.0)
-        problem = get_problem("sphere", D)
-        points = np.stack([np.roll(STACK_POINTS[:2], s, axis=0) for s in range(8)])
-        oracles = [StochasticOracle(problem, noise, seed=s) for s in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            means = engine_means(oracles, points, counts)[1]
-        finally:
-            sys.setswitchinterval(interval)
-        assert started == [3]
-        for s, n in enumerate(counts):
-            alone = make_oracle(noise, seed=s, dim=D)
-            assert means[s].tobytes() == sample_means(alone, points[s], n)[1][0].tobytes()
-            assert oracles[s]._rng.random() == alone._rng.random()
-
-    def test_shared_block_under_draw_threads(self, monkeypatch):
-        # Eight seeds share one block; then four of them draw past a chunk
-        # while the other four read what they kept of the same block, all on
-        # four threads, with the interpreter switching threads every
-        # microsecond.
-        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
-        started = draw_thread_counts(monkeypatch)
-        noise = NoiseModel.student_t(3.0)
-        problem = get_problem("sphere", D)
-        points = np.stack([np.roll(STACK_POINTS[:2], s, axis=0) for s in range(8)])
-        plan = [[25] * 8, [CHUNK_DRAWS + 1 + 97 * s if s % 2 else 16 for s in range(8)], [16] * 8]
-        oracles = [StochasticOracle(problem, noise, seed=s) for s in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            means = [engine_means(oracles, points, counts)[1] for counts in plan]
-        finally:
-            sys.setswitchinterval(interval)
-        assert started == [3]
-        for s in range(8):
-            alone = make_oracle(noise, seed=s, dim=D)
-            for counts, batch in zip(plan, means):
-                assert batch[s].tobytes() == sample_means(alone, points[s], counts[s])[1][0].tobytes()
-            assert next_value(oracles[s]) == next_value(alone)
-
-    def test_one_cpu_draws_in_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
-        no_draw_threads(monkeypatch, "one usable CPU must not start draw threads")
-        counts = [CHUNK_DRAWS + 5, 2 * CHUNK_DRAWS]
-        noise = NoiseModel.gaussian(1.0)
-        problem = get_problem("sphere", D)
-        points = np.stack([STACK_POINTS[:2]] * 2)
-        means = engine_means([StochasticOracle(problem, noise, seed=s) for s in (0, 1)], points, counts)[1]
-        for s, n in enumerate(counts):
-            assert means[s].tobytes() == sample_means(make_oracle(noise, seed=s, dim=D), points[s], n)[1][0].tobytes()
-
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_noiseless_batch_keeps_its_truths_and_reads_no_stream(self, cpus, monkeypatch):
-        # Seeds that fit a chunk, and three seeds past a chunk that a noisy
-        # batch would draw on threads: none of them draws.
-        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
-        no_draw_threads(monkeypatch, "a noiseless batch must not start draw threads")
+    def test_noiseless_batch_keeps_its_truths_and_reads_no_stream(self, monkeypatch):
+        # Seeds that fit a chunk, and three seeds past a chunk: none of them
+        # draws.
+        no_threads(monkeypatch)
         counts = [16, CHUNK_DRAWS + 5, 16, 2 * CHUNK_DRAWS + 9, CHUNK_DRAWS // 2 + 1]
         k = 2 * D + 1
         problem = get_problem("sphere", D)
@@ -506,21 +421,6 @@ class TestBatchMeans:
             assert oracles[s].draws == k * n
             assert kept(oracles[s]) == 0
             assert oracles[s]._rng.random() == fresh._rng.random()
-
-    def test_no_draw_thread_outlives_the_call(self, monkeypatch):
-        # Two seeds past a chunk draw on this thread and one that the call
-        # starts and joins, and so do three: a forked process inherits no
-        # thread.
-        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
-        started = draw_thread_counts(monkeypatch)
-        noise = NoiseModel.gaussian(1.0)
-        problem = get_problem("sphere", D)
-        points = np.stack([STACK_POINTS[:2]] * 3)
-        oracles = [StochasticOracle(problem, noise, seed=s) for s in range(3)]
-        for counts in ([CHUNK_DRAWS + 5, 16, 2 * CHUNK_DRAWS], [CHUNK_DRAWS + 1] * 3):
-            engine_means(oracles, points, counts)
-            assert live_draw_threads() == []
-        assert started == [1, 1]
 
     def test_stacked_draws_stay_within_one_chunk(self):
         # 40 seeds of 2 x 8192 draws: 5.2 MB as one stack.
