@@ -8,13 +8,13 @@ without vectors.
 ``--jobs J`` splits the seed list into ``min(J, seeds)`` contiguous
 batches, one per worker process; since a seed's trace does not depend on
 the batch it ran in, and every seed writes only its own file, the outputs
-do not depend on ``J``.  Within a batch, once two or more seeds' estimates
-pass one ``CHUNK_DRAWS`` chunk in an iteration, the batch goes apart and
-its seeds run on ``min(seeds, usable CPUs)`` threads, the calling one and
-others that ``run_steps`` starts and joins, so no thread is alive when a
-worker forks, and draw memory stays O(``CHUNK_DRAWS`` x threads); each
-seed reads only its own stream, so the outputs do not depend on the
-thread count either.
+do not depend on ``J``.  Within a batch, once two or more noisy seeds'
+estimates pass one ``CHUNK_DRAWS`` chunk in an iteration, the batch goes
+apart and its seeds run on ``min(seeds, usable CPUs)`` threads, the
+calling one and others that ``run_steps`` starts and joins, so no thread
+is alive when a worker forks, and draw memory stays O(``CHUNK_DRAWS`` x
+threads); each seed reads only its own stream, so the outputs do not
+depend on the thread count either.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ import functools
 import math
 import numbers
 import operator
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -395,14 +394,6 @@ def _read(oracles: list, count: int) -> np.ndarray:
     for oracle, place in zip(oracles, block.places):
         oracle._block, oracle._place = block, place
     return values[:, :count]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the cap on the run loop's drawing threads."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:

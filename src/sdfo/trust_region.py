@@ -20,12 +20,13 @@ so a seed's trace does not depend on the batch it ran in; a library run
 (``tr_run``, ``ds_run``) is a batch of one.  A seed leaves the batch when
 it stops, and its final state names why (``STOP_REASONS``).
 
-A batch whose estimates grow past the estimate engine's chunk goes apart:
-once two or more seeds have drawn more than ``CHUNK_DRAWS`` values in one
-iteration, each seed runs on by itself, on a clone of the generator, and
-up to one thread per usable CPU takes one seed-iteration at a time.  This
-is the one place where seeds draw concurrently; each thread holds
-O(``CHUNK_DRAWS``) drawn values, and none outlives the ``run_steps`` call.
+A noisy batch whose estimates grow past the estimate engine's chunk goes
+apart: once two or more seeds have drawn more than ``CHUNK_DRAWS`` values
+in one iteration, each seed runs on by itself, on a clone of the
+generator, and up to one thread per usable CPU takes one seed-iteration
+at a time, the seed with the largest radius first.  This is the one
+place where seeds draw concurrently; each thread holds O(``CHUNK_DRAWS``)
+drawn values, and none outlives the ``run_steps`` call.
 
 Non-finite values act as an extreme barrier (Audet & Dennis, SIAM J.
 Optim. 2006).  When f is ``+inf`` or NaN at a trial point, the trial
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,7 +48,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .directions import DirectionGenerator
-from . import oracle
 from .oracle import CHUNK_DRAWS, NoiseModel, SamplePolicy, StochasticOracle, _means, sample_policy
 from .problems import TestProblem
 from .stats import check_integer, sum_of_squares
@@ -364,12 +365,12 @@ def run_steps(
     ``TRACE_COLUMNS`` values, which is cheaper to build and writes and
     summarizes the same.
 
-    After the first lockstep iteration in which two or more seeds drew more
-    than ``CHUNK_DRAWS`` values (a row's ``samples_current +
-    samples_trial``), the remaining seeds run apart (``_run_apart``) on
-    threads that this call starts and joins; ``gen`` then ends where a
-    lockstep batch would leave it.  Any error of a seed-iteration stops the
-    batch and is raised here.
+    After the first lockstep iteration in which two or more noisy seeds drew
+    more than ``CHUNK_DRAWS`` values (a row's ``samples_current +
+    samples_trial``; noiseless oracles draw none), the remaining seeds run
+    apart (``_run_apart``) on threads that this call starts and joins;
+    ``gen`` then ends where a lockstep batch would leave it.  Any error of
+    a seed-iteration stops the batch and is raised here.
     """
     if not delta_floor >= 0.0:
         raise ValueError(f"delta_floor must be nonnegative, got {delta_floor}")
@@ -420,7 +421,7 @@ def run_steps(
             for i, row in zip(live, new_rows):
                 rows[i].append(row)
         x, radii = new_x, new_radii
-        if sum(row[7] + row[8] > CHUNK_DRAWS for row in new_rows) > 1:
+        if noise.kind != "none" and sum(row[7] + row[8] > CHUNK_DRAWS for row in new_rows) > 1:
             apart = [[k + 1, *seed] for seed in zip(live, oracles, x[:, np.newaxis], radii, fx)]
             _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, apart, rows, ends)
             live = []
@@ -449,6 +450,14 @@ def _stop_reason(cfg, delta_floor: float, k: int, r: float) -> str | None:
     return None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the cap on a batch's drawing threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, seeds, rows, ends) -> None:
     """Run each seed of a batch that went apart to its stop, by itself.
 
@@ -459,13 +468,22 @@ def _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, seeds, rows, en
     ``rows[index]`` as the lockstep loop would put it; a stopped seed's
     ``(x, delta, k, reason)`` goes to ``ends[index]``.  ``min(seeds, usable
     CPUs)`` threads, this one and helpers named ``sdfo-draws-*`` that this
-    call starts and joins, take one seed-iteration at a time, the lowest
-    iteration first, so a custom objective or sampler is called
-    concurrently.  The first error that a seed-iteration raises stops every
-    thread from taking another; it is raised once all are joined.
+    call starts and joins, take one seed-iteration at a time, so a custom
+    objective or sampler is called concurrently.  The seed with the largest
+    radius goes first: the variance and moment rules' counts grow as radii
+    shrink, so that seed has the most draws ahead, and the seeds' costliest
+    last iterations do not all wait for the end, where one thread would run
+    them alone.  The
+    first error that a seed-iteration raises stops every thread from
+    taking another; it is raised once all are joined.
     """
     gens = [gen.clone() for _ in seeds]
-    ready = [(seed[0], j) for j, seed in enumerate(seeds)]
+
+    def turn_of(j: int) -> tuple:
+        """Seed ``j``'s place in ``ready``: largest radius, then lowest iteration."""
+        return -seeds[j][4], seeds[j][0], j
+
+    ready = sorted(map(turn_of, range(len(seeds))))  # a sorted list is a heap
     turn = threading.Condition()
     running, errors = 0, []
 
@@ -491,13 +509,13 @@ def _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, seeds, rows, en
                 if j is not None:  # hand back the seed-iteration just run
                     running -= 1
                     if going:
-                        heapq.heappush(ready, (seeds[j][0], j))
+                        heapq.heappush(ready, turn_of(j))
                     turn.notify_all()
                 while not ready and running and not errors:
                     turn.wait()
                 if errors or not ready:
                     return
-                j = heapq.heappop(ready)[1]
+                j = heapq.heappop(ready)[-1]
                 running += 1
             try:
                 going = advance(j)
@@ -507,7 +525,7 @@ def _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, seeds, rows, en
 
     helpers = [
         threading.Thread(target=work, name=f"sdfo-draws-{h}")
-        for h in range(1, min(len(seeds), oracle._usable_cpus()))
+        for h in range(1, min(len(seeds), _usable_cpus()))
     ]
     started = []
     try:

@@ -421,7 +421,7 @@ def test_batch_that_goes_apart_equals_one_seed_runs(method, monkeypatch):
     # One thread, and more threads than a small machine has CPUs: no value
     # may depend on how many there are, and none outlives the call.
     for cpus in (1, 3):
-        monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(trust_region, "_usable_cpus", lambda: cpus)
         for vectors in (True, False):
             batch_gen = gen()
             batch = run_steps(
@@ -441,30 +441,77 @@ def test_batch_that_goes_apart_equals_one_seed_runs(method, monkeypatch):
     [
         ("max_iters", 4, 0.0, {"max_iters": 4}),
         ("delta_floor", 3, 0.2, {"max_iters": 50, "tau": 0.5, "tau_bar": 1.0}),
-        ("threshold_underflow", 537, 0.0, {"max_iters": 3000, "tau": 0.5, "tau_bar": 1.0}),
+        # theta * delta**2 = 2**(-1000 - 2k) rounds to zero from k = 38 on.
+        ("threshold_underflow", 38, 0.0, {"max_iters": 3000, "tau": 0.5, "tau_bar": 1.0, "theta": 2.0**-1000}),
     ],
     ids=["max_iters", "delta_floor", "threshold_underflow"],
 )
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_seeds_stop_after_the_batch_went_apart(method, reason, k, floor, cfg, monkeypatch):
-    # From the minimizer without noise every step fails and shrinks delta
-    # by 1 - tau.  9000 samples per estimate, which noiseless oracles count
-    # but do not draw, make the batch go apart after its first iteration.
+    # From the minimizer every step fails and shrinks delta by 1 - tau: the
+    # noise, of scale 1e-40, is far below any true increase on the way.
+    # 9000 samples per estimate at the first radius make the batch go apart
+    # after its first iteration; one sample each keeps the rest cheap.
     problem = METHODS[method][3]
     start = (0.0,) * problem.dimension if problem.name == "l1norm" else (1.0,) * problem.dimension
-    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(trust_region, "_usable_cpus", lambda: 3)
     apart = record_apart(monkeypatch)
-    batch, _ = batch_and_singles(method, SEEDS, NoiseModel.none(), lambda scale: 9000, floor, start, **cfg)
+    batch, _ = batch_and_singles(
+        method, SEEDS, NoiseModel.gaussian(1e-80), lambda scale: 9000 if scale > 0.75 else 1, floor, start, **cfg
+    )
     assert [state.stop_reason for state, _ in batch] == [reason] * len(SEEDS)
     assert [state.k for state, _ in batch] == [k] * len(SEEDS)
     assert [at for at, _ in apart] == [1]
+
+
+def test_noiseless_batch_stays_in_lockstep(monkeypatch):
+    # Noiseless oracles count their samples but draw none, so no count
+    # makes their batch go apart or start a thread.
+    def refuse(thread):
+        raise AssertionError("a noiseless batch must not start a thread")
+
+    monkeypatch.setattr(trust_region, "_usable_cpus", lambda: 3)
+    apart = record_apart(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", refuse)
+        batch, _ = batch_and_singles("direct_search", SEEDS, NoiseModel.none(), lambda scale: 9000, max_iters=5)
+    assert apart == []
+    assert [row.samples_current for row in batch[0][1]] == [9000] * 5
+
+
+def test_largest_radius_runs_first(monkeypatch):
+    # One thread takes the seed-iterations of a batch that went apart one
+    # by one: each goes to a seed whose radius is the largest of the seeds
+    # still running, the lowest iteration first among equal radii.
+    propose, _, make_cfg, problem, x0 = METHODS["direct_search"]
+    cfg = make_cfg(max_iters=30)
+    seen, taken = {}, []
+    one_seed = trust_region.iterate
+
+    def recorded(propose, cfg, gen, oracles, sampler, x, radii, fx, k):
+        out = one_seed(propose, cfg, gen, oracles, sampler, x, radii, fx, k)
+        if len(oracles) == 1:
+            taken.append(((-radii[0], k), [key for o, key in seen.items() if o is not oracles[0]]))
+        seen.update((o, (-r, k + 1)) for o, r in zip(oracles, out[4]))
+        return out
+
+    monkeypatch.setattr(trust_region, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(trust_region, "iterate", recorded)
+    apart = record_apart(monkeypatch)
+    run_steps(
+        propose, cfg, problem, NOISES["gaussian"], DirectionGenerator(2, QuasiRandomSphere()), x0, SEEDS,
+        mid_run_sampler, 0.0,
+    )
+    assert len(apart) == 1 and len(taken) == len(SEEDS) * (cfg.max_iters - apart[0][0])
+    for key, others in taken:
+        assert all(key <= other for other in others if other[1] < cfg.max_iters)
 
 
 def test_one_cpu_runs_apart_in_the_calling_thread(monkeypatch):
     def refuse(thread):
         raise AssertionError("one usable CPU must not start a thread")
 
-    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(trust_region, "_usable_cpus", lambda: 1)
     apart = record_apart(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(threading.Thread, "start", refuse)
@@ -487,7 +534,7 @@ def test_shared_block_read_apart_under_frequent_switches(monkeypatch):
     def gen():
         return DirectionGenerator(problem.dimension, QuasiRandomSphere())
 
-    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(trust_region, "_usable_cpus", lambda: 4)
     apart = record_apart(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -524,7 +571,7 @@ def test_error_stops_a_batch_that_went_apart(monkeypatch):
         except ValueError as error:
             errors.append(error)
 
-    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(trust_region, "_usable_cpus", lambda: 3)
     apart = record_apart(monkeypatch)
     runner = threading.Thread(target=call, daemon=True)
     runner.start()

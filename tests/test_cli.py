@@ -141,10 +141,10 @@ class TestRun:
         cfg_path.write_text(json.dumps(cfg))
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
         script = (
-            "from sdfo import oracle\n"
+            "from sdfo import trust_region\n"
             "from sdfo.cli import run_experiment\n"
             "from sdfo.config import load_config\n"
-            "oracle._usable_cpus = lambda: 2\n"
+            "trust_region._usable_cpus = lambda: 2\n"
             f"cfg = load_config({str(cfg_path)!r})\n"
             f"run_experiment(cfg, out_dir={str(out1)!r}, jobs=1)\n"
             "import threading\n"
