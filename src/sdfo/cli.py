@@ -10,11 +10,15 @@ batches, one per worker process; since a seed's trace does not depend on
 the batch it ran in, and every seed writes only its own file, the outputs
 do not depend on ``J``.  Within a batch, once two or more noisy seeds'
 estimates pass one ``CHUNK_DRAWS`` chunk in an iteration, the batch goes
-apart and its seeds run on ``min(seeds, usable CPUs)`` threads, the
-calling one and others that ``run_steps`` starts and joins, so no thread
-is alive when a worker forks, and draw memory stays O(``CHUNK_DRAWS`` x
-threads); each seed reads only its own stream, so the outputs do not
-depend on the thread count either.
+apart, and the one step that advanced the batch in lockstep then
+advances one seed at a time on ``min(seeds, usable CPUs)`` threads: the
+calling one and helpers named ``sdfo-draws-*`` that ``run_steps`` starts
+and joins, so no thread is alive when a worker forks, and draw memory
+stays O(``CHUNK_DRAWS`` x threads).  A thread hands its seed back and
+takes the next in one locked step, so no seed ever waits while a thread
+is free, and a helper ends as soon as no seed waits for it.  Each seed
+reads only its own stream, so the outputs do not depend on the thread
+count either.
 """
 
 from __future__ import annotations

@@ -166,7 +166,10 @@ def solve_spectrum(
             lo = mu
         else:
             hi = mu
-        dphi = float(np.add.reduce(a_sq / (denom * denom * denom))) / nrm**3
+        # Below a radius of about 1e-108 the cube underflows to zero; the
+        # step then bisects.
+        cube = nrm**3
+        dphi = float(np.add.reduce(a_sq / (denom * denom * denom))) / cube if cube > 0.0 else 0.0
         step = -phi / dphi if dphi > 0.0 else math.nan
         candidate = mu + step
         if not math.isfinite(candidate) or not lo < candidate < hi:

@@ -24,9 +24,16 @@ A noisy batch whose estimates grow past the estimate engine's chunk goes
 apart: once two or more seeds have drawn more than ``CHUNK_DRAWS`` values
 in one iteration, each seed runs on by itself, on a clone of the
 generator, and up to one thread per usable CPU takes one seed-iteration
-at a time, the seed with the largest radius first.  This is the one
-place where seeds draw concurrently; each thread holds O(``CHUNK_DRAWS``)
-drawn values, and none outlives the ``run_steps`` call.
+at a time, the seed with the largest radius first.  One step function
+serves both phases: it advances the whole batch in lockstep, and one
+seed once the batch has gone apart.  A thread hands its seed back and
+takes the next one in one locked step, so the queue of waiting seeds
+never grows: a helper thread ends as soon as it finds the queue empty,
+since every seed still running is held by a thread that goes on with it,
+and no thread ever waits for another.  This is the one place where seeds
+draw concurrently; each thread holds O(``CHUNK_DRAWS``) drawn values, and
+none outlives the ``run_steps`` call.  A seed's trace is byte-identical
+whichever phase and thread ran its iterations.
 
 Non-finite values act as an extreme barrier (Audet & Dennis, SIAM J.
 Optim. 2006).  When f is ``+inf`` or NaN at a trial point, the trial
@@ -57,7 +64,7 @@ from .trace import IterationRecord
 DEFAULT_DELTA_FLOOR = 1e-8
 
 # Why a seed stopped: its iteration budget ran out, its radius fell below
-# ``delta_floor``, or ``theta * delta**2`` rounded to zero.
+# ``delta_floor``, or ``delta**2`` or ``theta * delta**2`` rounded to zero.
 STOP_REASONS = ("max_iters", "delta_floor", "threshold_underflow")
 
 
@@ -355,9 +362,10 @@ def run_steps(
 
     Returns each seed's final state and trace rows, in seed order.  A
     seed stops after ``max_iters`` iterations, when its radius falls below
-    ``delta_floor``, or when ``theta * delta**2`` is no longer positive,
-    since an acceptance test against a zero threshold would take any
-    estimated non-increase; ``stop_reason`` on its final state names which.
+    ``delta_floor``, or when ``delta**2`` or ``theta * delta**2`` is no
+    longer positive: an acceptance test against a zero threshold would
+    take any estimated non-increase, and a stencil divides by
+    ``delta**2``.  ``stop_reason`` on its final state names which.
     When ``sampler`` is omitted, the per-iteration count follows the
     declared noise statistics with ``k_f = default_k_f(cfg)``.  With
     ``vectors`` a row is an ``IterationRecord`` that carries the iterate,
@@ -365,12 +373,18 @@ def run_steps(
     ``TRACE_COLUMNS`` values, which is cheaper to build and writes and
     summarizes the same.
 
-    After the first lockstep iteration in which two or more noisy seeds drew
-    more than ``CHUNK_DRAWS`` values (a row's ``samples_current +
-    samples_trial``; noiseless oracles draw none), the remaining seeds run
-    apart (``_run_apart``) on threads that this call starts and joins;
-    ``gen`` then ends where a lockstep batch would leave it.  Any error of
-    a seed-iteration stops the batch and is raised here.
+    One step function serves both phases: it advances a group of seeds by
+    one iteration, the whole batch in lockstep, in this thread, and one
+    seed once the batch has gone apart.  After the first lockstep
+    iteration in which two or more noisy seeds drew more than
+    ``CHUNK_DRAWS`` values (a row's ``samples_current + samples_trial``;
+    noiseless oracles draw none), the step splits the batch into one group
+    per seed, each on a clone of ``gen``, and ``_run_apart`` runs the same
+    step on them to their stops, on threads that this call starts and
+    joins; a helper thread ends as soon as no seed waits for it, and none
+    ever waits (see ``_run_apart`` for why).  ``gen`` then ends where a
+    lockstep batch would leave it.  A batch of one never splits.  Any
+    error of a seed-iteration stops the batch and is raised here.
     """
     if not delta_floor >= 0.0:
         raise ValueError(f"delta_floor must be nonnegative, got {delta_floor}")
@@ -386,20 +400,23 @@ def run_steps(
         raise ValueError("at least one seed is required")
     if sampler is None:
         sampler = sample_policy(noise, k_f=default_k_f(cfg))
-    oracles = [StochasticOracle(problem, noise, seed) for seed in seeds]
-    live = list(range(len(seeds)))
-    x = np.tile(start, (len(seeds), 1))
-    radii = [cfg.delta0] * len(seeds)
-    fx = [f0] * len(seeds)
+    noisy = noise.kind != "none"
     # Per seed: trace rows, and (x, delta, k, stop reason) once it stops.
     rows: list[list] = [[] for _ in seeds]
     ends: list = [None] * len(seeds)
-    k = 0
-    for k in range(cfg.max_iters):
-        # delta < floor and theta * delta**2 <= 0 are monotone in delta, so
-        # the smallest radius tells whether any seed stops.
-        smallest = min(radii)
-        if smallest < delta_floor or not cfg.theta * smallest * smallest > 0.0:
+
+    def step(group: list) -> list:
+        """Advance ``[k, indices, oracles, x (S, d), radii, f(x), gen]`` by one iteration.
+
+        Retires the seeds that stop at ``k``, runs ``iterate`` on the rest
+        and records their rows.  Returns the groups that go on: none, this
+        one, updated in place, or one group per seed once the batch goes
+        apart.
+        """
+        k, live, oracles, x, radii, fx, own_gen = group
+        # The group shares k, and the other stop tests are monotone in
+        # delta, so the smallest radius tells whether any seed stops.
+        if _stop_reason(cfg, delta_floor, k, min(radii)) is not None:
             kept = []
             for i, r in enumerate(radii):
                 reason = _stop_reason(cfg, delta_floor, k, r)
@@ -407,29 +424,36 @@ def run_steps(
                     kept.append(i)
                 else:
                     ends[live[i]] = (x[i].copy(), r, k, reason)
+            if not kept:
+                return []
             live, x, radii = [live[i] for i in kept], x[kept], [radii[i] for i in kept]
             oracles, fx = [oracles[i] for i in kept], [fx[i] for i in kept]
-            if not live:
-                break
-        new_rows, direction, step, new_x, new_radii, fx = iterate(
-            propose, cfg, gen, oracles, sampler, x, radii, fx, k
+        new_rows, direction, steps, new_x, radii, fx = iterate(
+            propose, cfg, own_gen, oracles, sampler, x, radii, fx, k
         )
         if vectors:
-            for i, row, x_i, step_i in zip(live, new_rows, x, step):
+            for i, row, x_i, step_i in zip(live, new_rows, x, steps):
                 rows[i].append(IterationRecord(*row, x_i, direction, step_i))
-        else:
+        else:  # a plain row needs no views of x and the steps
             for i, row in zip(live, new_rows):
                 rows[i].append(row)
-        x, radii = new_x, new_radii
-        if noise.kind != "none" and sum(row[7] + row[8] > CHUNK_DRAWS for row in new_rows) > 1:
-            apart = [[k + 1, *seed] for seed in zip(live, oracles, x[:, np.newaxis], radii, fx)]
-            _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, apart, rows, ends)
-            live = []
-            break
-    else:
-        k = cfg.max_iters
-    for i, x_i, r in zip(live, x, radii):
-        ends[i] = (x_i.copy(), r, k, "max_iters")
+        if noisy and len([row for row in new_rows if row[7] + row[8] > CHUNK_DRAWS]) > 1:
+            return [
+                [k + 1, [i], [own], x_i[np.newaxis], [r], [f], own_gen.clone()]
+                for i, own, x_i, r, f in zip(live, oracles, new_x, radii, fx)
+            ]
+        group[:] = k + 1, live, oracles, new_x, radii, fx, own_gen
+        return [group]
+
+    size, oracles = len(seeds), [StochasticOracle(problem, noise, seed) for seed in seeds]
+    groups = [[0, list(range(size)), oracles, np.tile(start, (size, 1)), [cfg.delta0] * size, [f0] * size, gen]]
+    while len(groups) == 1:
+        groups = step(groups[0])
+    if groups:
+        _run_apart(step, groups)
+        # A lockstep batch advances the generator once per iteration of its
+        # longest run.
+        vars(gen).update(vars(max((group[6] for group in groups), key=lambda g: g.cursor)))
     runs = []
     for (x_end, delta, iterations, reason), trace in zip(ends, rows):
         # The squared radii (row[2]) summed as ``diagnostics.summarize`` sums
@@ -445,7 +469,7 @@ def _stop_reason(cfg, delta_floor: float, k: int, r: float) -> str | None:
         return "max_iters"
     if r < delta_floor:
         return "delta_floor"
-    if not cfg.theta * r * r > 0.0:
+    if not (cfg.theta * r * r > 0.0 and r * r > 0.0):
         return "threshold_underflow"
     return None
 
@@ -458,74 +482,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, seeds, rows, ends) -> None:
-    """Run each seed of a batch that went apart to its stop, by itself.
+def _run_apart(step, groups: list) -> None:
+    """Run each one-seed group of a batch that went apart to its stop, by itself.
 
-    ``seeds`` holds ``[k, index, oracle, x (1, d), delta, f(x)]`` per live
-    seed, all at one iteration ``k``.  A seed-iteration is a one-seed
-    ``iterate`` on the seed's own oracle and its own clone of ``gen``, so
-    no seed waits for another seed's estimates, and its row goes to
-    ``rows[index]`` as the lockstep loop would put it; a stopped seed's
-    ``(x, delta, k, reason)`` goes to ``ends[index]``.  ``min(seeds, usable
+    ``groups`` holds one ``step`` group per live seed, all at one
+    iteration, each with its own oracle and its own clone of the direction
+    generator, so no seed waits for another seed's estimates.  ``step`` is
+    the one that advanced the batch in lockstep.  ``min(seeds, usable
     CPUs)`` threads, this one and helpers named ``sdfo-draws-*`` that this
-    call starts and joins, take one seed-iteration at a time, so a custom
+    call starts and joins, each run one seed's step at a time, so a custom
     objective or sampler is called concurrently.  The seed with the largest
     radius goes first: the variance and moment rules' counts grow as radii
     shrink, so that seed has the most draws ahead, and the seeds' costliest
     last iterations do not all wait for the end, where one thread would run
-    them alone.  The
-    first error that a seed-iteration raises stops every thread from
-    taking another; it is raised once all are joined.
+    them alone.  A thread hands its seed back and takes the next one in one
+    locked step, so the ready heap never grows: a thread that finds it
+    empty leaves, since every seed still running is held by a thread that
+    goes on with it, and no thread waits.  The first error that a step
+    raises stops every thread from taking another; it is raised once all
+    are joined.
     """
-    gens = [gen.clone() for _ in seeds]
 
     def turn_of(j: int) -> tuple:
-        """Seed ``j``'s place in ``ready``: largest radius, then lowest iteration."""
-        return -seeds[j][4], seeds[j][0], j
+        """Group ``j``'s place in ``ready``: largest radius, then lowest iteration."""
+        return -groups[j][4][0], groups[j][0], j
 
-    ready = sorted(map(turn_of, range(len(seeds))))  # a sorted list is a heap
-    turn = threading.Condition()
-    running, errors = 0, []
-
-    def advance(j: int) -> bool:
-        """Seed ``j``'s next iteration; False once the seed has stopped."""
-        k, i, own, x, r, f = seeds[j]
-        reason = _stop_reason(cfg, delta_floor, k, r)
-        if reason is not None:
-            ends[i] = (x[0].copy(), r, k, reason)
-            return False
-        (row,), direction, (step,), new_x, (r,), (f,) = iterate(
-            propose, cfg, gens[j], [own], sampler, x, [r], [f], k
-        )
-        rows[i].append(IterationRecord(*row, x[0], direction, step) if vectors else row)
-        seeds[j] = [k + 1, i, own, new_x, r, f]
-        return True
+    ready = sorted(map(turn_of, range(len(groups))))  # a sorted list is a heap
+    lock, errors = threading.Lock(), []
 
     def work() -> None:
-        nonlocal running
-        j = going = None
+        j = None
         while True:
-            with turn:
-                if j is not None:  # hand back the seed-iteration just run
-                    running -= 1
-                    if going:
-                        heapq.heappush(ready, turn_of(j))
-                    turn.notify_all()
-                while not ready and running and not errors:
-                    turn.wait()
+            with lock:
+                if j is not None:  # hand back the seed just run
+                    heapq.heappush(ready, turn_of(j))
                 if errors or not ready:
                     return
                 j = heapq.heappop(ready)[-1]
-                running += 1
             try:
-                going = advance(j)
+                if not step(groups[j]):
+                    j = None
             except BaseException as error:
-                going = False
+                j = None
                 errors.append(error)
 
     helpers = [
         threading.Thread(target=work, name=f"sdfo-draws-{h}")
-        for h in range(1, min(len(seeds), _usable_cpus()))
+        for h in range(1, min(len(groups), _usable_cpus()))
     ]
     started = []
     try:
@@ -534,16 +537,11 @@ def _run_apart(propose, cfg, gen, sampler, delta_floor, vectors, seeds, rows, en
             started.append(helper)
         work()
     except BaseException as error:  # no thread to start, or an interrupt
-        with turn:
-            errors.append(error)
-            turn.notify_all()
+        errors.append(error)
     for helper in started:
         helper.join()
     if errors:
         raise errors[0]
-    # A lockstep batch advances the generator once per iteration of its
-    # longest run.
-    vars(gen).update(vars(max(gens, key=lambda g: g.cursor)))
 
 
 def tr_run(

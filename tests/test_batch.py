@@ -241,6 +241,21 @@ class TestStopReason:
         assert 0 < state.k == len(trace) < 3000
         assert BASE["theta"] * state.delta * state.delta == 0.0
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_square_underflow_with_theta_past_one(self, method):
+        # With theta = 4, delta**2 rounds to zero while theta * delta**2 is
+        # still positive; a stencil divides by delta**2, so the seed stops
+        # at the first radius whose square rounds to zero.
+        _, run, make_cfg, problem, _ = METHODS[method]
+        start = (0.0,) * problem.dimension if problem.name == "l1norm" else (1.0,) * problem.dimension
+        state, trace = run(
+            make_cfg(max_iters=3000, tau=0.5, tau_bar=1.0, theta=4.0), problem, NoiseModel.none(),
+            DirectionGenerator(problem.dimension, QuasiRandomSphere()), start, delta_floor=0.0,
+        )
+        assert (state.stop_reason, state.k) == ("threshold_underflow", len(trace))
+        assert state.delta * state.delta == 0.0 < trace[-1].delta * trace[-1].delta
+        assert 4.0 * state.delta * state.delta > 0.0
+
     def test_states_outside_a_run_carry_none(self):
         assert TrustRegionState(x=np.zeros(1), delta=1.0).stop_reason is None
 
@@ -390,10 +405,9 @@ def record_apart(monkeypatch):
     calls = []
     run_apart = trust_region._run_apart
 
-    def recorded(*args):
-        seeds = args[6]
-        calls.append((seeds[0][0], {seed[2]._block for seed in seeds}))
-        return run_apart(*args)
+    def recorded(step, groups):
+        calls.append((groups[0][0], {group[2][0]._block for group in groups}))
+        return run_apart(step, groups)
 
     monkeypatch.setattr(trust_region, "_run_apart", recorded)
     return calls
@@ -477,6 +491,26 @@ def test_noiseless_batch_stays_in_lockstep(monkeypatch):
         batch, _ = batch_and_singles("direct_search", SEEDS, NoiseModel.none(), lambda scale: 9000, max_iters=5)
     assert apart == []
     assert [row.samples_current for row in batch[0][1]] == [9000] * 5
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_one_seed_run_past_a_chunk_stays_in_the_calling_thread(method, monkeypatch):
+    # A batch goes apart only once two seeds pass a chunk, so a noisy
+    # one-seed run whose every estimate does never starts a thread.
+    def refuse(thread):
+        raise AssertionError("a one-seed run must not start a thread")
+
+    _, run, make_cfg, problem, x0 = METHODS[method]
+    monkeypatch.setattr(trust_region, "_usable_cpus", lambda: 3)
+    apart = record_apart(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", refuse)
+        _, trace = run(
+            make_cfg(max_iters=3), problem, NOISES["gaussian"],
+            DirectionGenerator(problem.dimension, QuasiRandomSphere()), x0, sampler=lambda scale: 9000,
+        )
+    assert apart == []
+    assert [rec.samples_current + rec.samples_trial > CHUNK_DRAWS for rec in trace] == [True] * 3
 
 
 def test_largest_radius_runs_first(monkeypatch):

@@ -194,6 +194,34 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == 0
         assert (out / "direct_search_l1norm_seed0.csv").exists()
 
+    # The secular solve's (B + lam I)**-3 overflows on the way, harmlessly.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize(("theta", "k"), [(0.5, 537), (4.0, 538)])
+    def test_radius_down_to_the_float_range_stops_the_run(self, tmp_path, theta, k):
+        # From the minimizer every step fails and halves delta, until
+        # theta * delta**2 (theta = 0.5) or delta**2 (theta = 4) rounds to
+        # zero.  Below delta = 1.7e-108 the secular solve's ||s||**3
+        # underflows, which raised ZeroDivisionError (exit 1); with
+        # theta = 4, delta**2 underflows while theta * delta**2 is still
+        # positive, and the stencil's division by it exited 2.
+        out = tmp_path / "out"
+        cfg_path = write_run_config(tmp_path / "r.json", out, seeds=(0,), algorithm="trust_region")
+        raw = json.loads(cfg_path.read_text())
+        raw.update(
+            problem={"name": "sphere", "dimension": 2}, noise={"kind": "none"}, x0=[0.0, 0.0],
+            sampler={"kind": "fixed", "n": 1}, delta_floor=0,
+        )
+        raw["config"].update(
+            delta_max=1.0, tau=0.5, tau_bar=1.0, theta=theta, max_iters=3000,
+            hessian={"policy": "regression_clipped", "q": 0.5, "m": 10.0, "M": 10.0},
+        )
+        del raw["config"]["eps_f_hint"]
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path)]) == 0
+        trace = read_trace_csv(out / "trust_region_sphere_seed0.csv")
+        assert len(trace) == k
+        assert (out / "trust_region_sphere_summary.csv").exists()
+
     @pytest.mark.parametrize(
         ("algorithm", "run"), [("direct_search", ds_run), ("trust_region", tr_run)],
         ids=["direct_search", "trust_region"],
