@@ -6,12 +6,12 @@ mean of i.i.d. draws made by one engine, ``_means``.  ``sample_means``
 is its one checked front, for one oracle (``estimate_pair`` and the
 audits' estimate sets go through it); the run loop calls the engine
 directly, with one oracle per seed.
-The engine stacks a batch whose seeds share one count into chunk-sized
-reductions when one seed's estimates fit a chunk, and draws any other
-batch seed by seed, in the calling thread: it starts no thread.  Seeds
-draw concurrently only in the run loop, once a batch has gone apart
-(``trust_region.run_steps``); each drawing thread holds O(``CHUNK_DRAWS``)
-values, and a thread reads only its own seed's oracle.
+The engine plans and one step, ``_sums``, reads and reduces: a batch
+whose seeds share one count and whose whole stack fits a ``CHUNK_DRAWS``
+chunk is one stacked read, and any other goes seed by seed in chunks of
+whole estimates, so it holds O(``CHUNK_DRAWS``) values.  It draws in the
+calling thread and starts none; for where seeds draw concurrently see
+``trust_region.run_steps``.
 The engine reads noise through one reader, ``_read``: a batch's oracles
 at one position read one slice of an ``(S, READ_AHEAD)`` block of their
 streams read ahead, so an oracle keeps fewer than ``READ_AHEAD`` values
@@ -309,15 +309,14 @@ def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
     (``stencil_models``), one row per seed.  Nothing is checked: the
     oracles are distinct and share one noise model, and the counts are
     ``int`` >= 1.  Noiseless oracles, and any batch with no points, keep
-    their truths.  There are two paths.  When every seed has the same
-    count ``n`` and one seed's ``m * n`` draws fit a ``CHUNK_DRAWS`` chunk,
-    the seeds are stacked, as many to a chunk as fit, and each stack reads
-    its seeds' streams as one ``(rows, m * n)`` block (``_read``) into one
-    reduction.  Every other batch goes seed by seed through ``_seed_means``,
-    in seed order.  Either way the calling thread draws everything, in
-    O(``CHUNK_DRAWS``) memory.  A seed reads only its own stream, so no
-    value depends on the path or the reader's blocks, and each estimate is
-    ``np.add.reduce`` over its own contiguous draws.
+    their truths.  The rest is planned for ``_sums`` in one of two ways.
+    When every seed has the same count ``n`` and the whole ``(S, m * n)``
+    stack fits a ``CHUNK_DRAWS`` chunk (the lockstep case), it is one
+    stacked read.  Otherwise the seeds go one by one, in seed order, each
+    in chunks of as many whole estimates as fit (one, past a chunk).
+    Either way the calling thread draws everything, in O(``CHUNK_DRAWS``)
+    memory.  A seed reads only its own stream, so no value depends on the
+    plan or the reader's blocks.
     """
     m = truth.shape[1]
     for oracle, n in zip(oracles, counts):
@@ -325,41 +324,37 @@ def _means(oracles: list, truth: np.ndarray, counts: list) -> np.ndarray:
     if not m or oracles[0].noise.kind == "none":
         return truth.copy()
     n = counts[0]
-    per_chunk = CHUNK_DRAWS // (m * n)
-    equal = counts.count(n) == len(counts)
-    if equal and len(counts) <= per_chunk:
-        return _chunk_means(oracles, truth, n)  # one stack of every seed
-    means = np.empty_like(truth)
-    if equal and per_chunk:
-        for i in range(0, len(counts), per_chunk):
-            means[i : i + per_chunk] = _chunk_means(oracles[i : i + per_chunk], truth[i : i + per_chunk], n)
-        return means
-
-    for oracle, row, n, out in zip(oracles, truth, counts, means):
-        _seed_means(oracle, row, n, out)
-    return means
+    if counts.count(n) == len(counts) and len(counts) * m * n <= CHUNK_DRAWS:
+        sums = _sums(oracles, truth, n)
+        sums /= n
+        return sums
+    sums = np.empty_like(truth)
+    for oracle, row, n, out in zip(oracles, truth, counts, sums):
+        step = CHUNK_DRAWS // n or 1
+        for j in range(0, m, step):
+            out[j : j + step] = _sums([oracle], row[np.newaxis, j : j + step], n)[0]
+        out /= n
+    return sums
 
 
-def _seed_means(oracle: StochasticOracle, truth: np.ndarray, n: int, out: np.ndarray) -> None:
-    """Write into ``out`` the means of each truth plus its next ``n`` draws, chunk by chunk of whole estimates."""
+def _sums(oracles: list, truth: np.ndarray, n: int) -> np.ndarray:
+    """``(rows, m)`` sums of each truth plus the next ``n`` draws of its row's oracle.
+
+    The rows' ``m * n`` values are read as one block (``_read``) and each
+    estimate is ``np.add.reduce`` over its own contiguous draws; the sum
+    and a division by ``n`` are ``np.mean``'s own steps.  An estimate past
+    a chunk (one per row) is summed in halves, split where numpy's pairwise
+    summation splits a block (half the length, less its remainder mod 8),
+    so its sum is bit-identical to one reduction over all ``n`` values.
+    """
     if n > CHUNK_DRAWS:
-        for j, value in enumerate(truth):
-            out[j] = _draw_sum(oracle, n, value) / n
-        return
-    per_chunk = CHUNK_DRAWS // n
-    for j in range(0, truth.size, per_chunk):
-        out[j : j + per_chunk] = _chunk_means([oracle], truth[np.newaxis, j : j + per_chunk], n)[0]
-
-
-def _chunk_means(oracles: list, truth: np.ndarray, n: int) -> np.ndarray:
-    """``(rows, m)`` means of each truth plus the next ``n`` draws of its row's oracle, read as one block."""
+        half = n // 2
+        half -= half % 8
+        return _sums(oracles, truth, half) + _sums(oracles, truth, n - half)
     rows, m = truth.shape
     values = _read(oracles, m * n).reshape(rows, m, n)
     values += truth[:, :, np.newaxis]
-    # The sum and the division by n are np.mean's own steps.
-    sums = np.add.reduce(values, axis=-1)
-    sums /= n
-    return sums
+    return np.add.reduce(values, axis=-1)
 
 
 def _read(oracles: list, count: int) -> np.ndarray:
@@ -394,22 +389,6 @@ def _read(oracles: list, count: int) -> np.ndarray:
     for oracle, place in zip(oracles, block.places):
         oracle._block, oracle._place = block, place
     return values[:, :count]
-
-
-def _draw_sum(oracle: StochasticOracle, n: int, truth: float) -> float:
-    """Sum of ``truth`` plus each of the next ``n`` draws, in ``CHUNK_DRAWS`` chunks.
-
-    The halves are split where numpy's pairwise summation splits a block
-    (half the length, less its remainder mod 8), so the sum is bit-identical
-    to ``np.add.reduce`` over one array of all ``n`` values.
-    """
-    if n <= CHUNK_DRAWS:
-        values = _read([oracle], n)[0]
-        values += truth
-        return float(np.add.reduce(values))
-    half = n // 2
-    half -= half % 8
-    return _draw_sum(oracle, half, truth) + _draw_sum(oracle, n - half, truth)
 
 
 def estimate_pair(

@@ -10,6 +10,9 @@ Newton on the secular equation in the shift from the pole
 orthogonal to the lowest eigenspace is closed with an explicit eigenvector
 correction.  Every norm on the spectrum is summed
 by ``stats.sum_of_squares``, so a step does not depend on the BLAS kernel.
+Below a radius of 1e-100 and past 1e100 the squares of lengths near the
+radius leave the float range, so there the boundary step is found on the
+unit ball, with the spectrum times the radius, and scaled back.
 ``solve_exact`` reaches the spectrum through a symmetric eigendecomposition
 (LAPACK ``eigh`` through numpy; a diagonal matrix is read off directly).
 A sampling-based verifier provides an independent check.
@@ -69,8 +72,15 @@ class SubproblemSolution:
 
 
 def model_value(model: QuadraticModel, s: np.ndarray) -> float:
+    """``g @ s + 0.5 * s @ B @ s``.  Past a radius of 1e100 it is summed
+    for ``s / max|s|`` and scaled back in Python floats, so a value out of
+    the float range reads +-inf."""
     s = np.asarray(s, dtype=float)
-    return float(model.g @ s + 0.5 * (s @ (model.B @ s)))
+    if model.radius <= 1e100 or not s.any():
+        return float(model.g @ s + 0.5 * (s @ (model.B @ s)))
+    size = float(np.abs(s).max())
+    u = s / size
+    return (float(model.g @ u) + 0.5 * float(u @ (model.B @ u)) * size) * size
 
 
 def eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,6 +129,11 @@ def solve_spectrum(
             return coords(newton_coef), 0.0, newton_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
     lam_floor = max(0.0, -w_min)
+    # Outside 1e-100 <= radius <= 1e100 a boundary step is found on the
+    # unit ball: lengths divided by ``scale`` (the radius), the spectrum
+    # times it.
+    scale = 1.0 if 1e-100 <= radius <= 1e100 else radius
+    unit = radius / scale
     # The gaps w - lambda_min (w itself when lambda_min > 0): exact near
     # the lowest eigenvalue (Sterbenz) and zero on it.
     base = w + lam_floor
@@ -144,14 +159,33 @@ def solve_spectrum(
             part_norm = _norm(coef)
             if part_norm <= radius:
                 if lam_floor > 0.0:
-                    bump = math.sqrt(max(0.0, radius * radius - part_norm * part_norm))
-                    coef[int(np.argmax(lowest))] = bump
+                    part = part_norm / scale
+                    coef[int(np.argmax(lowest))] = scale * math.sqrt(max(0.0, unit * unit - part * part))
                     return coords(coef), lam_floor, True
                 return coords(coef), 0.0, part_norm >= radius * (1.0 - _BOUNDARY_RTOL)
 
-    # Boundary root of 1/||s|| = 1/radius in the shift mu = lam - lam_floor
-    # on (0, ||a|| / radius]: every denominator base + mu is positive, and a
-    # root at mu = 1e-20 is as exact as one at mu = 1.
+    if scale == 1.0:
+        mu = _boundary_shift(a, base, radius)
+    else:
+        # A gap times the radius may pass the float range, or its cube in
+        # Newton's derivative may: either reads inf, and its term rightly 0.
+        with np.errstate(over="ignore"):
+            base = base * scale
+            mu = _boundary_shift(a, base, 1.0)
+    s = coords(-a / (base + mu))
+    norm_s = _norm(s)
+    if norm_s > 0.0:
+        s = s * (unit / norm_s * scale)
+    return s, lam_floor + mu / scale, True
+
+
+def _boundary_shift(a: np.ndarray, base: np.ndarray, radius: float) -> float:
+    """The shift mu = lam - lam_floor at which ||a / (base + mu)|| = radius.
+
+    Safeguarded Newton on 1/||s|| = 1/radius over (0, ||a|| / radius]:
+    every denominator base + mu is positive, and a root at mu = 1e-20 is
+    as exact as one at mu = 1.
+    """
     a_sq = a * a
     lo = 0.0
     hi = _norm(a) / radius
@@ -166,8 +200,8 @@ def solve_spectrum(
             lo = mu
         else:
             hi = mu
-        # Below a radius of about 1e-108 the cube underflows to zero; the
-        # step then bisects.
+        # A norm below about 1e-108 underflows the cube to zero; the step
+        # then bisects.
         cube = nrm**3
         dphi = float(np.add.reduce(a_sq / (denom * denom * denom))) / cube if cube > 0.0 else 0.0
         step = -phi / dphi if dphi > 0.0 else math.nan
@@ -175,12 +209,7 @@ def solve_spectrum(
         if not math.isfinite(candidate) or not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
         mu = candidate
-
-    s = coords(-a / (base + mu))
-    norm_s = _norm(s)
-    if norm_s > 0.0:
-        s = s * (radius / norm_s)
-    return s, lam_floor + mu, True
+    return mu
 
 
 def solve_exact(model: QuadraticModel) -> SubproblemSolution:

@@ -194,8 +194,6 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == 0
         assert (out / "direct_search_l1norm_seed0.csv").exists()
 
-    # The secular solve's (B + lam I)**-3 overflows on the way, harmlessly.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     @pytest.mark.parametrize(("theta", "k"), [(0.5, 537), (4.0, 538)])
     def test_radius_down_to_the_float_range_stops_the_run(self, tmp_path, theta, k):
         # From the minimizer every step fails and halves delta, until
@@ -203,7 +201,9 @@ class TestRun:
         # zero.  Below delta = 1.7e-108 the secular solve's ||s||**3
         # underflows, which raised ZeroDivisionError (exit 1); with
         # theta = 4, delta**2 underflows while theta * delta**2 is still
-        # positive, and the stencil's division by it exited 2.
+        # positive, and the stencil's division by it exited 2.  Below
+        # delta = 1e-100 the secular solve's (B + lam I)**-3 overflowed and
+        # printed a RuntimeWarning, which the suite's filter makes an error.
         out = tmp_path / "out"
         cfg_path = write_run_config(tmp_path / "r.json", out, seeds=(0,), algorithm="trust_region")
         raw = json.loads(cfg_path.read_text())

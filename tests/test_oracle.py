@@ -404,6 +404,36 @@ class TestBatchMeans:
             assert batch[s].draws == alone[s].draws == k * n
             assert batch[s]._rng.random() == alone[s]._rng.random()
 
+    @pytest.mark.parametrize("noise", ALL_NOISE, ids=ALL_NOISE_IDS)
+    @pytest.mark.parametrize(
+        "k,seeds,n",
+        [(2, 4, CHUNK_DRAWS // 8), (1, 16, CHUNK_DRAWS // 16), (5, 29, 113), (1, 5, (CHUNK_DRAWS + 1) // 5)],
+    )
+    def test_one_chunk_boundary_matches_each_seed(self, noise, k, seeds, n, monkeypatch):
+        # seeds * k * n at CHUNK_DRAWS is one stacked read; one past it goes
+        # seed by seed.
+        assert seeds * k * n in (CHUNK_DRAWS, CHUNK_DRAWS + 1)
+        self.test_matches_each_seed_bit_for_bit(noise, k, lambda k: [n] * seeds, monkeypatch)
+
+    @pytest.mark.parametrize("k", [2, 2 * D + 1])
+    def test_equal_counts_that_fit_a_chunk_read_once(self, k, monkeypatch):
+        # The lockstep iteration's speed rests on one stacked read per call.
+        calls = []
+        read = oracle_module._read
+
+        def counted(oracles, count):
+            calls.append(len(oracles))
+            return read(oracles, count)
+
+        monkeypatch.setattr(oracle_module, "_read", counted)
+        problem = get_problem("sphere", D)
+        oracles = [StochasticOracle(problem, NoiseModel.gaussian(1.0), seed=s) for s in range(5)]
+        points = np.stack([np.roll(STACK_POINTS[:k], s, axis=0) for s in range(5)])
+        for n in (1, 16, 1, 100, CHUNK_DRAWS // (5 * k)):
+            calls.clear()
+            engine_means(oracles, points, [n] * 5)
+            assert calls == [5]
+
     def test_noiseless_batch_keeps_its_truths_and_reads_no_stream(self, monkeypatch):
         # Seeds that fit a chunk, and three seeds past a chunk: none of them
         # draws.

@@ -586,3 +586,40 @@ class TestPoleStep:
             return solve_exact(model), model
         s, lam, on_boundary = solve_spectrum(w, g, radius, lambda coef: coef)
         return SubproblemSolution(s, lam, on_boundary, model_value(model, s)), model
+
+
+# Gradient and matrix of models solved at every radius 10**k, k = -300...300
+# in steps of 5.  Hard-case: no gradient on the negative eigenvalue, so the
+# step reaches the boundary through an eigenvector bump.
+SWEEP_MODELS = {
+    "negative_identity": ([1.0, 0.0], [[-1.0, 0.0], [0.0, -1.0]]),
+    "indefinite_diagonal": ([0.6, 0.8], [[1.0, 0.0], [0.0, -2.0]]),
+    "indefinite": ([0.6, 0.8], [[1.0, 2.0], [2.0, -1.0]]),
+    "positive_diagonal": ([0.6, 0.8], [[3.0, 0.0], [0.0, 5.0]]),
+    "hard_case": ([0.0, 1.0], [[-1.0, 0.0], [0.0, 1.0]]),
+}
+
+
+class TestRadiusSweep:
+    """Radii from 1e-300 to 1e300 solve without an exception or a warning.
+
+    Below a radius of 1e-100 the squares of lengths near it underflow (a
+    zero norm, or a step outside the ball); past 1e100 they, ``||s||**3``,
+    the cubed denominators and the model value overflow.
+    """
+
+    @pytest.mark.parametrize("name", SWEEP_MODELS)
+    def test_every_radius_gives_a_finite_step_in_the_ball(self, name):
+        g, b = (np.array(v) for v in SWEEP_MODELS[name])
+        w, q = eigendecomposition(b)
+        for k in range(-300, 301, 5):
+            radius = 10.0**k
+            sol = solve_exact(QuadraticModel(g=g, B=b, radius=radius))
+            s, lam, on_boundary = solve_spectrum(w, q.T @ g, radius, lambda coef: q @ coef)
+            assert (s.tobytes(), lam, on_boundary) == (sol.s.tobytes(), sol.multiplier, sol.on_boundary)
+            assert np.isfinite(s).all() and lam >= 0.0
+            assert np.linalg.norm(s / radius) <= 1.0 + 1e-8
+            assert sol.model_decrease <= 0.0
+            if k <= -100:
+                # The curvature term is below rounding: the step is -radius * g.
+                assert np.linalg.norm(s / radius + g) <= 1e-12
