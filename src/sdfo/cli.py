@@ -8,17 +8,10 @@ without vectors.
 ``--jobs J`` splits the seed list into ``min(J, seeds)`` contiguous
 batches, one per worker process; since a seed's trace does not depend on
 the batch it ran in, and every seed writes only its own file, the outputs
-do not depend on ``J``.  Within a batch, once two or more noisy seeds'
-estimates pass one ``CHUNK_DRAWS`` chunk in an iteration, the batch goes
-apart, and the one step that advanced the batch in lockstep then
-advances one seed at a time on ``min(seeds, usable CPUs)`` threads: the
-calling one and helpers named ``sdfo-draws-*`` that ``run_steps`` starts
-and joins, so no thread is alive when a worker forks, and draw memory
-stays O(``CHUNK_DRAWS`` x threads).  A thread hands its seed back and
-takes the next in one locked step, so no seed ever waits while a thread
-is free, and a helper ends as soon as no seed waits for it.  Each seed
-reads only its own stream, so the outputs do not depend on the thread
-count either.
+do not depend on ``J``.  How a batch goes apart onto threads (helpers
+named ``sdfo-draws-*``, none alive when a worker forks, draw memory
+O(``CHUNK_DRAWS`` x threads), outputs byte-identical whatever the thread
+count) is told in the ``trust_region`` module docstring.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from pathlib import Path
 from .direct_search import DirectSearchConfig
 from .oracle import SAMPLER_FIELDS, NoiseModel, SamplePolicy, sample_policy
 from .problems import get_problem
-from .tail_audit import CONDITIONS, TailAuditSpec
+from .tail_audit import TailAuditSpec, check_conditions
 from .trust_region import DEFAULT_DELTA_FLOOR, RegressionClipped, TrustRegionConfig, ZeroHessian
 
 SCHEMA_VERSION = 1
@@ -77,15 +77,10 @@ class AuditSettings:
     k_f: float = 1.0
 
     def __post_init__(self) -> None:
-        for cond in self.conditions:
-            if cond not in CONDITIONS:
-                raise ConfigError(f"audit.conditions: unknown condition {cond!r}")
-        if not self.conditions:
-            raise ConfigError("audit.conditions: at least one condition is required")
-        if len(set(self.conditions)) < len(self.conditions):
-            raise ConfigError(
-                f"audit.conditions: each condition may be listed once, got {list(self.conditions)}"
-            )
+        try:
+            check_conditions(self.conditions)
+        except ValueError as exc:
+            raise ConfigError(f"audit.conditions: {exc}") from None
         if not 0.0 < self.k_f < math.inf:
             raise ConfigError(f"audit.k_f: must be positive and finite, got {self.k_f}")
         if not all(math.isfinite(v) for v in self.x + self.direction):

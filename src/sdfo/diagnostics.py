@@ -12,13 +12,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .problems import TestProblem
-from .trace import TRACE_COLUMNS, IterationRecord, metadata_lines, rows_writer
+from .trace import TRACE_COLUMNS, IterationRecord, rows_writer, write_table
 
 
 class UnsupportedProblemError(ValueError):
@@ -138,7 +137,4 @@ def alignment_profile(trace: Sequence[IterationRecord]) -> list[float]:
 def write_summary_csv(
     path, summaries: Iterable[RunSummary], metadata: Mapping[str, object] | None = None
 ) -> None:
-    lines = metadata_lines(metadata)
-    lines.append(",".join(SUMMARY_COLUMNS))
-    lines.extend(_summary_rows(summaries))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, SUMMARY_COLUMNS, _summary_rows(summaries), metadata)

@@ -12,7 +12,10 @@ correction.  Every norm on the spectrum is summed
 by ``stats.sum_of_squares``, so a step does not depend on the BLAS kernel.
 Below a radius of 1e-100 and past 1e100 the squares of lengths near the
 radius leave the float range, so there the boundary step is found on the
-unit ball, with the spectrum times the radius, and scaled back.
+unit ball, with the spectrum times the radius, and scaled back.  The
+interior candidates (the Newton step, the hard case's short solution) are
+measured in the same units, and one whose coefficient alone passes the
+radius lies outside the ball before any square is formed.
 ``solve_exact`` reaches the spectrum through a symmetric eigendecomposition
 (LAPACK ``eigh`` through numpy; a diagonal matrix is read off directly).
 A sampling-based verifier provides an independent check.
@@ -111,6 +114,12 @@ def _shifted_norm(a: np.ndarray, denom: np.ndarray) -> float:
     return _norm(a / denom)
 
 
+def _length(coef: np.ndarray, radius: float, scale: float) -> float:
+    """||coef|| / scale, or inf once one coefficient alone passes the radius:
+    neither the quotient nor a square then leaves the float range."""
+    return math.inf if np.maximum.reduce(np.abs(coef)) > radius else _norm(coef / scale)
+
+
 def solve_spectrum(
     w: np.ndarray, a: np.ndarray, radius: float, coords: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, float, bool]:
@@ -121,19 +130,19 @@ def solve_spectrum(
     the boundary rescale takes the norm of the step in coordinates.
     """
     w_min = float(w[0])
+    # Outside 1e-100 <= radius <= 1e100 lengths are measured in units of
+    # ``scale`` (the radius) and a boundary step is found on the unit ball,
+    # with the spectrum times the radius.
+    scale = 1.0 if 1e-100 <= radius <= 1e100 else radius
+    unit = radius / scale
 
     if w_min > 0.0:
         newton_coef = -a / w
-        newton_norm = _norm(newton_coef)
-        if newton_norm <= radius:
-            return coords(newton_coef), 0.0, newton_norm >= radius * (1.0 - _BOUNDARY_RTOL)
+        newton_norm = _length(newton_coef, radius, scale)
+        if newton_norm <= unit:
+            return coords(newton_coef), 0.0, newton_norm >= unit * (1.0 - _BOUNDARY_RTOL)
 
     lam_floor = max(0.0, -w_min)
-    # Outside 1e-100 <= radius <= 1e100 a boundary step is found on the
-    # unit ball: lengths divided by ``scale`` (the radius), the spectrum
-    # times it.
-    scale = 1.0 if 1e-100 <= radius <= 1e100 else radius
-    unit = radius / scale
     # The gaps w - lambda_min (w itself when lambda_min > 0): exact near
     # the lowest eigenvalue (Sterbenz) and zero on it.
     base = w + lam_floor
@@ -156,13 +165,12 @@ def solve_spectrum(
             coef = np.zeros_like(a)
             rest = ~lowest
             coef[rest] = -a[rest] / base[rest]
-            part_norm = _norm(coef)
-            if part_norm <= radius:
+            part = _length(coef, radius, scale)
+            if part <= unit:
                 if lam_floor > 0.0:
-                    part = part_norm / scale
                     coef[int(np.argmax(lowest))] = scale * math.sqrt(max(0.0, unit * unit - part * part))
                     return coords(coef), lam_floor, True
-                return coords(coef), 0.0, part_norm >= radius * (1.0 - _BOUNDARY_RTOL)
+                return coords(coef), 0.0, part >= unit * (1.0 - _BOUNDARY_RTOL)
 
     if scale == 1.0:
         mu = _boundary_shift(a, base, radius)

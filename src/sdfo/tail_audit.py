@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .oracle import NoiseModel, SamplePolicy, StochasticOracle, sample_means
 from .stats import check_integer, wilson_upper
-from .trace import format_float, metadata_lines, rows_writer
+from .trace import format_float, rows_writer, write_table
 
 # Estimator: (oracle, x_current, x_trial, delta, trials) -> ((trials, 2) estimates, samples per estimate)
 Estimator = Callable[[StochasticOracle, np.ndarray, np.ndarray, float, int], tuple[np.ndarray, int]]
@@ -213,6 +212,18 @@ CONDITIONS = {
 }
 
 
+def check_conditions(names) -> None:
+    """A ``ValueError`` unless ``names`` lists at least one condition of
+    ``CONDITIONS``, each once."""
+    for name in names:
+        if name not in CONDITIONS:
+            raise ValueError(f"unknown condition {name!r}")
+    if not names:
+        raise ValueError("at least one condition is required")
+    if len(set(names)) < len(names):
+        raise ValueError(f"each condition may be listed once, got {list(names)}")
+
+
 def _audit_point(oracle: StochasticOracle, x, g) -> tuple[np.ndarray, np.ndarray]:
     """The audited point and unit direction, checked to be finite.
 
@@ -288,9 +299,11 @@ def audit_conditions(
 ) -> tuple[AuditReport, ...]:
     """Audit each condition ``CONDITIONS[name]`` on one error set per delta.
 
-    Returns one report per name, in order.  ``k_f`` sets the variance bound
-    ``k_f^2 delta^4`` and is unused otherwise.
+    Returns one report per name, in order; names that fail
+    ``check_conditions`` raise its ``ValueError`` before any draw.  ``k_f``
+    sets the variance bound ``k_f^2 delta^4`` and is unused otherwise.
     """
+    check_conditions(names)
     conditions = {name: CONDITIONS[name] for name in names}
     grids = {name: c.grid(spec, oracle.noise) for name, c in conditions.items() if c.grid is not None}
     if "variance" in conditions and not 0.0 < k_f < math.inf:
@@ -335,11 +348,9 @@ def audit_conditions(
                     wilson_upper=upper, passed=upper <= bound,
                 )
             )
-    reports = {
-        name: AuditReport(name, tuple(c), all(cell.passed for cell in c), draws)
-        for name, c in cells.items()
-    }
-    return tuple(reports[name] for name in names)
+    return tuple(
+        AuditReport(name, tuple(c), all(cell.passed for cell in c), draws) for name, c in cells.items()
+    )
 
 
 def audit_a1(oracle: StochasticOracle, estimator: Estimator, x, g, spec: TailAuditSpec) -> AuditReport:
@@ -355,17 +366,16 @@ def write_report_csv(path, report: AuditReport, metadata: Mapping[str, object] |
     Variance reports use their own column set (delta, bound, moment,
     slack, pass per estimate).
     """
-    lines = metadata_lines(metadata)
     if report.condition == "variance":
-        lines.append("which,delta,samples,trials,bound,moment,slack,pass")
-        lines.extend(_moment_rows(report.cells))
+        header = ("which", "delta", "samples", "trials", "bound", "moment", "slack", "pass")
+        rows = _moment_rows(report.cells)
     else:
-        lines.append("p,delta,threshold,freq,wilson_upper,pass")
-        lines.extend(
+        header = ("p", "delta", "threshold", "freq", "wilson_upper", "pass")
+        rows = (
             f"{format_float(cell.p if cell.p is not None else cell.bound)},{row}"
             for cell, row in zip(report.cells, _exceedance_rows(report.cells))
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, header, rows, metadata)
 
 
 def format_report(report: AuditReport) -> str:

@@ -1,8 +1,11 @@
 """Per-iteration run records and their delimited serialization.
 
-The CSV schema is fixed (column order below) and floats are written with
-17 significant digits so a round-trip through disk is lossless.  Header
-comment lines starting with ``#`` carry reproducibility metadata.
+The trace columns are the leading fields of ``IterationRecord``, in order,
+and floats are written with 17 significant digits so a round-trip through
+disk is lossless.  Every CSV file sdfo writes (traces, run summaries,
+audit reports) is laid out by ``write_table``: header comment lines
+starting with ``#`` carry reproducibility metadata, then the header row
+and the data rows.
 """
 
 from __future__ import annotations
@@ -13,18 +16,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-
-TRACE_COLUMNS = (
-    "k",
-    "success",
-    "delta",
-    "step_norm",
-    "f_true_current",
-    "est_current",
-    "est_trial",
-    "samples_current",
-    "samples_trial",
-)
 
 
 class IterationRecord(NamedTuple):
@@ -49,6 +40,10 @@ class IterationRecord(NamedTuple):
     x: np.ndarray | None = None
     direction: np.ndarray | None = None
     step: np.ndarray | None = None
+
+
+# The columns of a trace: the fields of a record before its vectors.
+TRACE_COLUMNS = IterationRecord._fields[:9]
 
 
 def format_float(value: float) -> str:
@@ -97,10 +92,12 @@ def rows_writer(cls, columns: tuple[str, ...]):
     return lambda rows: map(fmt, map(values, rows))
 
 
-def metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
-    if not metadata:
-        return []
-    return [f"# {key}={value}" for key, value in metadata.items()]
+def write_table(path, header, lines, metadata: Mapping[str, object] | None = None) -> None:
+    """Write a CSV file in UTF-8: a ``# key=value`` line per metadata item,
+    the header row (the column names in ``header`` joined by commas), then
+    the row strings in ``lines``; every line ends in a newline."""
+    meta = [f"# {key}={value}" for key, value in (metadata or {}).items()]
+    Path(path).write_text("\n".join([*meta, ",".join(header), *lines]) + "\n", encoding="utf-8")
 
 
 _trace_rows = rows_writer(IterationRecord, TRACE_COLUMNS)
@@ -112,10 +109,7 @@ def write_trace_csv(
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Write trace rows (records, or tuples that start with the column values)."""
-    lines = metadata_lines(metadata)
-    lines.append(",".join(TRACE_COLUMNS))
-    lines.extend(_trace_rows(trace))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, TRACE_COLUMNS, _trace_rows(trace), metadata)
 
 
 def read_trace_csv(path) -> list[IterationRecord]:

@@ -21,19 +21,27 @@ so a seed's trace does not depend on the batch it ran in; a library run
 it stops, and its final state names why (``STOP_REASONS``).
 
 A noisy batch whose estimates grow past the estimate engine's chunk goes
-apart: once two or more seeds have drawn more than ``CHUNK_DRAWS`` values
-in one iteration, each seed runs on by itself, on a clone of the
-generator, and up to one thread per usable CPU takes one seed-iteration
-at a time, the seed with the largest radius first.  One step function
-serves both phases: it advances the whole batch in lockstep, and one
-seed once the batch has gone apart.  A thread hands its seed back and
-takes the next one in one locked step, so the queue of waiting seeds
-never grows: a helper thread ends as soon as it finds the queue empty,
-since every seed still running is held by a thread that goes on with it,
-and no thread ever waits for another.  This is the one place where seeds
-draw concurrently; each thread holds O(``CHUNK_DRAWS``) drawn values, and
-none outlives the ``run_steps`` call.  A seed's trace is byte-identical
-whichever phase and thread ran its iterations.
+apart: after the first lockstep iteration in which two or more seeds
+drew more than ``CHUNK_DRAWS`` values (a row's ``samples_current +
+samples_trial``; noiseless oracles draw none), each seed runs on by
+itself, on a clone of the generator, and the batch's generator ends
+where a lockstep batch would leave it; a batch of one never goes apart.
+``min(seeds, usable CPUs)`` threads, the calling one and helpers named
+``sdfo-draws-*``, take one seed-iteration at a time, the seed with the
+largest radius first.  One step function serves both phases: it
+advances the whole batch in lockstep, and one seed once the batch has
+gone apart.  A thread hands its seed back and takes the next one in one
+locked step, so the queue of waiting seeds never grows: a helper thread
+ends as soon as it finds the queue empty, since every seed still running
+is held by a thread that goes on with it, and no thread ever waits for
+another (``_run_apart`` tells why).  This is the one place where seeds
+draw concurrently; each thread holds O(``CHUNK_DRAWS``) drawn values, so
+draw memory is O(``CHUNK_DRAWS`` x threads), and ``run_steps`` joins
+every thread it starts before it returns, so none is alive when a
+``--jobs`` worker process forks.  The first error of a seed-iteration
+stops the batch and is raised once every thread is joined.  A seed's
+trace is byte-identical whichever phase and thread ran its iterations,
+so the outputs depend neither on the thread count nor on ``--jobs``.
 
 Non-finite values act as an extreme barrier (Audet & Dennis, SIAM J.
 Optim. 2006).  When f is ``+inf`` or NaN at a trial point, the trial
@@ -373,18 +381,8 @@ def run_steps(
     ``TRACE_COLUMNS`` values, which is cheaper to build and writes and
     summarizes the same.
 
-    One step function serves both phases: it advances a group of seeds by
-    one iteration, the whole batch in lockstep, in this thread, and one
-    seed once the batch has gone apart.  After the first lockstep
-    iteration in which two or more noisy seeds drew more than
-    ``CHUNK_DRAWS`` values (a row's ``samples_current + samples_trial``;
-    noiseless oracles draw none), the step splits the batch into one group
-    per seed, each on a clone of ``gen``, and ``_run_apart`` runs the same
-    step on them to their stops, on threads that this call starts and
-    joins; a helper thread ends as soon as no seed waits for it, and none
-    ever waits (see ``_run_apart`` for why).  ``gen`` then ends where a
-    lockstep batch would leave it.  A batch of one never splits.  Any
-    error of a seed-iteration stops the batch and is raised here.
+    How the batch goes apart onto threads, and why its rows do not depend
+    on them, is told in the module docstring.
     """
     if not delta_floor >= 0.0:
         raise ValueError(f"delta_floor must be nonnegative, got {delta_floor}")

@@ -232,13 +232,19 @@ def tr_config_dict():
     return raw
 
 
+DELETED = object()
+
+
 def edited(builder, path, value):
-    """``builder()`` with ``value`` set at the key path ``path``."""
+    """``builder()`` with ``value`` set at the key path ``path`` (removed for ``DELETED``)."""
     raw = builder()
     block = raw
     for key in path[:-1]:
         block = block[key]
-    block[path[-1]] = value
+    if value is DELETED:
+        del block[path[-1]]
+    else:
+        block[path[-1]] = value
     return raw
 
 
@@ -280,6 +286,44 @@ class TestUnknownKeys:
         raw = tr_config_dict()
         raw["config"]["hessian"] = {"policy": "regression_clipped", "q": 0.5, "m": 1.0, "M": 2.0}
         assert config_from_dict(raw).algo.hessian_policy.M == 2.0
+
+
+# Values a config file can carry that the parser refuses, with the whole message.
+REJECTED_VALUES = [
+    (ds_config_dict, ("algorithm",), "bogus", "algorithm: unknown algorithm 'bogus'"),
+    (ds_config_dict, ("noise",), DELETED, "noise: missing required field"),
+    (ds_config_dict, ("noise", "kind"), "bogus", "noise.kind: unknown kind 'bogus'"),
+    (ds_config_dict, ("sampler", "kind"), "bogus", "sampler.kind: unknown kind 'bogus'"),
+    (ds_config_dict, ("sampler",), {"kind": "variance"}, "sampler.k_f: variance sampler needs k_f > 0"),
+    (ds_config_dict, ("sampler",), {"kind": "moment"}, "sampler.k_f: moment sampler needs k_f > 0"),
+    (ds_config_dict, ("seeds",), [], "seeds: at least one seed is required"),
+    (
+        tr_config_dict, ("config", "hessian", "policy"), "bogus",
+        "config.hessian.policy: unknown policy 'bogus'",
+    ),
+    (
+        audit_config_dict, ("audit", "conditions"), ["a1", "bogus"],
+        "audit.conditions: unknown condition 'bogus'",
+    ),
+    (
+        audit_config_dict, ("audit", "conditions"), [],
+        "audit.conditions: at least one condition is required",
+    ),
+]
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize(
+        ("builder", "path", "value", "message"),
+        REJECTED_VALUES,
+        ids=[
+            "algorithm", "noise-missing", "noise-kind", "sampler-kind", "variance-no-k_f",
+            "moment-no-k_f", "seeds-empty", "hessian-policy", "conditions-unknown", "conditions-empty",
+        ],
+    )
+    def test_full_message(self, builder, path, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(edited(builder, path, value))
 
 
 class TestSamplerFields:

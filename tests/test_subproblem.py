@@ -623,3 +623,38 @@ class TestRadiusSweep:
             if k <= -100:
                 # The curvature term is below rounding: the step is -radius * g.
                 assert np.linalg.norm(s / radius + g) <= 1e-12
+
+
+class TestTinyEigenvalue:
+    """A Newton step or hard-case short solution whose squares pass the float
+    range is measured against the radius before any square is formed.
+
+    Squared whole, ``(-6e199, -0.8)`` read an infinite norm: at radius
+    1e250 the interior minimizer was missed for a boundary step of length
+    1e250, and at radius 1 numpy warned of the overflow.
+    """
+
+    # Gradient, diagonal of B, radius, and the interior step (None: on the boundary).
+    CASES = {
+        "interior": ((0.6, 0.8), (1e-200, 1.0), 1e250, (-0.6 / 1e-200, -0.8)),
+        "hard_case_interior": ((0.0, 1.0), (0.0, 1e-200), 1e250, (0.0, -1.0 / 1e-200)),
+        "boundary": ((0.6, 0.8), (1e-300, 1.0), 1.0, None),
+        "hard_case_boundary": ((0.0, 1.0), (0.0, 1e-300), 1.0, None),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("entry", ["solve_spectrum", "solve_exact"])
+    def test_step_without_overflow(self, entry, name):
+        g, diag, radius, interior = self.CASES[name]
+        model = QuadraticModel(g=np.array(g), B=np.diag(diag), radius=radius)
+        if entry == "solve_exact":
+            sol = solve_exact(model)
+        else:
+            s, lam, on_boundary = solve_spectrum(np.array(diag), np.array(g), radius, lambda coef: coef)
+            sol = SubproblemSolution(s, lam, on_boundary, model_value(model, s))
+        if interior is not None:
+            assert np.array_equal(sol.s, interior)
+            assert (sol.multiplier, sol.on_boundary) == (0.0, False)
+        else:
+            assert sol.on_boundary and sol.multiplier > 0.0
+            assert_certificate(model, sol)

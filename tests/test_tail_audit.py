@@ -269,6 +269,29 @@ class TestAuditCondition:
             audit_conditions(("variance",), oracle, est, X, G, small_spec(), k_f=bad)
         assert oracle.draws == 0
 
+    @pytest.mark.parametrize(
+        ("names", "message"),
+        [
+            (("bogus",), "unknown condition 'bogus'"),
+            ((), "at least one condition is required"),
+            (("a1", "a2", "a1"), "each condition may be listed once, got ['a1', 'a2', 'a1']"),
+        ],
+        ids=["unknown", "empty", "twice"],
+    )
+    def test_names_checked_before_any_estimate(self, names, message):
+        # An unknown name raised KeyError, and an empty list drew every
+        # delta's set before it returned no report.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sampler_estimator(fixed_sample_policy(1))(*args)
+
+        oracle = gaussian_oracle()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            audit_conditions(names, oracle, counting, X, G, small_spec(trials=1000))
+        assert calls == [] and oracle.draws == 0
+
     @pytest.mark.parametrize("name", ["a1", "a2", "a2h", "variance"])
     def test_public_audits_are_table_rows(self, name):
         # audit_a1 is the one public wrapper left; every condition is a row.

@@ -1,6 +1,7 @@
 """Trace CSV schema, lossless float round-trip and metadata headers."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -23,7 +24,7 @@ from sdfo import (
 )
 from sdfo.diagnostics import SUMMARY_COLUMNS, RunSummary, _summary_rows
 from sdfo.direct_search import DirectSearchConfig, propose_ds
-from sdfo.trace import TRACE_COLUMNS, _trace_rows, format_float
+from sdfo.trace import TRACE_COLUMNS, _trace_rows, format_float, write_table
 from sdfo.trust_region import TrustRegionConfig, propose_tr, run_steps
 
 
@@ -91,6 +92,29 @@ def test_reader_rejects_wrong_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trace_csv(path)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("# seed=1\n\n", "no header row found in {path}"),
+        (",".join(TRACE_COLUMNS) + "\n1,0,0.5\n", "malformed trace row in {path}: '1,0,0.5'"),
+    ],
+    ids=["no-header", "short-row"],
+)
+def test_reader_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        read_trace_csv(path)
+
+
+def test_table_layout(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ("a", "b"), iter(["1,2", "3,4"]), {"seed": 1, "rule": "fixed"})
+    assert path.read_bytes() == b"# seed=1\n# rule=fixed\na,b\n1,2\n3,4\n"
+    write_table(path, ("a", "b"), [])
+    assert path.read_bytes() == b"a,b\n"
 
 
 def test_write_is_byte_deterministic(tmp_path):
